@@ -14,11 +14,9 @@ a computation.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -174,25 +172,6 @@ def _emit_csv(cfg: RunConfig, header_meta: list[str], columns: list[str],
     _emit(cfg, "\n".join(lines) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CHANNELSIM_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
-def _sweep(values, fn):
-    """Map fn over grid points, in parallel when allowed, sorted output."""
-    threads = _thread_count()
-    if threads == 1 or len(values) <= 1:
-        results = [fn(v) for v in values]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(fn, values))
-    return [r for _, r in sorted(zip(values, results), key=lambda t: t[0])]
-
-
 def _cmd_divergence(cfg: RunConfig) -> int:
     data = _load_json_file(cfg.channel)
     p = _load_pmf(data, "p")
@@ -270,7 +249,7 @@ def _cmd_bsc_curve(cfg: RunConfig) -> int:
         return (n, got.log2_cost, got.log2_cost / n, sim / n, cod / n,
                 params.capacity)
 
-    rows = _sweep(list(cfg.n_values), point)
+    rows = [point(n) for n in sorted(cfg.n_values)]
     _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, delta=cfg.delta),
               ["n", "log2_ns_cost", "log2_ns_cost_per_n",
                "simulation_second_order_per_n", "coding_second_order_per_n",

@@ -2,11 +2,13 @@
 
 Small self-contained solver for the linear programs that appear in the
 meta-converse and smoothing computations. Design choices, deliberately
-boring: a dense tableau (the programs here are dense anyway), Bland's
+boring: a dense tableau, upper bounds as explicit rows, Bland's
 smallest-index entering rule with ratio ties broken by the smallest
 basic variable index, equality rows handled through phase-1 artificial
 variables. Identical input therefore produces an identical pivot
-sequence and bit-identical output.
+sequence and bit-identical output. The tableaux of the programs here
+are mostly zeros, so a pivot updates only the rows and columns where the
+pivot column and row are nonzero, which leaves every bit unchanged.
 
 Tolerances: reduced costs count as negative below -1e-9, pivot entries
 below 1e-11 are never used (an LpNumericsError is raised if no usable
@@ -93,9 +95,14 @@ def _pivot(tab: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: i
     piv = tab[row, col]
     tab[row] /= piv
     pivot_row = tab[row]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, pivot_row)
+    # The rank-one update only touches rows with a nonzero in the pivot
+    # column and columns with a nonzero in the pivot row; every other cell
+    # would have zero subtracted from it.
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    if rows.size:
+        cols = np.flatnonzero(pivot_row)
+        tab[np.ix_(rows, cols)] -= np.outer(tab[rows, col], pivot_row[cols])
     obj -= obj[col] * pivot_row
     basis[row] = col
 
@@ -109,9 +116,7 @@ def _run_simplex(tab, obj, basis, allowed, max_iters):
             raise LpNumericsError("simplex iteration limit exceeded")
         entering = -1
         saw_tiny_only = False
-        for j in range(ncols):
-            if not allowed[j] or obj[j] >= -RC_TOL:
-                continue
+        for j in np.flatnonzero(allowed & (obj[:ncols] < -RC_TOL)):
             col = tab[:, j]
             pos = col > PIVOT_TOL
             if not pos.any():
@@ -119,7 +124,7 @@ def _run_simplex(tab, obj, basis, allowed, max_iters):
                     saw_tiny_only = True   # only sub-tolerance pivots here
                     continue
                 return "unbounded", iters
-            entering = j
+            entering = int(j)
             break
         if entering < 0:
             if saw_tiny_only:
@@ -144,102 +149,65 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     programs without an optimum.
     """
     n = problem.num_vars
-    m = problem.num_rows
 
     # ---- rewrite bounds: shift finite lowers, split free vars, rows for uppers
     shift = np.where(np.isfinite(problem.lower), problem.lower, 0.0)
-    col_of = []            # (variable, +1) and, for free variables, (variable, -1)
-    for j in range(n):
-        col_of.append((j, 1.0))
-    for j in range(n):
-        if not np.isfinite(problem.lower[j]):
-            col_of.append((j, -1.0))
-    ncols_struct = len(col_of)
-
-    a_rows = []
-    b_vals = []
-    senses = []
-    base_b = problem.b - problem.a @ shift
-    for i in range(m):
-        row = np.zeros(ncols_struct)
-        for jcol, (var, sign) in enumerate(col_of):
-            row[jcol] = sign * problem.a[i, var]
-        a_rows.append(row)
-        b_vals.append(base_b[i])
-        senses.append(problem.senses[i])
-    for j in range(n):
-        if np.isfinite(problem.upper[j]):
-            row = np.zeros(ncols_struct)
-            for jcol, (var, sign) in enumerate(col_of):
-                if var == j:
-                    row[jcol] = sign
-            a_rows.append(row)
-            b_vals.append(problem.upper[j] - shift[j])
-            senses.append("<=")
-
-    A = np.array(a_rows)
-    b = np.array(b_vals)
+    # Structural column j stands for sign_of[j] * x[var_of[j]]: every
+    # variable once, then a negated copy of each free variable.
+    free = np.flatnonzero(~np.isfinite(problem.lower))
+    var_of = np.concatenate([np.arange(n), free])
+    sign_of = np.concatenate([np.ones(n), -np.ones(free.size)])
+    ncols_struct = var_of.size
+    capped = np.flatnonzero(np.isfinite(problem.upper))
+    A = np.vstack([problem.a[:, var_of] * sign_of,
+                   np.where(var_of == capped[:, None], sign_of, 0.0)])
+    b = np.concatenate([problem.b - problem.a @ shift,
+                        problem.upper[capped] - shift[capped]])
+    senses = np.array(problem.senses + ("<=",) * capped.size)
     rows_total = b.size
     neg = b < 0.0
     A[neg] *= -1.0
     b[neg] = -b[neg]
-    flipped = {"<=": ">=", ">=": "<=", "=": "="}
-    senses = [flipped[s] if f else s for s, f in zip(senses, neg)]
+    flip = neg & (senses != "=")
+    senses[flip] = np.where(senses[flip] == "<=", ">=", "<=")
 
     # ---- slack and artificial blocks
-    n_slack = sum(1 for s in senses if s in ("<=", ">="))
-    n_art = sum(1 for s in senses if s in (">=", "="))
+    slack_rows = np.flatnonzero(senses != "=")
+    art_rows = np.flatnonzero(senses != "<=")
+    n_slack, n_art = slack_rows.size, art_rows.size
     ncols = ncols_struct + n_slack + n_art
     tab = np.zeros((rows_total, ncols + 1))
     tab[:, :ncols_struct] = A
     tab[:, -1] = b
+    slack_cols = ncols_struct + np.arange(n_slack)
+    art_cols = ncols_struct + n_slack + np.arange(n_art)
+    tab[slack_rows, slack_cols] = np.where(senses[slack_rows] == "<=", 1.0, -1.0)
+    tab[art_rows, art_cols] = 1.0
     basis = np.empty(rows_total, dtype=np.int64)
-    s_at = ncols_struct
-    a_at = ncols_struct + n_slack
-    art_cols = []
-    for i, s in enumerate(senses):
-        if s == "<=":
-            tab[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif s == ">=":
-            tab[i, s_at] = -1.0
-            s_at += 1
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            tab[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols     # a '>=' row starts on its artificial
 
     if max_iters is None:
         max_iters = 200 * (rows_total + ncols) + 2000
 
     iters_total = 0
     allowed = np.ones(ncols, dtype=bool)
-    if art_cols:
+    first_art = ncols_struct + n_slack
+    if n_art:
         # phase 1: minimize the sum of artificials, expressed in reduced form
-        obj = np.zeros(ncols + 1)
-        for i in np.flatnonzero(np.isin(basis, art_cols)):
-            obj -= tab[i]
+        obj = -tab[art_rows].sum(axis=0)
         obj[art_cols] = 0.0
         status, it1 = _run_simplex(tab, obj, basis, allowed, max_iters)
         iters_total += it1
         if status == "unbounded":
             raise LpNumericsError("phase 1 reported unbounded")
-        phase1_val = float(tab[np.isin(basis, art_cols), -1].sum())
+        phase1_val = float(tab[basis >= first_art, -1].sum())
         if phase1_val > FEAS_TOL:
             return LpSolution("infeasible", math.inf, None, iters_total)
         # drive remaining artificials out of the basis, drop redundant rows
         keep_rows = np.ones(rows_total, dtype=bool)
-        art_set = set(art_cols)
-        for i in range(rows_total):
-            if int(basis[i]) not in art_set:
-                continue
-            cand = np.flatnonzero(np.abs(tab[i, : ncols_struct + n_slack]) > PIVOT_TOL)
+        for i in np.flatnonzero(basis >= first_art):
+            cand = np.flatnonzero(np.abs(tab[i, :first_art]) > PIVOT_TOL)
             if cand.size:
                 _pivot(tab, obj, basis, i, int(cand[0]))
                 iters_total += 1
@@ -249,13 +217,11 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
         basis = basis[keep_rows]
         rows_total = tab.shape[0]
     # artificial columns are dead from here on
-    allowed[ncols_struct + n_slack:] = False
+    allowed[first_art:] = False
 
     # phase 2 objective in reduced form
-    c_ext = np.zeros(ncols + 1)
-    for jcol, (var, sign) in enumerate(col_of):
-        c_ext[jcol] = sign * problem.c[var]
-    obj = c_ext.copy()
+    obj = np.zeros(ncols + 1)
+    obj[:ncols_struct] = sign_of * problem.c[var_of]
     for i in range(rows_total):
         if obj[basis[i]] != 0.0:
             obj -= obj[basis[i]] * tab[i]
@@ -270,8 +236,7 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     if x_std.min() < -FEAS_TOL:
         raise LpNumericsError("negative basic value beyond tolerance")
     x = shift.copy()
-    for jcol, (var, sign) in enumerate(col_of):
-        x[var] += sign * max(x_std[jcol], 0.0)
+    np.add.at(x, var_of, sign_of * np.maximum(x_std[:ncols_struct], 0.0))
 
     resid = problem.a @ x - problem.b
     for i, s in enumerate(problem.senses):

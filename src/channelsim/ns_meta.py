@@ -8,10 +8,12 @@ max-information
 
 over row-stochastic substitutes W~ with W~(y|x) <= zeta(y) and per-row TVD
 to W at most eps. Both directions of the tradeoff are exposed: minimal cost
-at fixed eps, and minimal eps at fixed integer cost. For BSC tensor powers
-the permutation symmetry collapses the exponential-size program onto the
-Hamming-weight classes, which is what makes blocklengths in the hundreds
-tractable; see ``bsc_ns_cost``.
+at fixed eps, and minimal eps at fixed integer cost. Both are solved as one
+reduced LP over the overlap t = min(W, W~) and zeta alone (see
+``_reduced_program``); the substitute channel is rebuilt from t afterwards.
+For BSC tensor powers the permutation symmetry reduces both directions to
+closed forms over the Hamming-weight classes, computed in the log domain,
+so any blocklength is cheap; see ``bsc_ns_cost``.
 
 Witness conventions: LP witnesses are renormalized row-wise before being
 returned, and reported reference weights zeta are the raw LP values whose
@@ -28,13 +30,6 @@ import numpy as np
 from .divergences import d_max, d_max_smooth, d_s_plus
 from .lp import LpProblem, solve_lp
 from .prob import Dmc
-
-# Presolve thresholds for the symmetrized LPs, see _bsc_reduction.
-_CAP_SLACK = 4.0
-_CAP_W_FRACTION = 0.5
-_TAIL_PIN = 1e-9
-_BULK_PIN = 1e-15
-
 
 def _channel_rows(w) -> np.ndarray:
     return w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
@@ -86,56 +81,83 @@ def _clean_rows(raw: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _reduced_program(rows: np.ndarray, eps: float = 0.0,
+                     cost: int | None = None) -> LpProblem:
+    """The max-information LP over the overlap t and the weights zeta.
+
+    A substitute row W~(.|x) within TVD eps of W(.|x) keeps the overlap
+    t_xy = min(W(y|x), W~(y|x)) of mass at least 1 - eps, so the program
+    needs only t (k x m, flat) and zeta (m):
+
+        minimize sum zeta  s.t.  0 <= t <= W,  t_xy <= zeta_y,
+                                 sum_y t_xy >= 1 - eps,  sum zeta >= 1.
+
+    The last row lets every row be refilled to mass one under zeta (see
+    ``_rebuild_rows``). With an integer cost the program instead gains a
+    last variable gamma: minimize gamma with the same caps,
+    sum_y t_xy + gamma >= 1 and sum zeta = cost.
+    """
+    k, m = rows.shape
+    km = k * m
+    nv = km + m + (cost is not None)
+    a = np.zeros((km + k + 1, nv))
+    a[:km, :km] = np.eye(km)
+    a[:km, km:km + m] = -np.tile(np.eye(m), (k, 1))
+    a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
+    a[-1, km:km + m] = 1.0
+    c = np.zeros(nv)
+    upper = np.full(nv, np.inf)
+    upper[:km] = rows.ravel()
+    if cost is None:
+        c[km:] = 1.0
+        b = np.concatenate([np.zeros(km), np.full(k, 1.0 - eps), [1.0]])
+        last = ">="
+    else:
+        a[km:km + k, -1] = 1.0
+        c[-1] = 1.0
+        b = np.concatenate([np.zeros(km), np.ones(k), [float(cost)]])
+        last = "="
+    return LpProblem(c=c, a=a, b=b, upper=upper,
+                     senses=("<=",) * km + (">=",) * k + (last,))
+
+
+def _solve_reduced(rows: np.ndarray, what: str, **direction):
+    """Solve ``_reduced_program``; returns (value, W~ witness, zeta)."""
+    sol = solve_lp(_reduced_program(rows, **direction))
+    if sol.status != "optimal":
+        raise ArithmeticError(f"{what} LP status {sol.status}")
+    k, m = rows.shape
+    t = sol.x[:k * m].reshape(k, m)
+    zeta = sol.x[k * m:k * m + m].copy()
+    return sol.value, _rebuild_rows(t, zeta), zeta
+
+
+def _rebuild_rows(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Substitute channel W~ = t + (1 - sum_y t)(zeta - t) / sum_y (zeta - t).
+
+    Each row tops its overlap t up to mass one in proportion to the room
+    left under zeta, so W~ <= zeta, W~ >= t and the TVD to W stays at most
+    1 - sum_y t. A row without room already has mass one.
+    """
+    room = np.maximum(zeta[None, :] - t, 0.0)
+    missing = np.maximum(1.0 - t.sum(axis=1, keepdims=True), 0.0)
+    free = room.sum(axis=1, keepdims=True)
+    share = np.divide(missing, free, out=np.zeros_like(free), where=free > 0.0)
+    return _clean_rows(t + share * room)
+
+
 def i_max_smooth(w, eps: float) -> SmoothImax:
     """Smoothed channel max-information, the simulation meta-converse.
 
-    Solved as one LP over variables W~ (k x m), zeta (m) and the TVD slacks
-    mu (k x m): minimize sum zeta subject to W~ row-stochastic,
-    W~(y|x) <= zeta(y), mu >= W~ - W and sum_y mu(x, y) <= eps per row.
+    Solved as the reduced LP of ``_reduced_program``: minimize sum zeta over
+    overlaps 0 <= t <= W with t_xy <= zeta_y, sum_y t_xy >= 1 - eps per row
+    and sum zeta >= 1. The substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    k, m = rows.shape
-    # Variable layout: W~ flat (k*m), zeta (m), mu flat (k*m).
-    km = k * m
-    nv = 2 * km + m
-    a_rows, rhs, senses = [], [], []
-    for x in range(k):
-        row = np.zeros(nv)
-        row[x * m:(x + 1) * m] = 1.0
-        a_rows.append(row)
-        rhs.append(1.0)
-        senses.append("=")
-    for x in range(k):
-        for y in range(m):
-            row = np.zeros(nv)
-            row[x * m + y] = 1.0
-            row[km + y] = -1.0
-            a_rows.append(row)
-            rhs.append(0.0)
-            senses.append("<=")
-            row = np.zeros(nv)
-            row[x * m + y] = 1.0
-            row[km + m + x * m + y] = -1.0
-            a_rows.append(row)
-            rhs.append(rows[x, y])
-            senses.append("<=")
-    for x in range(k):
-        row = np.zeros(nv)
-        row[km + m + x * m:km + m + (x + 1) * m] = 1.0
-        a_rows.append(row)
-        rhs.append(eps)
-        senses.append("<=")
-    cost = np.zeros(nv)
-    cost[km:km + m] = 1.0
-    sol = solve_lp(LpProblem(c=cost, a=np.array(a_rows), b=np.array(rhs),
-                             senses=tuple(senses)))
-    if sol.status != "optimal":
-        raise ArithmeticError(f"max-information LP status {sol.status}")
-    w_tilde = _clean_rows(sol.x[:km].reshape(k, m))
-    zeta = sol.x[km:km + m].copy()
-    return SmoothImax(value=float(math.log2(sol.value)), w_tilde=w_tilde,
+    value, w_tilde, zeta = _solve_reduced(rows, "max-information", eps=eps)
+    return SmoothImax(value=float(math.log2(value)), w_tilde=w_tilde,
                       zeta=zeta)
 
 
@@ -160,59 +182,17 @@ class NsEpsResult:
 def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     """Minimal simulation deviation achievable with message alphabet size c.
 
-    Minimizes gamma over W~ row-stochastic, W~(y|x) <= zeta(y), sum zeta = c,
-    mu >= W~ - W, sum_y mu(x, y) <= gamma.
+    The reduced LP of ``_reduced_program`` in its cost form: minimize gamma
+    over overlaps 0 <= t <= W with t_xy <= zeta_y, sum zeta = c and
+    sum_y t_xy >= 1 - gamma per row. The substitute channel W~ is rebuilt
+    from t.
     """
     rows = _channel_rows(w)
     if int(c) != c or c < 2:
         raise ValueError("cost must be an integer >= 2")
-    c = int(c)
-    k, m = rows.shape
-    # Variable layout: W~ flat, zeta, mu flat, gamma.
-    km = k * m
-    nv = 2 * km + m + 1
-    a_rows, rhs, senses = [], [], []
-    for x in range(k):
-        row = np.zeros(nv)
-        row[x * m:(x + 1) * m] = 1.0
-        a_rows.append(row)
-        rhs.append(1.0)
-        senses.append("=")
-    for x in range(k):
-        for y in range(m):
-            row = np.zeros(nv)
-            row[x * m + y] = 1.0
-            row[km + y] = -1.0
-            a_rows.append(row)
-            rhs.append(0.0)
-            senses.append("<=")
-            row = np.zeros(nv)
-            row[x * m + y] = 1.0
-            row[km + m + x * m + y] = -1.0
-            a_rows.append(row)
-            rhs.append(rows[x, y])
-            senses.append("<=")
-    for x in range(k):
-        row = np.zeros(nv)
-        row[km + m + x * m:km + m + (x + 1) * m] = 1.0
-        row[-1] = -1.0
-        a_rows.append(row)
-        rhs.append(0.0)
-        senses.append("<=")
-    row = np.zeros(nv)
-    row[km:km + m] = 1.0
-    a_rows.append(row)
-    rhs.append(float(c))
-    senses.append("=")
-    cost = np.zeros(nv)
-    cost[-1] = 1.0
-    sol = solve_lp(LpProblem(c=cost, a=np.array(a_rows), b=np.array(rhs),
-                             senses=tuple(senses)))
-    if sol.status != "optimal":
-        raise ArithmeticError(f"deviation LP status {sol.status}")
-    return NsEpsResult(eps=float(max(sol.value, 0.0)),
-                       w_tilde=_clean_rows(sol.x[:km].reshape(k, m)),
-                       zeta=sol.x[km:km + m].copy())
+    value, w_tilde, zeta = _solve_reduced(rows, "deviation", cost=int(c))
+    return NsEpsResult(eps=float(max(value, 0.0)), w_tilde=w_tilde,
+                       zeta=zeta)
 
 
 def d_s_plus_channel(w, q, eps: float) -> float:
@@ -271,103 +251,106 @@ def smoothing_witness(w, q, eps: float):
 
 
 # ----------------------------------------------------------------------
-# Symmetrized programs for BSC tensor powers.
+# Closed forms for BSC tensor powers.
 #
 # On W = BSC(delta)^{(x) n} permutation symmetry lets the optimum be taken
-# constant on each Hamming-weight class: with w_k = (1-delta)^(n-k) delta^k,
-# C_k = binom(n, k) and b_k = C_k w_k, the cost form becomes
+# constant on each Hamming-weight class: with w_k = (1-delta)^(n-k) delta^k
+# and C_k = binom(n, k), a string of weight k keeps overlap min(w_k, s)
+# under a flat zeta = s, so both directions depend on
 #
-#   minimize 2^n s  s.t.  sum_k u_k = 1,  u_k - v_k <= b_k,
-#                         sum_k v_k <= eps,  0 <= u_k <= C_k s,  v >= 0,
+#   G(s) = sum_k C_k min(w_k, s),
 #
-# in bin totals u_k = C_k r_k, v_k (r_k is the per-string substitute mass).
-# Eliminating u gives the closed-form lower envelope
+# the mass kept at level s. The cost is 2^n s* with
 #
-#   s* = min{ s : G(s) >= 1 - eps },   G(s) = sum_k C_k min(w_k, s),
+#   s* = max(2^-n, min{ s : G(s) >= 1 - eps }),
 #
-# which is solved exactly by _bsc_waterfill and used to scale and presolve
-# the LP before the simplex sees it.
+# the floor being sum zeta >= 1, and the deviation at integer cost c is
+# max(0, 1 - G(c 2^-n)). C_k overflows a double past n of about 1030 and
+# 2^-n underflows past 1074, so everything below works with base-2 logs
+# of C_k, w_k and s; the floor is then exactly log2 s = -n.
 # ----------------------------------------------------------------------
 
 
-def _bsc_weights(n: int, delta: float):
-    """Class counts C_k, per-string masses w_k and class masses b_k."""
+def _bsc_log_weights(n: int, delta: float):
+    """log2 C_k and log2 w_k for the weight classes k = 0..n."""
+    lg = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     k = np.arange(n + 1, dtype=np.float64)
-    log_w = (n - k) * math.log(1.0 - delta) + k * math.log(delta)
-    log_c = np.array([
-        math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        for j in range(n + 1)
-    ])
-    return np.exp(log_c), np.exp(log_w), np.exp(log_c + log_w)
+    return ((lg[-1] - lg - lg[::-1]) / math.log(2.0),
+            (n - k) * (math.log1p(-delta) / math.log(2.0))
+            + k * math.log2(delta))
+
+
+def _bsc_weights(n: int, delta: float):
+    """Class counts C_k, per-string masses w_k and class masses b_k.
+
+    Linear-domain view of ``_bsc_log_weights``; C_k is finite only up to
+    n of about 1030.
+    """
+    log_c, log_w = _bsc_log_weights(n, delta)
+    return np.exp2(log_c), np.exp2(log_w), np.exp2(log_c + log_w)
+
+
+def _bsc_log_level(log_c: np.ndarray, log_w: np.ndarray, eps: float) -> float:
+    """log2 s* for s* = max(2^-n, min{s : G(s) >= 1 - eps}).
+
+    w_k falls with k, so on [w_t, w_{t-1}] the classes k < t are capped at
+    s and the rest are kept whole: G(s) = s sum_{k<t} C_k + sum_{k>=t} C_k w_k.
+    The level is the root on the first such segment that reaches 1 - eps.
+    """
+    n = log_c.size - 1
+    # whole[t-1] = sum_{k>=t} C_k w_k for t = 1..n+1, summed from the small end.
+    whole = np.append(np.cumsum(np.exp2(log_c + log_w)[::-1])[::-1][1:], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log2((1.0 - eps) - whole) - np.logaddexp2.accumulate(log_c)
+    on_segment = np.append(log_s[:-1] >= log_w[1:], True)
+    return max(float(log_s[np.argmax(on_segment)]), float(-n))
 
 
 def _bsc_waterfill(n: int, delta: float, eps: float) -> float:
-    """Exact closed-form optimum s* of the symmetrized cost program.
+    """The level s* of the symmetrized cost program, see ``_bsc_log_level``."""
+    return 2.0 ** _bsc_log_level(*_bsc_log_weights(n, delta), eps)
 
-    G(s) = sum_k C_k min(w_k, s) is piecewise linear and increasing; s* is
-    where it first reaches 1 - eps, found by scanning the distinct w levels.
+
+def _bsc_kept_mass(log_c: np.ndarray, log_w: np.ndarray, log_s: float) -> float:
+    """G(s) = sum_k C_k min(w_k, s) at s = 2^log_s."""
+    return math.fsum(np.exp2(log_c + np.minimum(log_w, log_s)))
+
+
+def _bsc_profile(log_c: np.ndarray, log_w: np.ndarray, log_s: float):
+    """Per-string substitute masses r_k at level s = 2^log_s.
+
+    Each string keeps min(w_k, s); the missing mass 1 - G(s) is refilled in
+    proportion to the room s - min(w_k, s), the BSC instance of
+    ``_rebuild_rows``. Then r <= s, sum_k C_k r_k = 1 and the TVD to w is
+    1 - G(s) <= eps.
     """
-    c, w, _ = _bsc_weights(n, delta)
-    target = 1.0 - eps
-    vals, inv = np.unique(w, return_inverse=True)
-    c_level = np.zeros(vals.size)
-    b_level = np.zeros(vals.size)
-    np.add.at(c_level, inv, c)
-    np.add.at(b_level, inv, c * w)
-    # cap_c[t]: total count of strings with w >= vals[t];
-    # tail_b[t]: total mass of strings with w < vals[t].
-    cap_c = np.cumsum(c_level[::-1])[::-1]
-    tail_b = np.concatenate([[0.0], np.cumsum(b_level)])[:-1]
-    g_at = vals * cap_c + tail_b
-    if g_at[0] >= target:
-        return float(target / c.sum())
-    t = int(np.searchsorted(g_at, target))
-    if t >= vals.size:
-        return float(vals[-1])
-    s = vals[t] - (g_at[t] - target) / cap_c[t]
-    return float(max(s, vals[t - 1]))
-
-
-def _bsc_reduction(n: int, delta: float, eps: float):
-    """Shared presolve for the symmetrized LPs.
-
-    Returns (kept index array, C, w, b, s_wf, rhs_mass). Three reductions,
-    the first two exact, keep every simplex pivot well-scaled:
-
-    * cap rows with C_k s_wf >= _CAP_SLACK and w_k < _CAP_W_FRACTION s_wf
-      are never binding: relaxing them changes G(s) only below
-      _CAP_W_FRACTION s_wf, where the program is infeasible anyway;
-    * bins with b_k < _BULK_PIN and w_k < _CAP_W_FRACTION s_wf sit below
-      the water level, so pinning u_k = b_k and folding the mass into the
-      right-hand side leaves G identical near the optimum;
-    * bins whose total room C_k s_wf falls below _TAIL_PIN are dropped,
-      forfeiting at most (n+1) _TAIL_PIN of mass (relative shift in s*
-      around 1e-8, far inside every tolerance used downstream; no-op for
-      small n where exact agreement with the general LP is asserted).
-    """
-    c, w, b = _bsc_weights(n, delta)
-    s_wf = _bsc_waterfill(n, delta, eps)
-    room = c * s_wf
-    below = w < _CAP_W_FRACTION * s_wf
-    drop_bulk = (b < _BULK_PIN) & below
-    drop_tail = room < _TAIL_PIN
-    keep = ~(drop_bulk | drop_tail)
-    rhs_mass = 1.0 - float(b[drop_bulk].sum())
-    capped = keep & ~((room >= _CAP_SLACK) & below)
-    return (np.flatnonzero(keep), np.flatnonzero(capped), c, w, b, s_wf,
-            rhs_mass, drop_bulk, drop_tail)
+    gap = np.minimum(log_w - log_s, 0.0)
+    with np.errstate(divide="ignore"):
+        log_room = log_s + np.log2(-np.expm1(gap * math.log(2.0)))
+    log_total = np.logaddexp2.reduce(log_c + log_room)
+    kept = np.exp2(np.minimum(log_w, log_s))
+    if not np.isfinite(log_total):
+        return kept
+    missing = 1.0 - _bsc_kept_mass(log_c, log_w, log_s)
+    return kept + missing * np.exp2(log_room - log_total)
 
 
 @dataclasses.dataclass(frozen=True)
 class BscNsCost:
-    """Symmetrized-LP simulation cost of BSC(delta)^{(x) n}."""
+    """Simulation cost of BSC(delta)^{(x) n} from the closed form.
+
+    ``cost`` is the exact integer ceil(2^log2_cost) while log2_cost < 53
+    and None above, where doubles no longer hold every integer. The
+    per-string level ``s`` and masses ``r`` underflow to zero once they
+    fall below 2^-1074; ``log2_cost`` stays exact at any blocklength.
+    """
 
     n: int
     delta: float
     eps: float
     i_max_eps: float
     log2_cost: float
-    cost: int
+    cost: int | None
     s: float
     r: np.ndarray
 
@@ -380,105 +363,33 @@ def _validate_bsc_args(n: int, delta: float) -> None:
 
 
 def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
-    """No-signaling cost of BSC(delta)^{(x) n} via the symmetrized LP."""
+    """No-signaling cost of BSC(delta)^{(x) n}: log2 cost = n + log2 s*."""
     _validate_bsc_args(n, delta)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    (keep, capped, c, w, b, s_wf, rhs_mass, drop_bulk,
-     drop_tail) = _bsc_reduction(n, delta, eps)
-    kk = keep.size
-    pos = {int(k): j for j, k in enumerate(keep)}
-    # Variables: u over kept bins, v over kept bins, sigma = s / s_wf.
-    nv = 2 * kk + 1
-    a_rows, rhs, senses = [], [], []
-    row = np.zeros(nv)
-    row[:kk] = 1.0
-    a_rows.append(row)
-    rhs.append(rhs_mass)
-    senses.append("=")
-    row = np.zeros(nv)
-    row[kk:2 * kk] = 1.0
-    a_rows.append(row)
-    rhs.append(eps)
-    senses.append("<=")
-    for j, k in enumerate(keep):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        row[kk + j] = -1.0
-        a_rows.append(row)
-        rhs.append(b[k])
-        senses.append("<=")
-    for k in capped:
-        row = np.zeros(nv)
-        row[pos[int(k)]] = 1.0
-        row[-1] = -c[k] * s_wf
-        a_rows.append(row)
-        rhs.append(0.0)
-        senses.append("<=")
-    cost_vec = np.zeros(nv)
-    cost_vec[-1] = 1.0
-    sol = solve_lp(LpProblem(c=cost_vec, a=np.array(a_rows), b=np.array(rhs),
-                             senses=tuple(senses)))
-    if sol.status != "optimal":
-        raise ArithmeticError(f"symmetrized cost LP status {sol.status}")
-    s = float(sol.x[-1]) * s_wf
-    # Per-string substitute masses: LP bins, pinned bulk at w_k, tail at 0.
-    r = np.zeros(n + 1)
-    r[keep] = sol.x[:kk] / c[keep]
-    r[drop_tail] = 0.0
-    r[drop_bulk] = w[drop_bulk]
-    log2_cost = n + math.log2(s)
+    log_c, log_w = _bsc_log_weights(n, delta)
+    log_s = _bsc_log_level(log_c, log_w, eps)
+    log2_cost = n + log_s
     return BscNsCost(
         n=n, delta=delta, eps=eps,
         i_max_eps=log2_cost,
         log2_cost=log2_cost,
-        cost=_clamped_ceil(2.0 ** log2_cost) if log2_cost < 62 else int(
-            math.ceil(2.0 ** log2_cost)),
-        s=s, r=r,
+        cost=_clamped_ceil(2.0 ** log2_cost) if log2_cost < 53 else None,
+        s=2.0 ** log_s, r=_bsc_profile(log_c, log_w, log_s),
     )
 
 
 def bsc_ns_eps(n: int, delta: float, c: int) -> float:
     """Minimal deviation for simulating BSC(delta)^{(x) n} at cost c.
 
-    Fixing s = c / 2^n makes the caps constant, so the symmetrized program
-    is solved with variable upper bounds instead of coupling rows.
+    Fixing the cost fixes the level s = c 2^-n, so the deviation is the
+    mass G misses there: max(0, 1 - G(c 2^-n)).
     """
     _validate_bsc_args(n, delta)
     if int(c) != c or c < 2:
         raise ValueError("cost must be an integer >= 2")
-    counts, w, b = _bsc_weights(n, delta)
-    s = float(c) / float(2.0 ** n) if n < 63 else float(c) * math.pow(2.0, -n)
-    room = counts * s
-    # Caps far above any feasible bin mass can never bind.
-    room = np.minimum(room, 2.0)
-    kk = n + 1
-    nv = 2 * kk
-    a_rows, rhs, senses = [], [], []
-    row = np.zeros(nv)
-    row[:kk] = 1.0
-    a_rows.append(row)
-    rhs.append(1.0)
-    senses.append("=")
-    for j in range(kk):
-        row = np.zeros(nv)
-        row[j] = 1.0
-        row[kk + j] = -1.0
-        a_rows.append(row)
-        rhs.append(b[j])
-        senses.append("<=")
-    cost_vec = np.zeros(nv)
-    cost_vec[kk:] = 1.0
-    upper = np.concatenate([room, np.full(kk, math.inf)])
-    sol = solve_lp(LpProblem(c=cost_vec, a=np.array(a_rows), b=np.array(rhs),
-                             senses=tuple(senses), upper=upper))
-    if sol.status == "infeasible":
-        # Total room below one unit of mass: cannot happen for c >= 2
-        # because G(1) = 1, but guard the contract anyway.
-        raise ArithmeticError("deviation LP infeasible")
-    if sol.status != "optimal":
-        raise ArithmeticError(f"symmetrized deviation LP status {sol.status}")
-    return float(max(sol.value, 0.0))
+    log_c, log_w = _bsc_log_weights(n, delta)
+    return max(0.0, 1.0 - _bsc_kept_mass(log_c, log_w, math.log2(c) - n))
 
 
 def bsc_channel(n: int, delta: float) -> Dmc:

@@ -287,6 +287,15 @@ class TestDeterminism:
             assert out == ""
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bsc_curve_past_float_range(self, capsys):
+        # binom(1030, 515) overflows a double; the sweep must still succeed
+        code, out, _ = _run(capsys, ["bsc-curve", "--delta", "0.11",
+                                     "--eps", "0.05", "--n", "1030..1030"])
+        assert code == 0
+        row = out.splitlines()[-1].split(",")
+        assert row[0] == "1030"
+        assert float(row[1]) == ns_meta.bsc_ns_cost(1030, 0.11, 0.05).log2_cost
+
     def test_sweep_threads_do_not_change_bytes(self, tmp_path, capsys,
                                                monkeypatch):
         a = tmp_path / "a.csv"

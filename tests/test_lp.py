@@ -173,3 +173,61 @@ def test_shape_mismatch():
     with pytest.raises(ValueError):
         LpProblem(c=np.array([1.0, 2.0]), a=np.array([[1.0]]),
                   b=np.array([1.0]), senses=("<=",))
+
+
+def _dense_pivot(tab, obj, basis, row, col):
+    """Reference pivot: the full rank-one update of the whole tableau."""
+    piv = tab[row, col]
+    tab[row] /= piv
+    pivot_row = tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= np.outer(factors, pivot_row)
+    obj -= obj[col] * pivot_row
+    basis[row] = col
+
+
+def _pivot_programs():
+    from channelsim import ns_meta
+
+    rng = np.random.default_rng(71)
+    programs = []
+    for _ in range(6):
+        k, m = (int(v) for v in rng.integers(2, 6, size=2))
+        rows = rng.dirichlet(np.ones(m), size=k)
+        programs.append(ns_meta._reduced_program(
+            rows, eps=float(rng.uniform(0.0, 0.4))))
+        programs.append(ns_meta._reduced_program(
+            rows, cost=int(rng.integers(2, m + 2))))
+    for _ in range(8):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        a = rng.normal(size=(m, n))
+        lower = np.where(rng.random(n) < 0.3, -rng.random(n), 0.0)
+        upper = lower + 0.5 + rng.random(n) * 2.0
+        x_feas = lower + (upper - lower) * rng.random(n)
+        c = rng.normal(size=n)
+        # one free variable, pushed up against its finite upper bound
+        lower[0], c[0] = -np.inf, -abs(c[0])
+        kinds = rng.choice(["<=", "=", ">="], size=m)
+        slack = rng.random(m) * 0.5
+        b = a @ x_feas + np.select([kinds == "<=", kinds == ">="],
+                                   [slack, -slack], 0.0)
+        programs.append(LpProblem(c=c, a=a, b=b, senses=tuple(kinds.tolist()),
+                                  lower=lower, upper=upper))
+    return programs
+
+
+def test_sparse_pivot_matches_dense_reference(monkeypatch):
+    # Skipping the cells the rank-one update would subtract zero from must
+    # not change a single bit of the result or the pivot sequence.
+    from channelsim import lp
+
+    programs = _pivot_programs()
+    sparse = [solve_lp(p) for p in programs]
+    monkeypatch.setattr(lp, "_pivot", _dense_pivot)
+    for p, got in zip(programs, sparse):
+        want = solve_lp(p)
+        assert got.status == want.status == "optimal"
+        assert got.iterations == want.iterations
+        assert got.value == want.value
+        assert np.array_equal(got.x, want.x)

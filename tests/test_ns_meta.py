@@ -233,6 +233,37 @@ class TestBscFastPath:
         assert got.log2_cost == pytest.approx(6 + math.log2(got.s))
         assert got.cost == math.ceil(2.0 ** got.log2_cost - 1e-9)
 
+    @pytest.mark.parametrize("n", [1030, 2000])
+    def test_large_n_matches_mpmath(self, n):
+        # C_k overflows a double from n = 1030 on; the closed forms must
+        # still agree with a 40-digit evaluation. lgamma near n = 2000
+        # puts about 2e-12 of absolute error into log C_k, which moves
+        # log2 s* by up to about 5e-10 bits.
+        mpmath = pytest.importorskip("mpmath")
+        delta, eps = 0.11, 0.05
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            counts = [mpmath.binomial(n, k) for k in range(n + 1)]
+            w = [(1 - d) ** (n - k) * d ** k for k in range(n + 1)]
+
+            def g(s):
+                return mpmath.fsum(c * min(wk, s) for c, wk in zip(counts, w))
+
+            # bisect G(s) = 1 - eps on log2 s in [-n, 0]
+            lo, hi = mpmath.mpf(-n), mpmath.mpf(0)
+            for _ in range(120):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if g(2 ** mid) >= 1 - eps else (mid, hi)
+            want_log2 = float(n + hi)
+            cost = int(mpmath.floor(2 ** (n + hi - mpmath.mpf("0.3"))))
+            want_eps = float(1 - g(mpmath.mpf(cost) / 2 ** n))
+        got = ns_meta.bsc_ns_cost(n, delta, eps)
+        assert got.log2_cost == pytest.approx(want_log2, abs=1e-8)
+        assert got.cost is None
+        assert np.all(np.isfinite(got.r)) and np.all(got.r >= 0.0)
+        assert ns_meta.bsc_ns_eps(n, delta, cost) == pytest.approx(
+            want_eps, abs=1e-11)
+
     def test_eps_decreases_with_cost(self):
         vals = [ns_meta.bsc_ns_eps(6, 0.1, c) for c in (2, 8, 32, 64)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))

@@ -1,0 +1,108 @@
+"""Reduced max-information programs against HiGHS on the full program.
+
+The oracle solves the original formulation over the substitute channel
+W~, the weights zeta and the TVD slacks mu with scipy's HiGHS, so it shares
+no modelling step with ``ns_meta._reduced_program``. Test-only: skipped
+when scipy is missing.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from channelsim import ns_meta, prob
+
+optimize = pytest.importorskip("scipy.optimize")
+
+
+def _full_program(rows, eps=None, cost=None):
+    """Blocks of the W~, zeta, mu (and gamma) program for linprog."""
+    k, m = rows.shape
+    km = k * m
+    extra = cost is not None
+    nv = 2 * km + m + extra
+    eye = np.eye(km)
+    pick_zeta = np.tile(np.eye(m), (k, 1))
+    row_sum = np.kron(np.eye(k), np.ones(m))
+    a_ub = np.zeros((2 * km + k, nv))
+    a_ub[:km, :km] = eye                      # W~ - zeta <= 0
+    a_ub[:km, km:km + m] = -pick_zeta
+    a_ub[km:2 * km, :km] = eye                # W~ - mu <= W
+    a_ub[km:2 * km, km + m:2 * km + m] = -eye
+    a_ub[2 * km:, km + m:2 * km + m] = row_sum  # sum_y mu <= eps (or gamma)
+    b_ub = np.concatenate([np.zeros(km), rows.ravel(), np.zeros(k)])
+    a_eq = np.zeros((k + extra, nv))
+    a_eq[:k, :km] = row_sum                   # W~ row-stochastic
+    b_eq = np.ones(k + extra)
+    c = np.zeros(nv)
+    if extra:
+        a_ub[2 * km:, -1] = -1.0
+        a_eq[-1, km:km + m] = 1.0             # sum zeta = cost
+        b_eq[-1] = cost
+        c[-1] = 1.0
+    else:
+        b_ub[2 * km:] = eps
+        c[km:km + m] = 1.0
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                           bounds=(0.0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def _cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(30):
+        k, m = (int(v) for v in rng.integers(2, 7, size=2))
+        rows = rng.dirichlet(np.full(m, 0.7), size=k)
+        eps = float(rng.choice([0.0, 0.02, 0.1, 0.3, 0.6]))
+        cost = int(rng.integers(2, max(k, m) + 2))
+        cases.append(pytest.param(rows, eps, cost, id=f"r{i}-{k}x{m}"))
+    return cases
+
+
+def _check_witness(rows, w_tilde, zeta, eps):
+    assert np.allclose(w_tilde.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(w_tilde >= 0.0)
+    assert np.all(w_tilde <= zeta[None, :] + 1e-9)
+    assert prob.channel_tvd(prob.Dmc(rows=w_tilde),
+                            prob.Dmc(rows=rows)) <= eps + 1e-8
+
+
+@pytest.mark.parametrize("rows,eps,cost", _cases())
+def test_random_channels_match_highs(rows, eps, cost):
+    got = ns_meta.i_max_smooth(rows, eps)
+    assert got.value == pytest.approx(
+        math.log2(_full_program(rows, eps=eps)), abs=1e-9)
+    _check_witness(rows, got.w_tilde, got.zeta, eps)
+    dev = ns_meta.ns_eps_for_cost(rows, cost)
+    want = max(_full_program(rows, cost=cost), 0.0)
+    assert dev.eps == pytest.approx(want, abs=1e-9)
+    _check_witness(rows, dev.w_tilde, dev.zeta, dev.eps)
+    assert dev.zeta.sum() == pytest.approx(cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_identity_past_one_over_k_costs_nothing(k):
+    # eps > 1 - 1/k lets every row move to the uniform output, and the
+    # floor sum zeta >= 1 stops the program going below 0 bits.
+    rows = np.eye(k)
+    eps = 1.0 - 1.0 / k + 0.05
+    assert _full_program(rows, eps=eps) == pytest.approx(1.0, abs=1e-9)
+    got = ns_meta.i_max_smooth(rows, eps)
+    assert got.value == pytest.approx(0.0, abs=1e-12)
+    _check_witness(rows, got.w_tilde, got.zeta, eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_useless_bsc_costs_nothing(n):
+    # Without the floor the waterfill level of BSC(0.5)^3 at eps = 0.1 is
+    # 0.9 2^-3, that is -0.152 bits.
+    rows = ns_meta.bsc_channel(n, 0.5).rows
+    assert _full_program(rows, eps=0.1) == pytest.approx(1.0, abs=1e-9)
+    assert ns_meta.i_max_smooth(rows, 0.1).value == pytest.approx(
+        0.0, abs=1e-12)
+    fast = ns_meta.bsc_ns_cost(n, 0.5, 0.1)
+    assert fast.log2_cost == 0.0
+    assert fast.cost == 1
