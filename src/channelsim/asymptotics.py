@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .divergences import var_div
+from .lp import LpProblem, solve_lp
 from .prob import Pmf
 
 _LOG2E = math.log2(math.e)
@@ -142,10 +143,12 @@ def capacity_ba(w, max_iter: int = 1_000_000, tol: float = 1e-9,
 class SecondOrderParams:
     """Capacity and dispersion range of a channel.
 
-    v_min and v_max are the extreme values of the divergence variance over
-    the capacity-achieving input set; they differ only when that set is not
-    a single point. capacity_achieving_inputs holds the refined, deduplicated
-    representatives found within tol_cap of capacity.
+    v_min and v_max are the extreme values of the conditional information
+    variance over the capacity-achieving input set (the optimal face); they
+    differ only when that set is not a single point.
+    capacity_achieving_inputs holds the face's minimizer and maximizer of
+    the variance, one entry when they coincide. tol_cap is the divergence
+    slack within which an input letter counts as capacity-achieving.
     """
 
     capacity: float
@@ -161,7 +164,7 @@ def _simplex_grid(dim: int, steps: int, limit: int = 2_000_000) -> np.ndarray:
     if count > limit:
         raise ValueError(
             f"grid of {count} points exceeds the {limit} cap; "
-            "pass a coarser grid_resolution")
+            "coarsen the resolution")
     out = np.empty((count, dim), dtype=np.float64)
     row = 0
 
@@ -179,97 +182,73 @@ def _simplex_grid(dim: int, steps: int, limit: int = 2_000_000) -> np.ndarray:
     return out / steps
 
 
-def _mutual_information_batch(grid: np.ndarray, rows: np.ndarray,
-                              row_terms: np.ndarray) -> np.ndarray:
-    """I(p; W) for every grid row, via I = sum_x p_x c_x + H(pW)."""
-    q = grid @ rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)),
-                      0.0).sum(axis=1)
-    return grid @ row_terms + h
+# The dispersion ascent stops once Blahut's gap max_x D(W_x || pW) - I(p)
+# reaches _ASCENT_GAP. The gap must sit far below the face threshold
+# tol_cap: stopped at a gap of 5e-8, an ascent can leave a face letter out
+# of X* under tol_cap = 1e-7 and understate v_max by a quarter of a bit^2.
+_ASCENT_GAP = 1e-12
+_ASCENT_CAP = 100_000
 
 
-def _divergence_variance(p: np.ndarray, rows: np.ndarray) -> float:
-    q = p @ rows
-    joint = (p[:, None] * rows).ravel()
-    ref = np.outer(p, q).ravel()
-    return var_div(joint, ref)
+def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
+    """Capacity and the dispersion range over the capacity-achieving inputs.
 
-
-def dispersion(w, grid_resolution: float = 1e-3,
-               tol_cap: float = 1e-7) -> SecondOrderParams:
-    """Capacity-achieving input set and its dispersion range.
-
-    Grid search over the input simplex followed by multiplicative-update
-    refinement of every near-optimal grid point. The candidate slack adds
-    twice the grid resolution to tol_cap so optima falling between grid
-    points are not missed; refinement then closes the gap. With a
-    non-unique optimizer the refined set samples the optimal face rather
-    than enumerating it, which is as much as a grid method can promise.
+    A Blahut-Arimoto ascent from the uniform input runs until the
+    a-posteriori gap max_x D(W_x || pW) - I(p) is at most 1e-12. The
+    letters with D(W_x || pW) within tol_cap of the maximum form X*; p
+    restricted to X* and renormalized, p^, fixes the capacity-achieving
+    output q^ = p^ W, and the capacity is the lower end I(p^) of Blahut's
+    bracket. On the optimal face {p >= 0 on X*, p W = q^} the dispersion
+    is the conditional information variance sum_x p_x Var_{W_x}[log2
+    W_x / q^], which is linear in p (Polyanskiy, Poor and Verdu, 2010), so
+    v_min and v_max are two small linear programs. Any number of inputs
+    works. Raises ArithmeticError if the ascent reaches its iteration cap
+    with a gap above tol_cap / 100, or if a face program fails.
     """
+    if not tol_cap > 0.0:
+        raise ValueError("tol_cap must be positive")
     rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
+    rows, _ = _drop_dead_letters(rows, (rows.shape[1],))
     kx = rows.shape[0]
-    if kx > 4:
-        raise ValueError("grid dispersion search supports at most 4 inputs")
-    if not 0.0 < grid_resolution <= 0.5:
-        raise ValueError("grid_resolution must lie in (0, 0.5]")
-    steps = max(int(round(1.0 / grid_resolution)), 1)
-    grid = _simplex_grid(kx, steps)
     with np.errstate(divide="ignore"):
         row_terms = np.where(rows > 0.0, rows * np.log2(
             np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
-    scores = _mutual_information_batch(grid, rows, row_terms)
-    top = float(scores.max())
-    candidate_idx = np.flatnonzero(scores >= top - (tol_cap + 2.0 * grid_resolution))
-    # Refining an unbounded candidate list is wasteful on flat optimal
-    # faces; keep everything within tol_cap plus the best of the rest.
-    tight = candidate_idx[scores[candidate_idx] >= top - tol_cap]
-    if candidate_idx.size > 256:
-        order = candidate_idx[np.argsort(scores[candidate_idx])[::-1][:256]]
-        candidate_idx = np.union1d(order, tight)
-    # Two refinement stages: a batched loose pass first, because most
-    # candidates collapse onto the same optimizer and polishing each of
-    # them separately to full precision is pure waste; only the distinct
-    # survivors get polished. The batch update is the same multiplicative
-    # ascent as _ba_core, vectorized over candidates. A reference entry of
-    # zero can only sit under an all-zero channel column, so log2(1) there
-    # is exact, not a fudge.
-    batch = np.maximum(grid[candidate_idx], 1e-12)
-    batch /= batch.sum(axis=1, keepdims=True)
-    for _ in range(50_000):
-        out = batch @ rows
-        log_out = np.log2(np.where(out > 0.0, out, 1.0))
-        gains = np.exp2(row_terms[None, :] - log_out @ rows.T)
-        weights = batch * gains
-        stepped = weights / weights.sum(axis=1, keepdims=True)
-        moved = float(np.max(np.abs(stepped - batch)))
-        batch = stepped
-        if moved <= 1e-10:
+    p = np.full(kx, 1.0 / kx)
+    for step in range(_ASCENT_CAP + 1):
+        d = _row_divergences(rows, p @ rows, row_terms)
+        gap = float(d.max() - p @ d)
+        if gap <= _ASCENT_GAP or step == _ASCENT_CAP:
             break
-    survivors = []
-    for p in batch:
-        if not any(np.max(np.abs(p - q)) <= 1e-6 for q in survivors):
-            survivors.append(p)
-    refined = []
-    for p in survivors:
-        trace = _ba_core(rows, (rows.shape[1],), 1, 5000, 3e-15, p)
-        out = trace.final_input.probs
-        refined.append((float(_mutual_information_batch(
-            out[None, :], rows, row_terms)[0]), out))
-    capacity = max(score for score, _ in refined)
-    kept = []
-    for score, p in refined:
-        if score < capacity - tol_cap:
-            continue
-        if any(np.max(np.abs(p - q)) <= 1e-6 for q in kept):
-            continue
-        kept.append(p)
-    variances = [_divergence_variance(p, rows) for p in kept]
+        p = p * np.exp2(d - d.max())
+        p /= p.sum()
+    if gap > tol_cap / 100.0:
+        raise ArithmeticError(
+            f"dispersion ascent stopped after {_ASCENT_CAP} steps with a "
+            f"gap of {gap:.3e} bits")
+    face = np.flatnonzero(d >= d.max() - tol_cap)
+    p_hat = p[face] / p[face].sum()
+    q_hat = p_hat @ rows[face]
+    live = q_hat > 0.0
+    w_face, q_hat = rows[face][:, live], q_hat[live]
+    capacity = float(p_hat @ _row_divergences(w_face, q_hat, row_terms[face]))
+    v = np.array([var_div(row, q_hat) for row in w_face])
+    extremes = []
+    for sign in (1.0, -1.0):
+        sol = solve_lp(LpProblem(c=sign * v, a=w_face.T, b=q_hat,
+                                 senses=("=",) * q_hat.size))
+        if sol.status != "optimal":
+            raise ArithmeticError(f"dispersion face LP status {sol.status}")
+        full = np.zeros(kx)
+        full[face] = sol.x / sol.x.sum()
+        extremes.append(full)
+    v_min, v_max = (float(v @ x[face]) for x in extremes)
+    if np.max(np.abs(extremes[0] - extremes[1])) <= 1e-9:
+        extremes.pop()
     return SecondOrderParams(
         capacity=capacity,
-        v_min=min(variances),
-        v_max=max(variances),
-        capacity_achieving_inputs=tuple(Pmf(p) for p in kept),
+        v_min=v_min,
+        v_max=v_max,
+        capacity_achieving_inputs=tuple(Pmf(x) for x in extremes),
         tol_cap=tol_cap,
     )
 

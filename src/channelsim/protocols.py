@@ -11,18 +11,17 @@ and a vectorized scatter) so one can certify the other.
 
 Every Monte Carlo path draws from RngStream, a fixed xorshift-class
 generator, so runs are bit-reproducible from the seed alone. Trials are
-partitioned into fixed-size chunks with per-chunk derived substreams;
-CHANNELSIM_THREADS only controls how many chunks run concurrently and
-never changes the output.
+partitioned into fixed-size chunks with per-chunk derived substreams and
+run one chunk after another. CHANNELSIM_THREADS is accepted for
+compatibility and ignored: the trials are pure Python, so worker threads
+would only contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -81,29 +80,14 @@ class RngStream:
         return RngStream(child)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CHANNELSIM_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
-
-
 def _run_chunked(total: int, stream: RngStream, work):
     """Apply work(substream, chunk_trials) over fixed-size trial chunks.
 
     The chunk layout depends only on ``total``, and each chunk's stream
-    only on the root seed and chunk index, so results are independent of
-    the worker count.
+    only on the root seed and chunk index.
     """
-    chunks = [(i, min(_CHUNK, total - i * _CHUNK))
-              for i in range((total + _CHUNK - 1) // _CHUNK)]
-    threads = _thread_count()
-    if threads == 1 or len(chunks) == 1:
-        return [work(stream.spawn(i), n) for i, n in chunks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda c: work(stream.spawn(c[0]), c[1]),
-                             chunks))
+    return [work(stream.spawn(i), min(_CHUNK, total - i * _CHUNK))
+            for i in range((total + _CHUNK - 1) // _CHUNK)]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Capacity iteration, dispersion search, quantiles, rate expansions."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from channelsim import asymptotics as asy
-from channelsim import prob
+from channelsim import cli, prob
 
 
 def _h2(x):
@@ -89,14 +91,74 @@ class TestDispersion:
         params = asy.dispersion(prob.Dmc(rows=rows))
         assert params.v_min <= params.v_max + 1e-12
 
-    def test_input_size_guard(self):
-        rows = np.full((5, 2), 0.5)
-        with pytest.raises(ValueError):
-            asy.dispersion(prob.Dmc(rows=rows))
+    def test_five_input_symmetric(self):
+        # five inputs: cyclic shifts of one row, so the uniform input is
+        # optimal with capacity log2 5 - H(row)
+        base = np.array([0.5, 0.2, 0.15, 0.1, 0.05])
+        rows = np.array([np.roll(base, i) for i in range(5)])
+        params = asy.dispersion(prob.Dmc(rows=rows))
+        entropy = -float((base * np.log2(base)).sum())
+        logs = np.log2(5.0 * base)
+        want_v = float((base * (logs - (logs * base).sum()) ** 2).sum())
+        assert params.capacity == pytest.approx(math.log2(5.0) - entropy,
+                                                abs=1e-12)
+        assert params.v_min == pytest.approx(want_v, rel=1e-9)
+        assert params.v_max == pytest.approx(want_v, rel=1e-9)
+        assert len(params.capacity_achieving_inputs) == 1
+        assert params.capacity_achieving_inputs[0].probs == pytest.approx(
+            np.full(5, 0.2), abs=1e-9)
 
-    def test_grid_guard_message(self):
-        with pytest.raises(ValueError):
-            asy.dispersion(prob.Dmc.bsc(0.1), grid_resolution=1e-9)
+    def test_zero_column_dropped(self):
+        rows = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = asy.dispersion(prob.Dmc(rows=rows))
+        want = asy.dispersion(prob.Dmc(rows=rows[:, :2]))
+        assert got.capacity == want.capacity
+        assert (got.v_min, got.v_max) == (want.v_min, want.v_max)
+
+    def test_near_useless_bsc(self):
+        delta = 0.4999
+        params = asy.dispersion(prob.Dmc.bsc(delta))
+        want_v = delta * (1.0 - delta) * math.log2((1.0 - delta) / delta) ** 2
+        assert params.v_min == pytest.approx(want_v, rel=1e-9)
+        assert params.v_max == pytest.approx(want_v, rel=1e-9)
+        assert params.capacity == pytest.approx(1.0 - _h2(delta), rel=1e-9)
+
+    def test_non_unique_face_extremes(self):
+        # four cyclic shifts of (1/2, 1/2, 0, 0) and four of
+        # (a, (1-a)/2, (1-a)/2, 0) with h(a) = a: every row has divergence
+        # 1 bit from the uniform output, and each group alone reaches it
+        lo, hi = 0.5, 0.99
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _h2(mid) > mid else (lo, mid)
+        a = 0.5 * (lo + hi)
+        flat = np.array([0.5, 0.5, 0.0, 0.0])
+        skew = np.array([a, (1.0 - a) / 2.0, (1.0 - a) / 2.0, 0.0])
+        rows = np.array([np.roll(flat, i) for i in range(4)]
+                        + [np.roll(skew, i) for i in range(4)])
+        params = asy.dispersion(prob.Dmc(rows=rows))
+        assert params.capacity == pytest.approx(1.0, abs=1e-12)
+        assert params.v_min == pytest.approx(0.0, abs=1e-12)
+        want_v = a * (1.0 - a) * math.log2(2.0 * a / (1.0 - a)) ** 2
+        assert params.v_max == pytest.approx(want_v, rel=1e-9)
+        lo_p, hi_p = (p.probs for p in params.capacity_achieving_inputs)
+        assert lo_p @ rows == pytest.approx(np.full(4, 0.25), abs=1e-12)
+        assert hi_p @ rows == pytest.approx(np.full(4, 0.25), abs=1e-12)
+        assert hi_p[4:].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_iteration_cap_is_numeric_failure(self, monkeypatch, tmp_path,
+                                              capsys):
+        rows = [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]]
+        monkeypatch.setattr(asy, "_ASCENT_CAP", 3)
+        with pytest.raises(ArithmeticError):
+            asy.dispersion(prob.Dmc(rows=rows))
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(prob.channel_to_json(prob.Dmc(rows=rows))))
+        assert cli.main(["dispersion", "--channel", str(path)]) \
+            == cli.EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
 
 
 class TestNormalQuantile:

@@ -151,6 +151,30 @@ class TestJsonOutputs:
         assert len(inputs) == 1
         assert inputs[0] == pytest.approx([0.5, 0.5], abs=1e-6)
 
+    @pytest.mark.parametrize("argv", [
+        ["dispersion"],
+        ["second-order", "--eps", "0.05", "--n", "100..102"],
+        ["moderate", "--n", "100..102"],
+    ])
+    def test_four_input_channel(self, capsys, tmp_path, argv):
+        rows = np.full((4, 4), 0.1) + 0.6 * np.eye(4)
+        path = _write(tmp_path / "sym4.json",
+                      {"input_size": 4, "output_sizes": [4],
+                       "rows": rows.tolist()})
+        code, out, _ = _run(capsys, argv + ["--channel", path,
+                                            "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        if argv[0] == "dispersion":
+            logs = np.log2(4.0 * rows[0])
+            assert payload["capacity_bits"] == pytest.approx(
+                float(rows[0] @ logs), abs=1e-12)
+            want_v = float(rows[0] @ (logs - rows[0] @ logs) ** 2)
+            assert payload["v_min"] == pytest.approx(want_v, rel=1e-9)
+            assert payload["v_max"] == pytest.approx(want_v, rel=1e-9)
+        else:
+            assert len(payload["rows"]) == 3
+
     def test_second_order_json_band(self, capsys, bsc_file):
         code, out, _ = _run(capsys, ["second-order", "--channel", bsc_file,
                                      "--eps", "0.05", "--n", "100..102"])
