@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -74,6 +75,9 @@ def _parse_n(raw: str | None) -> tuple[int, ...]:
 
 
 def _config_from_args(args) -> RunConfig:
+    seed = getattr(args, "seed", 0)
+    if not 0 <= seed < 1 << 64:
+        raise _ConfigError(f"--seed must lie in [0, 2^64), got {seed}")
     return RunConfig(
         subcommand=args.subcommand,
         channel=getattr(args, "channel", None),
@@ -82,7 +86,7 @@ def _config_from_args(args) -> RunConfig:
         delta=getattr(args, "delta", None),
         n_values=_parse_n(getattr(args, "n", None)),
         tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", 0),
+        seed=seed,
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "json"),
     )
@@ -532,9 +536,15 @@ def dispatch(cfg: RunConfig) -> int:
         raise _ConfigError(str(exc))
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Building the parser costs about a hundred times what parsing does,
+    # so in-process callers that run many commands share one.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         return dispatch(cfg)

@@ -9,12 +9,11 @@ correlated indices into shared reference lists; its induced channel is
 computed exactly by two independent routes (a literal per-atom enumeration
 and a vectorized scatter) so one can certify the other.
 
-Every Monte Carlo path draws from RngStream, a fixed xorshift-class
-generator, so runs are bit-reproducible from the seed alone. Trials are
-partitioned into fixed-size chunks with per-chunk derived substreams and
-run one chunk after another. CHANNELSIM_THREADS is accepted for
-compatibility and ignored: the trials are pure Python, so worker threads
-would only contend for the interpreter lock.
+Every Monte Carlo path draws from RngStream, a counter-based splitmix64
+stream, so runs are bit-reproducible from the seed alone. Each trial
+consumes a fixed number of words, so trial t always reads the same words
+and a block of trials runs as array operations; the block size changes
+no output. CHANNELSIM_THREADS is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -31,63 +30,77 @@ from .prob import BroadcastDmc, Pmf, channel_tvd, tvd
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_CHUNK = 1 << 16
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Words drawn per vector step; words are addressed by counter, so this
+# bounds memory only and never changes an output.
+_BLOCK_WORDS = 4096
 
 
 def _splitmix(z: int) -> int:
     z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
 class RngStream:
-    """Deterministic xorshift64-star generator.
+    """Counter-based splitmix64 stream.
 
-    The seed is scrambled through a splitmix round so that nearby seeds
-    give unrelated streams. ``counter`` records how many raw 64-bit words
-    have been drawn. Identical seeds always reproduce identical sequences;
+    Word i (0-based) is mix(key + (i + 1) * golden) mod 2^64 with
+    key = _splitmix(seed): the standard splitmix64 sequence from state
+    key, so nearby seeds give unrelated streams and any word is computed
+    without the ones before it. ``counter`` is the number of words drawn;
     ``spawn`` derives an independent child stream from (seed, index).
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self._state = _splitmix(self.seed)
-        if self._state == 0:
-            self._state = _GOLDEN
+        self.key = _splitmix(self.seed)
         self.counter = 0
 
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a uint64 array."""
+        index = np.arange(self.counter + 1, self.counter + 1 + count,
+                          dtype=np.uint64)
+        self.counter += count
+        z = np.uint64(self.key) + index * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` words as doubles in [0, 1) with 53 bits."""
+        return (self.words(count) >> np.uint64(11)) * (2.0 ** -53)
+
     def next_uint64(self) -> int:
-        x = self._state
-        x ^= (x >> 12)
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= (x >> 27)
-        self._state = x
-        self.counter += 1
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return int(self.words(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
+        return float(self.uniforms(1)[0])
 
     def pick(self, cumulative) -> int:
         """Index sample given an inclusive cumulative mass sequence."""
-        idx = int(np.searchsorted(cumulative, self.uniform(), side="right"))
-        return min(idx, len(cumulative) - 1)
+        return int(_pick(np.asarray(cumulative), self.uniform()))
 
     def spawn(self, index: int) -> "RngStream":
         child = _splitmix(self.seed ^ ((index + 1) * _GOLDEN & _MASK64))
         return RngStream(child)
 
 
-def _run_chunked(total: int, stream: RngStream, work):
-    """Apply work(substream, chunk_trials) over fixed-size trial chunks.
+def _pick(cumulative: np.ndarray, u):
+    """Count of cumulative entries <= u, clamped to the last index."""
+    idx = np.searchsorted(cumulative, u, side="right")
+    return np.minimum(idx, cumulative.size - 1)
 
-    The chunk layout depends only on ``total``, and each chunk's stream
-    only on the root seed and chunk index.
-    """
-    return [work(stream.spawn(i), min(_CHUNK, total - i * _CHUNK))
-            for i in range((total + _CHUNK - 1) // _CHUNK)]
+
+def _trial_blocks(stream: RngStream, trials: int, per_trial: int):
+    """Uniforms of consecutive trials as (count, per_trial) blocks."""
+    step = max(1, _BLOCK_WORDS // per_trial)
+    for start in range(0, trials, step):
+        count = min(step, trials - start)
+        yield stream.uniforms(count * per_trial).reshape(count, per_trial)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,39 +168,28 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
                          trials: int) -> RejectionRun:
     """Run the sequential accept-reject loop for a batch of trials.
 
-    Each trial draws up to M reference samples; the decision variable is
-    drawn on the final round too, even though the output is the last
-    sample either way. accept_counts[j-1] counts trials accepted in
-    round j.
+    Each trial reads 2M words, a (reference pick, decision) pair per round,
+    and outputs the first accepted round's sample, else the round-M one:
+    the decision word is drawn on the final round too, though the output
+    is the same either way. accept_counts[j-1] counts round-j accepts.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     cum = np.cumsum(plan.q.probs)
-    accept = plan.accept
     m = plan.m
-
-    def work(sub: RngStream, count: int):
-        out = np.zeros(plan.q.size, dtype=np.int64)
-        acc = np.zeros(m, dtype=np.int64)
-        rej = 0
-        for _ in range(count):
-            for j in range(1, m + 1):
-                y = sub.pick(cum)
-                u = sub.uniform()
-                if u <= accept[y]:
-                    acc[j - 1] += 1
-                    break
-                if j == m:
-                    rej += 1
-            out[y] += 1
-        return out, acc, rej
-
-    parts = _run_chunked(trials, stream, work)
-    out = sum(p[0] for p in parts)
-    acc = sum(p[1] for p in parts)
-    rej = sum(p[2] for p in parts)
+    out = np.zeros(plan.q.size, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    for u in _trial_blocks(stream, trials, 2 * m):
+        ys = _pick(cum, u[:, 0::2])
+        accepted = u[:, 1::2] <= plan.accept[ys]
+        hit = accepted.any(axis=1)
+        first = np.where(hit, accepted.argmax(axis=1), m - 1)
+        out += np.bincount(ys[np.arange(len(ys)), first],
+                           minlength=plan.q.size)
+        acc += np.bincount(first[hit], minlength=m)
     return RejectionRun(empirical=Pmf.normalized(out.astype(np.float64)),
-                        accept_counts=acc, rejects=int(rej), trials=trials)
+                        accept_counts=acc, rejects=trials - int(acc.sum()),
+                        trials=trials)
 
 
 def achievability_size(w, eps: float, delta: float):
@@ -443,12 +445,13 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
                            cap: int = 1 << 20) -> BroadcastRun:
     """Run the two-receiver index protocol and compare against the target.
 
-    Per trial and input x: draw the shared lists, draw (J, K) from the
-    index posterior, record (Y_J, Z_K). The exact induced channel comes
-    from the vectorized enumeration; worst_tvd measures it against w. A
-    posterior can degenerate to all-zero numerators when a sparse row
-    misses every drawn list entry; the protocol then falls back to a
-    uniform index pair, matching the exact computation.
+    Per trial, draw the shared lists (M picks from q, then N from r) and,
+    for each input x in turn, draw (J, K) from the index posterior and
+    record (Y_J, Z_K); a trial reads M + N + |X| words. The exact induced
+    channel comes from the vectorized enumeration; worst_tvd measures it
+    against w. A posterior can degenerate to all-zero numerators when a
+    sparse row misses every drawn list entry; the protocol then falls back
+    to a uniform index pair, matching the exact computation.
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
@@ -457,33 +460,29 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
         raise ValueError("references must have full support")
     sy, sz = w.output_sizes
-    rows3 = w.rows.reshape(w.input_size, sy, sz)
+    kx = w.input_size
+    rows3 = w.rows.reshape(kx, sy, sz)
     exact = induced_channel_scatter(w, q, r, m, n, cap=cap)
     cum_q = np.cumsum(q.probs)
     cum_r = np.cumsum(r.probs)
-
-    def work(sub: RngStream, count: int):
-        counts = np.zeros((w.input_size, sy * sz), dtype=np.int64)
-        for _ in range(count):
-            ys = [sub.pick(cum_q) for _ in range(m)]
-            zs = [sub.pick(cum_r) for _ in range(n)]
-            inv_qy = 1.0 / q.probs[ys]
-            inv_rz = 1.0 / r.probs[zs]
-            for x in range(w.input_size):
-                nums = (rows3[x][np.ix_(ys, zs)]
-                        * inv_qy[:, None] * inv_rz[None, :]).reshape(-1)
-                total = nums.sum()
-                if total <= 0.0:
-                    nums = np.full(m * n, 1.0 / (m * n))
-                    total = 1.0
-                jk = sub.pick(np.cumsum(nums / total))
-                j, k = divmod(jk, n)
-                counts[x, ys[j] * sz + zs[k]] += 1
-        return counts
-
-    parts = _run_chunked(trials, stream, work)
-    counts = sum(parts)
-    empirical = BroadcastDmc(rows=counts.astype(np.float64) / trials,
+    counts = np.zeros(kx * sy * sz, dtype=np.int64)
+    for u in _trial_blocks(stream, trials, m + n + kx):
+        ys = _pick(cum_q, u[:, :m])
+        zs = _pick(cum_r, u[:, m:m + n])
+        # Numerators W(y_j, z_k | x) / (q(y_j) r(z_k)), shape (X, trials, MN).
+        nums = (rows3[:, ys[:, :, None], zs[:, None, :]]
+                * (1.0 / q.probs[ys])[:, :, None]
+                * (1.0 / r.probs[zs])[:, None, :]).reshape(kx, len(ys), -1)
+        total = nums.sum(axis=2, keepdims=True)
+        safe = total > 0.0
+        post = np.where(safe, nums / np.where(safe, total, 1.0), 1.0 / (m * n))
+        below = np.cumsum(post, axis=2) <= u[:, m + n:].T[:, :, None]
+        j, k = np.divmod(np.minimum(below.sum(axis=2), m * n - 1), n)
+        trial = np.arange(len(ys))
+        cell = ys[trial, j] * sz + zs[trial, k]
+        counts += np.bincount((np.arange(kx)[:, None] * (sy * sz) + cell)
+                              .reshape(-1), minlength=counts.size)
+    empirical = BroadcastDmc(rows=counts.reshape(kx, -1) / trials,
                              output_sizes=(sy, sz))
     exact_dmc = BroadcastDmc(rows=exact, output_sizes=(sy, sz))
     return BroadcastRun(empirical=empirical, exact=exact_dmc,

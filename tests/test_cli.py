@@ -83,6 +83,39 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("seed, want", [
+        ("-1", cli.EXIT_CONFIG),
+        (str(1 << 64), cli.EXIT_CONFIG),
+        (str((1 << 64) + 1), cli.EXIT_CONFIG),
+        (str((1 << 64) - 1), cli.EXIT_OK)])
+    def test_seed_must_be_u64(self, capsys, tmp_path, seed, want):
+        inst = _write(tmp_path / "inst.json",
+                      {"p": [0.8, 0.2], "q": [0.5, 0.5], "m": 2})
+        code, out, err = _run(capsys, ["reject-sim", "--channel", inst,
+                                       "--n", "10", "--seed", seed])
+        assert code == want
+        if want == cli.EXIT_CONFIG:
+            assert "--seed" in err and out == ""
+        else:
+            assert json.loads(out)["seed"] == int(seed)
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch,
+                                         pair_file):
+        real = cli.build_parser
+        built = []
+
+        def counting():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._shared_parser.cache_clear()
+        for kind in ("kl", "dmax", "kl"):
+            code, _, _ = _run(capsys, ["divergence", kind,
+                                       "--channel", pair_file])
+            assert code == cli.EXIT_OK
+        assert len(built) == 1
+        assert real() is not real()
+
     def test_verify_passes(self, capsys):
         code, out, _ = _run(capsys, ["verify"])
         assert code == cli.EXIT_OK

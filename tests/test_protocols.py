@@ -1,5 +1,6 @@
 """Protocol executables: rng streams, rejection runs, splits, broadcast."""
 
+import bisect
 import math
 
 import numpy as np
@@ -42,7 +43,93 @@ def _marginal_oracle(plan):
     return out
 
 
+def _uniform(word):
+    return (int(word) >> 11) * 2.0 ** -53
+
+
+def _scalar_pick(cumulative, u):
+    return min(bisect.bisect_right(cumulative, u), len(cumulative) - 1)
+
+
+def _scalar_rejection(plan, stream, trials):
+    """Reference per-trial loop: 2M words a trial, (pick, decision) pairs."""
+    cum = list(np.cumsum(plan.q.probs))
+    out = np.zeros(plan.q.size, dtype=np.int64)
+    acc = np.zeros(plan.m, dtype=np.int64)
+    rejects = 0
+    for _ in range(trials):
+        u = [_uniform(word) for word in stream.words(2 * plan.m)]
+        for j in range(plan.m):
+            y = _scalar_pick(cum, u[2 * j])
+            if u[2 * j + 1] <= plan.accept[y]:
+                acc[j] += 1
+                break
+        else:
+            rejects += 1
+        out[y] += 1
+    return out, acc, rejects
+
+
+def _scalar_broadcast(w, q, r, m, n, stream, trials):
+    """Reference per-trial loop: M + N list picks, then one index per x."""
+    sy, sz = w.output_sizes
+    rows3 = w.rows.reshape(w.input_size, sy, sz)
+    cum_q, cum_r = list(np.cumsum(q.probs)), list(np.cumsum(r.probs))
+    counts = np.zeros((w.input_size, sy * sz), dtype=np.int64)
+    for _ in range(trials):
+        u = [_uniform(word)
+             for word in stream.words(m + n + w.input_size)]
+        ys = [_scalar_pick(cum_q, v) for v in u[:m]]
+        zs = [_scalar_pick(cum_r, v) for v in u[m:m + n]]
+        inv_qy = 1.0 / q.probs[ys]
+        inv_rz = 1.0 / r.probs[zs]
+        for x in range(w.input_size):
+            nums = (rows3[x][np.ix_(ys, zs)]
+                    * inv_qy[:, None] * inv_rz[None, :]).reshape(-1)
+            total = nums.sum()
+            if total <= 0.0:
+                nums = np.full(m * n, 1.0 / (m * n))
+                total = 1.0
+            jk = _scalar_pick(list(np.cumsum(nums / total)), u[m + n + x])
+            j, k = divmod(jk, n)
+            counts[x, ys[j] * sz + zs[k]] += 1
+    return counts
+
+
 class TestRngStream:
+    def test_known_answer_splitmix64(self):
+        want = [6457827717110365317, 3203168211198807973,
+                9817491932198370423]
+        s = protocols.RngStream(0)
+        s.key = 1234567
+        assert s.words(3).tolist() == want
+        chain, state = [], 1234567
+        for _ in range(3):
+            chain.append(protocols._splitmix(state))
+            state = (state + protocols._GOLDEN) % (1 << 64)
+        assert chain == want
+
+    def test_words_wrap_like_exact_integers(self):
+        s = protocols.RngStream(2024)
+        s.counter = (1 << 40) + 3
+        got = s.words(4).tolist()
+        want = [protocols._splitmix((s.key + i * protocols._GOLDEN)
+                                    % (1 << 64))
+                for i in range((1 << 40) + 3, (1 << 40) + 7)]
+        assert got == want
+        assert s.counter == (1 << 40) + 7
+
+    def test_words_are_addressed_by_counter(self):
+        a = protocols.RngStream(6)
+        b = protocols.RngStream(6)
+        joined = np.concatenate([a.words(5), a.words(1), a.words(11)])
+        assert np.array_equal(joined, b.words(17))
+        assert a.counter == b.counter == 17
+        c = protocols.RngStream(6)
+        assert [c.next_uint64() for _ in range(3)] == joined[:3].tolist()
+        assert c.uniform() == _uniform(joined[3])
+        assert c.uniforms(13).tolist() == [_uniform(w) for w in joined[4:]]
+
     def test_reproducible_from_seed(self):
         a = protocols.RngStream(1234)
         b = protocols.RngStream(1234)
@@ -87,6 +174,11 @@ class TestRngStream:
         cum = np.array([0.3, 1.0 - 1e-13])
         for _ in range(1000):
             assert s.pick(cum) in (0, 1)
+
+    def test_pick_clamps_past_last_entry(self):
+        cum = np.array([0.3, 1.0 - 1e-13])
+        got = protocols._pick(cum, np.array([0.0, 0.3, 0.5, 1.0 - 1e-14]))
+        assert got.tolist() == [0, 1, 1, 1]
 
     def test_spawn_is_positional_not_stateful(self):
         parent = protocols.RngStream(42)
@@ -233,6 +325,58 @@ class TestRejectionRun:
                                              Pmf([0.5, 0.5]), 1)
         with pytest.raises(ValueError):
             protocols.rejection_sample_run(plan, protocols.RngStream(0), 0)
+
+
+class TestVectorizedMatchesScalar:
+    """Array runs against per-trial loops reading the same words."""
+
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_rejection(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(protocols, "_BLOCK_WORDS", block)
+        rng = np.random.default_rng(70)
+        for case in range(6):
+            plan = _random_plan(rng, int(rng.integers(2, 7)),
+                                int(rng.integers(1, 8)))
+            trials = int(rng.integers(200, 700))
+            stream = protocols.RngStream(case)
+            run = protocols.rejection_sample_run(plan, stream, trials)
+            out, acc, rejects = _scalar_rejection(
+                plan, protocols.RngStream(case), trials)
+            assert np.array_equal(run.accept_counts, acc)
+            assert run.rejects == rejects
+            assert np.array_equal(run.empirical.probs,
+                                  Pmf.normalized(out.astype(float)).probs)
+            assert stream.counter == trials * 2 * plan.m
+
+    @pytest.mark.parametrize("block", [None, 7, 1])
+    def test_broadcast(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(protocols, "_BLOCK_WORDS", block)
+        rng = np.random.default_rng(71)
+        cases = []
+        for kx, sizes, (m, n) in ((2, (2, 2), (2, 2)), (3, (2, 3), (2, 3)),
+                                  (2, (3, 2), (3, 1))):
+            rows = rng.random((kx, sizes[0] * sizes[1])) + 0.05
+            cases.append((BroadcastDmc(
+                rows=rows / rows.sum(axis=1, keepdims=True),
+                output_sizes=sizes), m, n))
+        # Point-mass row: posteriors degenerate whenever the lists miss it.
+        cases.append((BroadcastDmc(rows=[[1.0, 0.0, 0.0, 0.0],
+                                         [0.25, 0.25, 0.25, 0.25]],
+                                   output_sizes=(2, 2)), 2, 2))
+        for case, (w, m, n) in enumerate(cases):
+            sy, sz = w.output_sizes
+            q = Pmf(_random_pmf(rng, sy, floor=0.2))
+            r = Pmf(_random_pmf(rng, sz, floor=0.2))
+            trials = int(rng.integers(150, 400))
+            stream = protocols.RngStream(40 + case)
+            run = protocols.broadcast_protocol_run(w, q, r, m, n, stream,
+                                                   trials)
+            counts = _scalar_broadcast(w, q, r, m, n,
+                                       protocols.RngStream(40 + case), trials)
+            assert np.array_equal(run.empirical.rows, counts / trials)
+            assert stream.counter == trials * (m + n + w.input_size)
 
 
 class TestAchievabilitySize:
@@ -488,6 +632,10 @@ class TestBroadcastRun:
                                                Pmf([0.5, 0.5]), 2, 2,
                                                protocols.RngStream(17), 2000)
         assert run.empirical.rows.shape == (2, 4)
+        band = 3.0 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * 2000))
+        for x in range(2):
+            gap = 0.5 * np.abs(run.empirical.rows[x] - run.exact.rows[x]).sum()
+            assert gap <= band
 
     def test_validates_arguments(self):
         w3 = BroadcastDmc(rows=np.full((2, 8), 0.125),
