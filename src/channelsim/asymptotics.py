@@ -25,29 +25,32 @@ _LOG2E = math.log2(math.e)
 
 @dataclasses.dataclass(frozen=True)
 class BaTrace:
-    """Blahut-Arimoto iterate history with its convergence certificate.
+    """Blahut-Arimoto estimates with their convergence certificate.
 
-    Each entry of ``iterates`` is (step index, estimate in bits, the input
-    pmf the step produced). The estimate at step t is computed from the
-    input of step t-1 and is monotonically nondecreasing; the true optimum
-    lies in [estimate, estimate + k * log2(num_inputs) / t] at every step.
+    ``estimates`` holds one float per step: ``estimates[t - 1]`` is step
+    t's estimate in bits, computed from the input of step t-1. It is
+    monotonically nondecreasing, and the true optimum lies in [estimate,
+    estimate + k * log2(num_inputs) / t] at every step. Only the input
+    of the last step is kept, as ``final_input``.
     """
 
-    iterates: tuple
+    estimates: tuple
+    final_input: Pmf
     k: int
     num_inputs: int
 
     @property
-    def value(self) -> float:
-        return self.iterates[-1][1]
+    def iterates(self) -> tuple:
+        """(step, estimate) pairs, steps counted from 1."""
+        return tuple(enumerate(self.estimates, start=1))
 
     @property
-    def final_input(self) -> Pmf:
-        return self.iterates[-1][2]
+    def value(self) -> float:
+        return self.estimates[-1]
 
     def bound(self, step: int | None = None) -> float:
         if step is None:
-            step = self.iterates[-1][0]
+            step = len(self.estimates)
         return self.k * math.log2(self.num_inputs) / step
 
     @property
@@ -67,6 +70,13 @@ def _drop_dead_letters(rows: np.ndarray, out_sizes: tuple):
     return cube.reshape(rows.shape[0], -1), sizes
 
 
+def _row_terms(rows: np.ndarray) -> np.ndarray:
+    """sum_y W(y|x) log2 W(y|x) for each row x."""
+    with np.errstate(divide="ignore"):
+        return np.where(rows > 0.0, rows * np.log2(
+            np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
+
+
 def _row_divergences(rows: np.ndarray, ref: np.ndarray,
                      row_terms: np.ndarray) -> np.ndarray:
     """D(row_x || ref) in bits given precomputed sum_y W log2 W per row."""
@@ -76,16 +86,58 @@ def _row_divergences(rows: np.ndarray, ref: np.ndarray,
     return row_terms - cross
 
 
+def _product_reference(out: np.ndarray, out_sizes: tuple) -> np.ndarray:
+    """prod_i p_Yi of the output law ``out``, flattened.
+
+    With one output factor that product is ``out`` itself, returned as is.
+    """
+    if len(out_sizes) == 1:
+        return out
+    out = out.reshape(out_sizes)
+    ref = np.ones(out_sizes)
+    for axis in range(len(out_sizes)):
+        other = tuple(i for i in range(len(out_sizes)) if i != axis)
+        marg = out.sum(axis=other)
+        shape = [1] * len(out_sizes)
+        shape[axis] = out_sizes[axis]
+        ref = ref * marg.reshape(shape)
+    return ref.reshape(-1)
+
+
+def _ascent(rows: np.ndarray, out_sizes: tuple, k: int, p: np.ndarray):
+    """The Blahut-Arimoto multiplicative update; the caller owns the stop.
+
+    Starting from the input ``p``, each step yields (p, d, z, next p):
+    the step's input, the divergences d_x = D(W(.|x) || prod_i p_Yi) at
+    that input, the normalizer z = sum_x p_x 2^(d_x / k), whose k log2 z
+    is the step's estimate, and the next input p * 2^(d / k) / z. The
+    next step starts from that input. Dead output letters must already be
+    dropped. The generator never ends; callers stop consuming it.
+    """
+    row_terms = _row_terms(rows)
+    while True:
+        ref = _product_reference(p @ rows, out_sizes)
+        d = _row_divergences(rows, ref, row_terms)
+        # p * 2^(d / k) / z in place: the same roundings, one allocation
+        nxt = np.exp2(d / k)
+        nxt *= p
+        z = nxt.sum()
+        nxt /= z
+        yield p, d, z, nxt
+        p = nxt
+
+
 def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
              tol: float, init) -> BaTrace:
-    """Multiplicative-update ascent shared by capacity and the C-tilde runs.
+    """Run the shared ascent for capacity and the C-tilde runs.
 
-    Update: p <- p * 2^(D(W(.|x) || prod_i p_Yi) / k), normalized; the
-    normalizer Z gives the estimate k * log2 Z. Stops when the estimate
-    increment drops below tol or the a-priori bound k*log2|X|/t does.
+    Starts from ``init`` (uniform by default) and stops at the first step
+    t whose estimate k log2 z_t rises by less than tol over step t-1's,
+    or whose a-priori bound k*log2|X|/t is below tol, or at max_iter. The
+    trace keeps each step's estimate and the last step's input only.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     rows, out_sizes = _drop_dead_letters(rows, out_sizes)
@@ -99,39 +151,25 @@ def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
             raise ValueError("initial input pmf must be strictly positive "
                              "on the full alphabet")
         p /= p.sum()
-    with np.errstate(divide="ignore"):
-        row_terms = np.where(rows > 0.0, rows * np.log2(
-            np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
-    cube_shape = (kx,) + out_sizes
-    iterates = []
+    estimates = []
     prev = -math.inf
     log_inputs = math.log2(kx) if kx > 1 else 0.0
-    for t in range(1, max_iter + 1):
-        out = (p @ rows).reshape(out_sizes)
-        ref = np.ones(out_sizes)
-        for axis in range(len(out_sizes)):
-            other = tuple(i for i in range(len(out_sizes)) if i != axis)
-            marg = out.sum(axis=other)
-            shape = [1] * len(out_sizes)
-            shape[axis] = out_sizes[axis]
-            ref = ref * marg.reshape(shape)
-        d = _row_divergences(rows, ref.reshape(-1), row_terms)
-        weights = p * np.exp2(d / k)
-        z = weights.sum()
+    steps = _ascent(rows, out_sizes, k, p)
+    for t, (_, _, z, p) in zip(range(1, max_iter + 1), steps):
         est = k * math.log2(z)
-        p = weights / z
-        iterates.append((t, est, Pmf(p)))
+        estimates.append(est)
         if est - prev < tol or k * log_inputs / t < tol:
             break
         prev = est
-    return BaTrace(iterates=tuple(iterates), k=k, num_inputs=kx)
+    return BaTrace(estimates=tuple(estimates), final_input=Pmf(p), k=k,
+                   num_inputs=kx)
 
 
 def capacity_ba(w, max_iter: int = 1_000_000, tol: float = 1e-9,
                 init=None) -> BaTrace:
     """Channel capacity by Blahut-Arimoto.
 
-    Returns the full trace; the capacity estimate is ``trace.value`` and the
+    Returns the trace; the capacity estimate is ``trace.value`` and the
     optimum is certified to lie within ``trace.final_bound`` above it.
     ``init`` defaults to the uniform input and must have full support.
     """
@@ -193,11 +231,12 @@ _ASCENT_CAP = 100_000
 def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     """Capacity and the dispersion range over the capacity-achieving inputs.
 
-    A Blahut-Arimoto ascent from the uniform input runs until the
-    a-posteriori gap max_x D(W_x || pW) - I(p) is at most 1e-12. The
-    letters with D(W_x || pW) within tol_cap of the maximum form X*; p
-    restricted to X* and renormalized, p^, fixes the capacity-achieving
-    output q^ = p^ W, and the capacity is the lower end I(p^) of Blahut's
+    The shared Blahut-Arimoto ascent runs from the uniform input and this
+    function stops it at the first input p whose a-posteriori gap
+    max_x D(W_x || pW) - I(p) is at most 1e-12. The letters with
+    D(W_x || pW) within tol_cap of the maximum form X*; p restricted to
+    X* and renormalized, p^, fixes the capacity-achieving output
+    q^ = p^ W, and the capacity is the lower end I(p^) of Blahut's
     bracket. On the optimal face {p >= 0 on X*, p W = q^} the dispersion
     is the conditional information variance sum_x p_x Var_{W_x}[log2
     W_x / q^], which is linear in p (Polyanskiy, Poor and Verdu, 2010), so
@@ -208,19 +247,13 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     if not tol_cap > 0.0:
         raise ValueError("tol_cap must be positive")
     rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
-    rows, _ = _drop_dead_letters(rows, (rows.shape[1],))
+    rows, out_sizes = _drop_dead_letters(rows, (rows.shape[1],))
     kx = rows.shape[0]
-    with np.errstate(divide="ignore"):
-        row_terms = np.where(rows > 0.0, rows * np.log2(
-            np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
-    p = np.full(kx, 1.0 / kx)
-    for step in range(_ASCENT_CAP + 1):
-        d = _row_divergences(rows, p @ rows, row_terms)
+    steps = _ascent(rows, out_sizes, 1, np.full(kx, 1.0 / kx))
+    for step, (p, d, _, _) in enumerate(steps):
         gap = float(d.max() - p @ d)
         if gap <= _ASCENT_GAP or step == _ASCENT_CAP:
             break
-        p = p * np.exp2(d - d.max())
-        p /= p.sum()
     if gap > tol_cap / 100.0:
         raise ArithmeticError(
             f"dispersion ascent stopped after {_ASCENT_CAP} steps with a "
@@ -230,7 +263,8 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     q_hat = p_hat @ rows[face]
     live = q_hat > 0.0
     w_face, q_hat = rows[face][:, live], q_hat[live]
-    capacity = float(p_hat @ _row_divergences(w_face, q_hat, row_terms[face]))
+    capacity = float(p_hat @ _row_divergences(w_face, q_hat,
+                                              _row_terms(rows[face])))
     v = np.array([var_div(row, q_hat) for row in w_face])
     extremes = []
     for sign in (1.0, -1.0):

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -78,6 +77,9 @@ def _config_from_args(args) -> RunConfig:
     seed = getattr(args, "seed", 0)
     if not 0 <= seed < 1 << 64:
         raise _ConfigError(f"--seed must lie in [0, 2^64), got {seed}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < float("inf"):
+        raise _ConfigError(f"--tol must be positive and finite, got {tol}")
     return RunConfig(
         subcommand=args.subcommand,
         channel=getattr(args, "channel", None),
@@ -85,7 +87,7 @@ def _config_from_args(args) -> RunConfig:
         eps=getattr(args, "eps", None),
         delta=getattr(args, "delta", None),
         n_values=_parse_n(getattr(args, "n", None)),
-        tol=getattr(args, "tol", None),
+        tol=tol,
         seed=seed,
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "json"),
@@ -126,9 +128,10 @@ def _need(cfg: RunConfig, **bounds):
     for name, (value, lo, hi, lo_open, hi_open) in bounds.items():
         if value is None:
             raise _ConfigError(f"--{name} is required for this subcommand")
-        below = value <= lo if lo_open else value < lo
-        above = value >= hi if hi_open else value > hi
-        if below or above:
+        # written so that NaN, which fails every comparison, fails it too
+        above_lo = value > lo if lo_open else value >= lo
+        below_hi = value < hi if hi_open else value <= hi
+        if not (above_lo and below_hi):
             lo_b = "(" if lo_open else "["
             hi_b = ")" if hi_open else "]"
             raise _ConfigError(
@@ -267,12 +270,10 @@ def _cmd_capacity(cfg: RunConfig) -> int:
         raise _ConfigError("capacity expects a point-to-point channel; "
                            "use broadcast-region for broadcast channels")
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    if tol <= 0.0:
-        raise _ConfigError("--tol must be positive")
     trace = asymptotics.capacity_ba(w, tol=tol)
     _emit_json(cfg, {"meta": _meta_object(cfg, tol=tol),
                      "capacity_bits": trace.value,
-                     "iterations": len(trace.iterates),
+                     "iterations": len(trace.estimates),
                      "final_bound": trace.final_bound})
     return EXIT_OK
 
@@ -354,8 +355,6 @@ def _cmd_broadcast_region(cfg: RunConfig) -> int:
     if not isinstance(w, prob.BroadcastDmc):
         raise _ConfigError("broadcast-region expects a broadcast channel "
                            "(JSON with output_sizes)")
-    if cfg.tol is not None and cfg.tol <= 0.0:
-        raise _ConfigError("--tol must be positive")
     region = broadcast.rate_region(w, tol=cfg.tol)
     constraints = sorted(region.constraints.items(),
                          key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -376,15 +375,12 @@ def _cmd_broadcast_region(cfg: RunConfig) -> int:
 def _cmd_ba_trace(cfg: RunConfig) -> int:
     w = _load_channel(cfg)
     tol = cfg.tol
-    if tol is not None and tol <= 0.0:
-        raise _ConfigError("--tol must be positive")
     if isinstance(w, prob.BroadcastDmc):
         subset = tuple(range(w.num_receivers))
         trace = broadcast.tilde_c_ba(w, subset, tol=tol)
     else:
         trace = asymptotics.capacity_ba(w, tol=tol if tol else 1e-9)
-    rows = [(t, est, trace.bound(t) if t > 0 else math.inf)
-            for t, est, _ in trace.iterates]
+    rows = [(t, est, trace.bound(t)) for t, est in trace.iterates]
     _emit_csv(cfg, _meta_lines(cfg, tol=tol),
               ["iteration", "estimate", "bound"], rows)
     return EXIT_OK

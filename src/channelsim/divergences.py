@@ -121,8 +121,8 @@ def d_s_plus(eps: float, p, q) -> float:
     already reaches eps no threshold works and the value is +inf.
     """
     pa, qa = _as_pmf_pair(p, q)
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     if eps == 0.0:
         return math.inf
     on = pa > 0.0

@@ -133,10 +133,10 @@ def test_gate_03_degraded_region_certified(capsys):
             assert abs(region.constraints[frozenset(subset)] - target) <= 1e-4
         for subset, optimum in closed.items():
             trace = broadcast.tilde_c_ba(w, subset)
-            estimates = [est for _, est, _ in trace.iterates]
+            estimates = [est for _, est in trace.iterates]
             assert all(a <= b + 1e-12
                        for a, b in zip(estimates, estimates[1:]))
-            for step, est, _ in trace.iterates:
+            for step, est in trace.iterates:
                 assert est <= optimum + 1e-9
                 assert optimum <= est + trace.bound(step) + 1e-9
 

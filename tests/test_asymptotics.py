@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from channelsim import asymptotics as asy
-from channelsim import cli, prob
+from channelsim import broadcast, cli, prob
 
 
 def _h2(x):
@@ -34,7 +34,7 @@ class TestCapacityBa:
         rows = rng.random((4, 3))
         rows /= rows.sum(axis=1, keepdims=True)
         trace = asy.capacity_ba(prob.Dmc(rows=rows))
-        ests = [e for _, e, _ in trace.iterates]
+        ests = [e for _, e in trace.iterates]
         assert all(a <= b + 1e-12 for a, b in zip(ests, ests[1:]))
 
     def test_certificate_brackets_final_value(self):
@@ -42,7 +42,7 @@ class TestCapacityBa:
         rows = rng.random((3, 4))
         rows /= rows.sum(axis=1, keepdims=True)
         trace = asy.capacity_ba(prob.Dmc(rows=rows))
-        for t, est, _ in trace.iterates:
+        for t, est in trace.iterates:
             assert est <= trace.value + 1e-12
             assert trace.value <= est + trace.bound(t) + 1e-12
 
@@ -67,6 +67,156 @@ class TestCapacityBa:
         trace = asy.capacity_ba(prob.Dmc.bsc(0.1))
         assert trace.final_input.probs == pytest.approx([0.5, 0.5],
                                                         abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError):
+            asy.capacity_ba(prob.Dmc.bsc(0.1), tol=tol)
+        with pytest.raises(ValueError):
+            broadcast.tilde_c_ba(_DEGRADED, (0, 1), tol=tol)
+
+    def test_trace_keeps_one_float_per_step(self):
+        trace = asy.capacity_ba(prob.Dmc.bsc(0.2), init=[0.3, 0.7])
+        assert all(type(e) is float for e in trace.estimates)
+        assert trace.iterates == tuple(
+            (t, e) for t, e in enumerate(trace.estimates, start=1))
+        assert trace.value == trace.estimates[-1]
+        assert isinstance(trace.final_input, prob.Pmf)
+
+
+# Reference implementations for the shared ascent: the two loops that
+# capacity/C-tilde and dispersion ran before they shared one update. The
+# capacity loop has the same arithmetic, so it must agree bit for bit;
+# dispersion's loop normalized by 2^(d - max d), so it agrees to rounding.
+
+def _ref_row_divergences(rows, ref):
+    with np.errstate(divide="ignore"):
+        row_terms = np.where(rows > 0.0, rows * np.log2(
+            np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
+        log_ref = np.log2(ref)
+    return row_terms - np.where(rows > 0.0, rows * log_ref, 0.0).sum(axis=1)
+
+
+def _ref_ba(rows, out_sizes, k, tol, init=None, max_iter=1_000_000):
+    rows, out_sizes = asy._drop_dead_letters(rows, out_sizes)
+    kx = rows.shape[0]
+    if init is None:
+        p = np.full(kx, 1.0 / kx)
+    else:
+        p = np.array(init, dtype=np.float64)
+        p /= p.sum()
+    estimates = []
+    prev = -math.inf
+    log_inputs = math.log2(kx) if kx > 1 else 0.0
+    for t in range(1, max_iter + 1):
+        out = (p @ rows).reshape(out_sizes)
+        ref = np.ones(out_sizes)
+        for axis in range(len(out_sizes)):
+            other = tuple(i for i in range(len(out_sizes)) if i != axis)
+            marg = out.sum(axis=other)
+            shape = [1] * len(out_sizes)
+            shape[axis] = out_sizes[axis]
+            ref = ref * marg.reshape(shape)
+        d = _ref_row_divergences(rows, ref.reshape(-1))
+        weights = p * np.exp2(d / k)
+        z = weights.sum()
+        est = k * math.log2(z)
+        p = weights / z
+        estimates.append(est)
+        if est - prev < tol or k * log_inputs / t < tol:
+            break
+        prev = est
+    return estimates, p
+
+
+def _ref_dispersion_ascent(rows):
+    rows, _ = asy._drop_dead_letters(rows, (rows.shape[1],))
+    p = np.full(rows.shape[0], 1.0 / rows.shape[0])
+    for step in range(asy._ASCENT_CAP + 1):
+        d = _ref_row_divergences(rows, p @ rows)
+        if d.max() - p @ d <= asy._ASCENT_GAP or step == asy._ASCENT_CAP:
+            break
+        p = p * np.exp2(d - d.max())
+        p /= p.sum()
+    return step, p
+
+
+def _dirichlet(seed):
+    rng = np.random.default_rng(seed)
+    k, m = rng.integers(2, 5, size=2)
+    return rng.dirichlet(np.ones(m), size=k)
+
+
+_DEAD = np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.5, 0.3, 0.2]])
+_DEGRADED = prob.BroadcastDmc(
+    rows=[[0.49, 0.21, 0.21, 0.09], [0.09, 0.21, 0.21, 0.49]],
+    output_sizes=(2, 2))
+
+
+class TestSharedAscent:
+    @pytest.mark.parametrize("rows, init, tol", [
+        (prob.Dmc.bsc(0.1).rows, None, 1e-9),
+        (_dirichlet(3), None, 1e-9),
+        (_dirichlet(56), None, 1e-12),
+        (_dirichlet(56), "skewed", 1e-9),
+        (_DEAD, None, 1e-9),
+        (_DEAD, "skewed", 1e-12)])
+    def test_capacity_matches_reference_bits(self, rows, init, tol):
+        if init == "skewed":
+            init = np.arange(1.0, rows.shape[0] + 1.0)
+            init /= init.sum()
+        trace = asy.capacity_ba(prob.Dmc(rows=rows), tol=tol, init=init)
+        estimates, p = _ref_ba(rows, (rows.shape[1],), 1, tol, init)
+        assert trace.estimates == tuple(estimates)
+        assert np.array_equal(trace.final_input.probs, p)
+
+    def test_capacity_matches_reference_at_max_iter(self):
+        rows = _dirichlet(56)
+        trace = asy.capacity_ba(prob.Dmc(rows=rows), max_iter=7)
+        estimates, p = _ref_ba(rows, (rows.shape[1],), 1, 1e-9, max_iter=7)
+        assert len(trace.estimates) == 7
+        assert trace.estimates == tuple(estimates)
+        assert np.array_equal(trace.final_input.probs, p)
+
+    @pytest.mark.parametrize("sizes, seed, dead", [
+        ((2, 2), 1, False), ((2, 3), 2, True),
+        ((2, 2, 2), 3, False), ((3, 2, 2), 4, True)])
+    @pytest.mark.parametrize("init", [None, [0.3, 0.7]])
+    def test_tilde_c_matches_reference_bits(self, sizes, seed, dead, init):
+        rng = np.random.default_rng(seed)
+        cube = rng.dirichlet(np.ones(int(np.prod(sizes))), size=2)
+        cube = cube.reshape((2,) + sizes)
+        if dead:
+            # receiver 1's last letter is never produced
+            cube[:, -1] = 0.0
+            cube /= cube.sum(axis=tuple(range(1, cube.ndim)), keepdims=True)
+        w = prob.BroadcastDmc(rows=cube.reshape(2, -1), output_sizes=sizes)
+        js = tuple(range(len(sizes)))
+        trace = broadcast.tilde_c_ba(w, js, tol=1e-9, init=init)
+        estimates, p = _ref_ba(w.rows, sizes, len(sizes), 1e-9, init)
+        assert trace.estimates == tuple(estimates)
+        assert np.array_equal(trace.final_input.probs, p)
+
+    @pytest.mark.parametrize("rows", [
+        prob.Dmc.bsc(0.1).rows,
+        _ternary().rows,
+        _DEAD,
+        _dirichlet(5),
+        # a slow tail: several thousand steps to the 1e-12 gap
+        _dirichlet(56)])
+    def test_dispersion_stops_where_reference_does(self, rows, monkeypatch):
+        real = asy._ascent
+        seen = {}
+
+        def spy(*args):
+            for step, item in enumerate(real(*args)):
+                seen["step"], seen["p"] = step, item[0]
+                yield item
+        monkeypatch.setattr(asy, "_ascent", spy)
+        asy.dispersion(prob.Dmc(rows=rows))
+        step, p = _ref_dispersion_ascent(rows)
+        assert seen["step"] == step
+        assert np.max(np.abs(seen["p"] - p)) <= 1e-15
 
 
 class TestDispersion:

@@ -103,9 +103,9 @@ class TestTildeC:
 
     def test_trace_monotone_and_certified(self):
         trace = broadcast.tilde_c_ba(DEGRADED, (0, 1), init=[0.3, 0.7])
-        ests = [est for _, est, _ in trace.iterates]
+        ests = [est for _, est in trace.iterates]
         assert all(b >= a - 1e-12 for a, b in zip(ests, ests[1:]))
-        for t, est, _ in trace.iterates:
+        for t, est in trace.iterates:
             assert est <= C_YZ + 1e-9
             assert C_YZ <= est + trace.bound(t) + 1e-9
 

@@ -99,6 +99,25 @@ class TestExitCodes:
         else:
             assert json.loads(out)["seed"] == int(seed)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    @pytest.mark.parametrize("command", ["capacity", "ba-trace",
+                                         "broadcast-region"])
+    def test_tol_must_be_positive_and_finite(self, capsys, bsc_file,
+                                             degraded_file, command, tol):
+        path = degraded_file if command == "broadcast-region" else bsc_file
+        code, out, err = _run(capsys, [command, "--channel", path,
+                                       f"--tol={tol}"])
+        assert code == cli.EXIT_CONFIG
+        assert "--tol" in err and out == ""
+
+    def test_nan_eps_is_config_error(self, capsys, pair_file):
+        code, out, err = _run(capsys, ["divergence", "dsplus",
+                                       "--channel", pair_file,
+                                       "--eps", "nan"])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("channelsim: error: --eps must lie in")
+        assert "Traceback" not in err and out == ""
+
     def test_main_builds_the_parser_once(self, capsys, monkeypatch,
                                          pair_file):
         real = cli.build_parser

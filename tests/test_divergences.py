@@ -168,6 +168,10 @@ class TestDsPlus:
         q = np.array([0.4, 0.6])
         assert dv.d_s_plus(0.0, p, q) == math.inf
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(ValueError):
+            dv.d_s_plus(math.nan, np.array([0.5, 0.5]), np.array([0.4, 0.6]))
+
     def test_null_mass_infinite(self):
         p = np.array([0.5, 0.5])
         q = np.array([1.0, 0.0])
