@@ -244,8 +244,8 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     works. Raises ArithmeticError if the ascent reaches its iteration cap
     with a gap above tol_cap / 100, or if a face program fails.
     """
-    if not tol_cap > 0.0:
-        raise ValueError("tol_cap must be positive")
+    if not 0.0 < tol_cap < math.inf:
+        raise ValueError("tol_cap must be positive and finite")
     rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
     rows, out_sizes = _drop_dead_letters(rows, (rows.shape[1],))
     kx = rows.shape[0]
@@ -416,8 +416,8 @@ def moderate_deviation_rates(params: SecondOrderParams, n: int,
         raise ValueError("blocklength must be at least 1")
     if a_n is None:
         a_n = float(n) ** (-1.0 / 3.0)
-    if a_n <= 0.0:
-        raise ValueError("a_n must be positive")
+    if not 0.0 < a_n < math.inf:
+        raise ValueError("a_n must be positive and finite")
     up = math.sqrt(2.0 * params.v_max) * a_n
     down = math.sqrt(2.0 * params.v_min) * a_n
     c = params.capacity

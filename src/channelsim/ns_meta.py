@@ -9,15 +9,20 @@ max-information
 over row-stochastic substitutes W~ with W~(y|x) <= zeta(y) and per-row TVD
 to W at most eps. Both directions of the tradeoff are exposed: minimal cost
 at fixed eps, and minimal eps at fixed integer cost. Both are solved as one
-reduced LP over the overlap t = min(W, W~) and zeta alone (see
-``_reduced_program``); the substitute channel is rebuilt from t afterwards.
+reduced LP over the overlap t = min(W, W~) and zeta alone, written in the
+mass removed from W and from the column peaks M_y = max_x W(y|x):
+r = W - t and s = M - zeta (see ``_reduced_program``). W itself is
+feasible, so r = s = 0 is a basic feasible start and the simplex skips
+phase 1 in the cost direction. The substitute channel is rebuilt from t
+afterwards.
 For BSC tensor powers the permutation symmetry reduces both directions to
 closed forms over the Hamming-weight classes, computed in the log domain,
 so any blocklength is cheap; see ``bsc_ns_cost``.
 
 Witness conventions: LP witnesses are renormalized row-wise before being
-returned, and reported reference weights zeta are the raw LP values whose
-sum is the (fractional) cost.
+returned, and reported reference weights zeta are M - s from the LP, whose
+sum is the (fractional) cost; at a fixed integer cost they are first raised
+evenly to sum to that cost.
 """
 
 from __future__ import annotations
@@ -83,53 +88,75 @@ def _clean_rows(raw: np.ndarray) -> np.ndarray:
 
 def _reduced_program(rows: np.ndarray, eps: float = 0.0,
                      cost: int | None = None) -> LpProblem:
-    """The max-information LP over the overlap t and the weights zeta.
+    """The max-information LP in removed-mass variables r and s.
 
     A substitute row W~(.|x) within TVD eps of W(.|x) keeps the overlap
     t_xy = min(W(y|x), W~(y|x)) of mass at least 1 - eps, so the program
-    needs only t (k x m, flat) and zeta (m):
+    needs only t (k x m) and the weights zeta (m). It is written in the
+    mass removed from W and from the column peaks M_y = max_x W(y|x):
+    r = W - t (flat) and s = M - zeta, so that
 
-        minimize sum zeta  s.t.  0 <= t <= W,  t_xy <= zeta_y,
-                                 sum_y t_xy >= 1 - eps,  sum zeta >= 1.
+        maximize sum s  s.t.  0 <= r <= W,  s >= 0,
+                              s_y - r_xy <= M_y - W(y|x),
+                              sum_y r_xy <= eps,  sum s <= sum M - 1
 
-    The last row lets every row be refilled to mass one under zeta (see
-    ``_rebuild_rows``). With an integer cost the program instead gains a
-    last variable gamma: minimize gamma with the same caps,
-    sum_y t_xy + gamma >= 1 and sum zeta = cost.
+    is the cost program min sum zeta over t_xy <= zeta_y,
+    sum_y t_xy >= 1 - eps and sum zeta >= 1 (s >= 0 loses nothing: zeta
+    can always be cut down to M). Every right-hand side is non-negative,
+    so r = s = 0, that is t = W and zeta = M, is the all-slack basis and
+    the simplex starts in phase 2. The last row lets every row be refilled
+    to mass one under zeta (see ``_rebuild_rows``). With an integer cost
+    the program instead gains a last variable gamma: minimize gamma with
+    the same caps, sum_y r_xy <= gamma and sum zeta <= cost, written
+    sum s >= sum M - cost, the only row that may need an artificial.
     """
     k, m = rows.shape
     km = k * m
+    peak = rows.max(axis=0)
     nv = km + m + (cost is not None)
     a = np.zeros((km + k + 1, nv))
-    a[:km, :km] = np.eye(km)
-    a[:km, km:km + m] = -np.tile(np.eye(m), (k, 1))
+    a[:km, :km] = -np.eye(km)
+    a[:km, km:km + m] = np.tile(np.eye(m), (k, 1))
     a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
     a[-1, km:km + m] = 1.0
     c = np.zeros(nv)
     upper = np.full(nv, np.inf)
     upper[:km] = rows.ravel()
+    gaps = (peak[None, :] - rows).ravel()
     if cost is None:
-        c[km:] = 1.0
-        b = np.concatenate([np.zeros(km), np.full(k, 1.0 - eps), [1.0]])
-        last = ">="
+        c[km:] = -1.0
+        # sum M >= 1 holds exactly; only its rounding can dip below.
+        b = np.concatenate([gaps, np.full(k, eps),
+                            [max(peak.sum() - 1.0, 0.0)]])
+        last = "<="
     else:
-        a[km:km + k, -1] = 1.0
+        a[km:km + k, -1] = -1.0
         c[-1] = 1.0
-        b = np.concatenate([np.zeros(km), np.ones(k), [float(cost)]])
-        last = "="
+        b = np.concatenate([gaps, np.zeros(k), [peak.sum() - cost]])
+        last = ">="
     return LpProblem(c=c, a=a, b=b, upper=upper,
-                     senses=("<=",) * km + (">=",) * k + (last,))
+                     senses=("<=",) * (km + k) + (last,))
 
 
-def _solve_reduced(rows: np.ndarray, what: str, **direction):
-    """Solve ``_reduced_program``; returns (value, W~ witness, zeta)."""
-    sol = solve_lp(_reduced_program(rows, **direction))
+def _solve_reduced(rows: np.ndarray, what: str, eps: float = 0.0,
+                   cost: int | None = None):
+    """Solve ``_reduced_program``; returns (value, W~ witness, zeta).
+
+    Maps back t = W - r and zeta = M - s. At a fixed cost, zeta is then
+    raised evenly until it sums to the cost, which keeps every t <= zeta.
+    """
+    sol = solve_lp(_reduced_program(rows, eps=eps, cost=cost))
     if sol.status != "optimal":
         raise ArithmeticError(f"{what} LP status {sol.status}")
     k, m = rows.shape
-    t = sol.x[:k * m].reshape(k, m)
-    zeta = sol.x[k * m:k * m + m].copy()
-    return sol.value, _rebuild_rows(t, zeta), zeta
+    t = rows - sol.x[:k * m].reshape(k, m)
+    zeta = rows.max(axis=0) - sol.x[k * m:k * m + m]
+    if cost is None:
+        value = float(zeta.sum())
+    else:
+        zeta += max(cost - zeta.sum(), 0.0) / m
+        value = sol.value
+    return value, _rebuild_rows(t, zeta), zeta
 
 
 def _rebuild_rows(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -151,7 +178,10 @@ def i_max_smooth(w, eps: float) -> SmoothImax:
 
     Solved as the reduced LP of ``_reduced_program``: minimize sum zeta over
     overlaps 0 <= t <= W with t_xy <= zeta_y, sum_y t_xy >= 1 - eps per row
-    and sum zeta >= 1. The substitute channel W~ is rebuilt from t.
+    and sum zeta >= 1, posed as maximize sum s over the removed masses
+    r = W - t and s = M - zeta. Every right-hand side is non-negative, so
+    the simplex starts from t = W, zeta = M and runs no phase 1. The
+    substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
     if not 0.0 <= eps < 1.0:
@@ -183,9 +213,11 @@ def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     """Minimal simulation deviation achievable with message alphabet size c.
 
     The reduced LP of ``_reduced_program`` in its cost form: minimize gamma
-    over overlaps 0 <= t <= W with t_xy <= zeta_y, sum zeta = c and
-    sum_y t_xy >= 1 - gamma per row. The substitute channel W~ is rebuilt
-    from t.
+    over overlaps 0 <= t <= W with t_xy <= zeta_y, sum zeta <= c and
+    sum_y t_xy >= 1 - gamma per row, in the removed masses r = W - t and
+    s = M - zeta. Only sum s >= sum M - c can start infeasible, so phase 1
+    has a single artificial. zeta is then raised evenly to sum to c, and
+    the substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
     if int(c) != c or c < 2:

@@ -220,6 +220,12 @@ class TestSharedAscent:
 
 
 class TestDispersion:
+    @pytest.mark.parametrize("tol_cap", [math.nan, math.inf, 0.0, -1e-7])
+    def test_tol_cap_must_be_positive_and_finite(self, tol_cap):
+        # An infinite tol_cap would put every letter on the optimal face.
+        with pytest.raises(ValueError):
+            asy.dispersion(prob.Dmc.bsc(0.1), tol_cap=tol_cap)
+
     def test_bsc_values(self):
         params = asy.dispersion(prob.Dmc.bsc(0.1))
         want_v = 0.1 * 0.9 * math.log2(0.9 / 0.1) ** 2
@@ -376,6 +382,14 @@ class TestSecondOrder:
 
 
 class TestModerate:
+    @pytest.mark.parametrize("a_n", [math.nan, math.inf, 0.0, -0.1])
+    def test_a_n_must_be_positive_and_finite(self, a_n):
+        params = asy.SecondOrderParams(
+            capacity=1.0, v_min=0.25, v_max=1.0,
+            capacity_achieving_inputs=(prob.Pmf.uniform(2),), tol_cap=1e-7)
+        with pytest.raises(ValueError):
+            asy.moderate_deviation_rates(params, 100, a_n=a_n)
+
     def test_default_schedule(self):
         params = asy.dispersion(prob.Dmc.bsc(0.1))
         got = asy.moderate_deviation_rates(params, 1000)

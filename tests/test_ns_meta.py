@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from channelsim import ns_meta, prob
+from channelsim import lp, ns_meta, prob
 from channelsim.divergences import d_max, d_max_smooth, d_s_plus
+from channelsim.lp import LpProblem, solve_lp
 
 
 def _random_channel(rng, k, m, floor=0.0):
@@ -118,6 +119,125 @@ class TestNsEps:
         w = _random_channel(rng, 4, 4)
         eps = [ns_meta.ns_eps_for_cost(w, c).eps for c in (2, 3, 4)]
         assert all(a >= b - 1e-9 for a, b in zip(eps, eps[1:]))
+
+
+def _reference_program(rows, eps=0.0, cost=None):
+    """The overlap program over t and zeta as first written, phase 1 and all.
+
+    Kept as the reference for ``ns_meta._reduced_program``: minimize
+    sum zeta s.t. 0 <= t <= W, t_xy <= zeta_y, sum_y t_xy >= 1 - eps and
+    sum zeta >= 1; with a cost, minimize gamma s.t. the same caps,
+    sum_y t_xy + gamma >= 1 and sum zeta = cost.
+    """
+    k, m = rows.shape
+    km = k * m
+    nv = km + m + (cost is not None)
+    a = np.zeros((km + k + 1, nv))
+    a[:km, :km] = np.eye(km)
+    a[:km, km:km + m] = -np.tile(np.eye(m), (k, 1))
+    a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
+    a[-1, km:km + m] = 1.0
+    c = np.zeros(nv)
+    upper = np.full(nv, np.inf)
+    upper[:km] = rows.ravel()
+    if cost is None:
+        c[km:] = 1.0
+        b = np.concatenate([np.zeros(km), np.full(k, 1.0 - eps), [1.0]])
+        last = ">="
+    else:
+        a[km:km + k, -1] = 1.0
+        c[-1] = 1.0
+        b = np.concatenate([np.zeros(km), np.ones(k), [float(cost)]])
+        last = "="
+    return LpProblem(c=c, a=a, b=b, upper=upper,
+                     senses=("<=",) * km + (">=",) * k + (last,))
+
+
+def _differential_cases():
+    rng = np.random.default_rng(4242)
+    cases = []
+    for i in range(120):
+        k, m = (int(v) for v in rng.integers(2, 9, size=2))
+        kind = ("dirichlet", "dead-column", "identical-rows", "sparse")[i % 4]
+        if kind == "dead-column":
+            rows = np.insert(rng.dirichlet(np.full(m - 1, 0.7), size=k),
+                             int(rng.integers(0, m)), 0.0, axis=1)
+        elif kind == "identical-rows":
+            rows = np.tile(rng.dirichlet(np.ones(m)), (k, 1))
+        else:
+            alpha = 0.7 if kind == "dirichlet" else 0.2
+            rows = rng.dirichlet(np.full(m, alpha), size=k)
+        eps = float(rng.choice([0.0, 0.02, 0.1, 0.3, 0.6]))
+        peak_sum = rows.max(axis=0).sum()
+        cost = int(rng.integers(2, math.ceil(peak_sum) + 3))
+        cases.append(pytest.param(rows, eps, cost, id=f"{kind}-{i}-{k}x{m}"))
+    return cases
+
+
+def _assert_witness(rows, w_tilde, zeta, eps):
+    assert np.allclose(w_tilde.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(w_tilde >= 0.0)
+    assert np.all(w_tilde <= zeta[None, :] + 1e-9)
+    assert prob.channel_tvd(prob.Dmc(rows=w_tilde),
+                            prob.Dmc(rows=rows)) <= eps + 1e-8
+
+
+class TestReducedProgram:
+    @pytest.mark.parametrize("rows,eps,cost", _differential_cases())
+    def test_matches_overlap_program(self, rows, eps, cost):
+        want = solve_lp(_reference_program(rows, eps=eps))
+        got = ns_meta.i_max_smooth(rows, eps)
+        assert want.status == "optimal"
+        assert 2.0 ** got.value == pytest.approx(want.value, abs=1e-12)
+        _assert_witness(rows, got.w_tilde, got.zeta, eps)
+
+        want = solve_lp(_reference_program(rows, cost=cost))
+        dev = ns_meta.ns_eps_for_cost(rows, cost)
+        assert want.status == "optimal"
+        assert dev.eps == pytest.approx(max(want.value, 0.0), abs=1e-12)
+        _assert_witness(rows, dev.w_tilde, dev.zeta, dev.eps)
+        assert dev.zeta.sum() == pytest.approx(cost, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        ns_meta.bsc_channel(3, 0.11).rows,
+        np.eye(4),
+        # Identical rows: sum M is 1, and 0.7 + 0.2 + 0.1 rounds below it.
+        np.tile([0.7, 0.2, 0.1], (3, 1)),
+        np.array([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]),
+    ])
+    def test_cost_direction_starts_feasible(self, rows, monkeypatch):
+        program = ns_meta._reduced_program(rows, eps=0.05)
+        assert set(program.senses) == {"<="}
+        assert np.all(program.b >= 0.0)
+        assert np.all(program.upper[np.isfinite(program.upper)] >= 0.0)
+        # Without '>=' or '=' rows and with b >= 0, solve_lp adds no
+        # artificial and runs the simplex once, in phase 2.
+        runs = []
+        run_simplex = lp._run_simplex
+
+        def counting(*args):
+            runs.append(args)
+            return run_simplex(*args)
+
+        monkeypatch.setattr(lp, "_run_simplex", counting)
+        assert solve_lp(program).status == "optimal"
+        assert len(runs) == 1
+
+    def test_deviation_direction_has_one_ge_row(self):
+        rows = ns_meta.bsc_channel(3, 0.11).rows
+        for cost in (2, 5, 9):
+            program = ns_meta._reduced_program(rows, cost=cost)
+            assert program.senses.count(">=") == 1
+            assert program.senses[-1] == ">="
+            assert "=" not in program.senses
+
+    def test_bsc4_pivot_budget(self):
+        # The overlap program takes 518 pivots here, 513 of them in phase 1.
+        program = ns_meta._reduced_program(
+            ns_meta.bsc_channel(4, 0.11).rows, eps=0.05)
+        sol = solve_lp(program)
+        assert sol.status == "optimal"
+        assert sol.iterations <= 64
 
 
 class TestChannelDivergences:
