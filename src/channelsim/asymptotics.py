@@ -86,22 +86,31 @@ def _row_divergences(rows: np.ndarray, ref: np.ndarray,
     return row_terms - cross
 
 
-def _product_reference(out: np.ndarray, out_sizes: tuple) -> np.ndarray:
-    """prod_i p_Yi of the output law ``out``, flattened.
+def _product_reference(out_sizes: tuple):
+    """The map from an output law to prod_i p_Yi, flattened.
 
-    With one output factor that product is ``out`` itself, returned as is.
+    The marginal axes and shapes are worked out once per channel. With one
+    output factor that product is the law itself, returned as is.
     """
     if len(out_sizes) == 1:
-        return out
-    out = out.reshape(out_sizes)
-    ref = np.ones(out_sizes)
-    for axis in range(len(out_sizes)):
+        return lambda out: out
+    factors = []
+    for axis, size in enumerate(out_sizes):
         other = tuple(i for i in range(len(out_sizes)) if i != axis)
-        marg = out.sum(axis=other)
         shape = [1] * len(out_sizes)
-        shape[axis] = out_sizes[axis]
-        ref = ref * marg.reshape(shape)
-    return ref.reshape(-1)
+        shape[axis] = size
+        factors.append((other, tuple(shape)))
+
+    def product(out: np.ndarray) -> np.ndarray:
+        out = out.reshape(out_sizes)
+        margs = [out.sum(axis=other).reshape(shape)
+                 for other, shape in factors]
+        ref = margs[0]
+        for marg in margs[1:]:
+            ref = ref * marg
+        return ref.reshape(-1)
+
+    return product
 
 
 def _ascent(rows: np.ndarray, out_sizes: tuple, k: int, p: np.ndarray):
@@ -115,9 +124,15 @@ def _ascent(rows: np.ndarray, out_sizes: tuple, k: int, p: np.ndarray):
     dropped. The generator never ends; callers stop consuming it.
     """
     row_terms = _row_terms(rows)
+    product = _product_reference(out_sizes)
+    # Cross terms W log2 ref on the support of W; zero off it, never written.
+    live = rows > 0.0
+    cross = np.zeros_like(rows)
     while True:
-        ref = _product_reference(p @ rows, out_sizes)
-        d = _row_divergences(rows, ref, row_terms)
+        with np.errstate(divide="ignore"):
+            log_ref = np.log2(product(p @ rows))
+        np.multiply(rows, log_ref, out=cross, where=live)
+        d = row_terms - cross.sum(axis=1)
         # p * 2^(d / k) / z in place: the same roundings, one allocation
         nxt = np.exp2(d / k)
         nxt *= p

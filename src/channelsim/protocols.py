@@ -10,10 +10,12 @@ computed exactly by two independent routes (a literal per-atom enumeration
 and a vectorized scatter) so one can certify the other.
 
 Every Monte Carlo path draws from RngStream, a counter-based splitmix64
-stream, so runs are bit-reproducible from the seed alone. Each trial
-consumes a fixed number of words, so trial t always reads the same words
-and a block of trials runs as array operations; the block size changes
-no output. CHANNELSIM_THREADS is accepted for compatibility and ignored.
+stream, so runs are bit-reproducible from the seed alone. A trial owns a
+fixed range of counters, so trial t always sees the same words and a
+block of trials runs as array operations; since any word is computed
+without the ones before it, the rejection sampler computes only the
+rounds a trial reaches. The block size changes no output.
+CHANNELSIM_THREADS is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Words drawn per vector step; words are addressed by counter, so this
-# bounds memory only and never changes an output.
+# Words per vector step: a broadcast block reads about this many, and a
+# rejection block holds 2 * _BLOCK_WORDS trials, whose live ones compute
+# one (pick, decision) pair per round. Words are addressed by counter, so
+# this bounds memory only and never changes an output.
 _BLOCK_WORDS = 4096
 
 
@@ -59,19 +63,35 @@ class RngStream:
         self.key = _splitmix(self.seed)
         self.counter = 0
 
+    def words_at(self, index) -> np.ndarray:
+        """The words at the given counters, as a uint64 array of that shape.
+
+        Counters are taken mod 2^64; ``counter`` does not move.
+        """
+        z = np.asarray(index, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z += np.uint64((self.key + _GOLDEN) & _MASK64)
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
+
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array."""
-        index = np.arange(self.counter + 1, self.counter + 1 + count,
-                          dtype=np.uint64)
+        if count < 0:
+            raise ValueError(f"word count must be nonnegative, got {count}")
+        index = np.arange(count, dtype=np.uint64)
+        index += np.uint64(self.counter & _MASK64)
         self.counter += count
-        z = np.uint64(self.key) + index * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        return self.words_at(index)
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` words as doubles in [0, 1) with 53 bits."""
-        return (self.words(count) >> np.uint64(11)) * (2.0 ** -53)
+        return _to_uniform(self.words(count))
 
     def next_uint64(self) -> int:
         return int(self.words(1)[0])
@@ -87,6 +107,11 @@ class RngStream:
     def spawn(self, index: int) -> "RngStream":
         child = _splitmix(self.seed ^ ((index + 1) * _GOLDEN & _MASK64))
         return RngStream(child)
+
+
+def _to_uniform(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each word."""
+    return (words >> np.uint64(11)) * (2.0 ** -53)
 
 
 def _pick(cumulative: np.ndarray, u):
@@ -168,10 +193,14 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
                          trials: int) -> RejectionRun:
     """Run the sequential accept-reject loop for a batch of trials.
 
-    Each trial reads 2M words, a (reference pick, decision) pair per round,
-    and outputs the first accepted round's sample, else the round-M one:
-    the decision word is drawn on the final round too, though the output
-    is the same either way. accept_counts[j-1] counts round-j accepts.
+    Trial t owns the 2M words at counters base + 2M t + 2(j-1) and the
+    next one, the (reference pick, decision) pair of round j, and outputs
+    the first accepted round's sample, else the round-M one. Blocks of
+    trials run round by round: round j computes only the pairs of the
+    trials still live, and a trial leaves the block when it accepts. The
+    counter still advances by 2M per trial, so outputs and later draws
+    are those of reading every word. accept_counts[j-1] counts round-j
+    accepts.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -179,14 +208,28 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
     m = plan.m
     out = np.zeros(plan.q.size, dtype=np.int64)
     acc = np.zeros(m, dtype=np.int64)
-    for u in _trial_blocks(stream, trials, 2 * m):
-        ys = _pick(cum, u[:, 0::2])
-        accepted = u[:, 1::2] <= plan.accept[ys]
-        hit = accepted.any(axis=1)
-        first = np.where(hit, accepted.argmax(axis=1), m - 1)
-        out += np.bincount(ys[np.arange(len(ys)), first],
-                           minlength=plan.q.size)
-        acc += np.bincount(first[hit], minlength=m)
+    base = np.uint64(stream.counter & _MASK64)
+    stream.counter += trials * 2 * m
+    one, two = np.uint64(1), np.uint64(2)
+    step = 2 * _BLOCK_WORDS
+    for start in range(0, trials, step):
+        # Counters of the live trials' pick words in the current round.
+        live = np.arange(start, min(start + step, trials), dtype=np.uint64)
+        live *= np.uint64(2 * m)
+        live += base
+        for j in range(m):
+            ys = _pick(cum, _to_uniform(stream.words_at(live)))
+            accepted = (_to_uniform(stream.words_at(live + one))
+                        <= plan.accept[ys])
+            acc[j] += np.count_nonzero(accepted)
+            if j == m - 1:
+                out += np.bincount(ys, minlength=plan.q.size)
+                break
+            out += np.bincount(ys[accepted], minlength=plan.q.size)
+            live = live[~accepted]
+            if live.size == 0:
+                break
+            live += two
     return RejectionRun(empirical=Pmf.normalized(out.astype(np.float64)),
                         accept_counts=acc, rejects=trials - int(acc.sum()),
                         trials=trials)
@@ -343,6 +386,12 @@ def _string_atoms(size: int, length: int) -> np.ndarray:
     return atoms.reshape(size ** length, length)
 
 
+def _check_list_sizes(m: int, n: int) -> None:
+    if m < 1 or n < 1 or int(m) != m or int(n) != n:
+        raise ValueError(f"list sizes must be positive integers, got "
+                         f"m={m}, n={n}")
+
+
 def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
                             cap: int = 1 << 20) -> np.ndarray:
     """Protocol-induced channel by direct per-atom enumeration.
@@ -353,6 +402,7 @@ def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     accumulated with the string probability. Kept deliberately naive as
     the reference route; induced_channel_scatter is the fast one.
     """
+    _check_list_sizes(m, n)
     sy, sz = w.output_sizes
     if sy ** m * sz ** n * w.input_size > cap:
         raise ValueError("state space exceeds the enumeration cap")
@@ -403,6 +453,7 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     full string probability, and the accumulation runs as one scatter-add
     over precomputed digit arrays.
     """
+    _check_list_sizes(m, n)
     sy, sz = w.output_sizes
     if sy ** m * sz ** n * w.input_size > cap:
         raise ValueError("state space exceeds the enumeration cap")
@@ -455,6 +506,7 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
+    _check_list_sizes(m, n)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):

@@ -70,6 +70,38 @@ def _scalar_rejection(plan, stream, trials):
     return out, acc, rejects
 
 
+def _exact_word(key, counter):
+    """Word at a counter from Python integers, the counter taken mod 2^64."""
+    at = (key + (counter % (1 << 64)) * protocols._GOLDEN) % (1 << 64)
+    return protocols._splitmix(at)
+
+
+def _lazy_rejection(plan, key, base, trials):
+    """Reference reading only the rounds each trial reaches, word by word.
+
+    Trial t's round-j pair sits at counters base + 2M t + 2(j-1) and the
+    next one. Returns the output counts, accept counts, rejects and the
+    number of words read.
+    """
+    cum = list(np.cumsum(plan.q.probs))
+    m = plan.m
+    out = np.zeros(plan.q.size, dtype=np.int64)
+    acc = np.zeros(m, dtype=np.int64)
+    rejects = read = 0
+    for t in range(trials):
+        for j in range(m):
+            at = base + 2 * m * t + 2 * j
+            y = _scalar_pick(cum, _uniform(_exact_word(key, at)))
+            read += 2
+            if _uniform(_exact_word(key, at + 1)) <= plan.accept[y]:
+                acc[j] += 1
+                break
+        else:
+            rejects += 1
+        out[y] += 1
+    return out, acc, rejects, read
+
+
 def _scalar_broadcast(w, q, r, m, n, stream, trials):
     """Reference per-trial loop: M + N list picks, then one index per x."""
     sy, sz = w.output_sizes
@@ -129,6 +161,39 @@ class TestRngStream:
         assert [c.next_uint64() for _ in range(3)] == joined[:3].tolist()
         assert c.uniform() == _uniform(joined[3])
         assert c.uniforms(13).tolist() == [_uniform(w) for w in joined[4:]]
+
+    def test_words_at_known_answers(self):
+        s = protocols.RngStream(2025)
+        s.counter = 9
+        at = [0, 5, 3, (1 << 40) + 3, (1 << 64) - 1, 17, (1 << 63) + 11, 5]
+        got = s.words_at(np.array(at, dtype=np.uint64))
+        assert got.tolist() == [_exact_word(s.key, c) for c in at]
+        grid = s.words_at(np.array(at, dtype=np.uint64).reshape(2, 4))
+        assert grid.shape == (2, 4)
+        assert grid.reshape(-1).tolist() == got.tolist()
+        assert s.counter == 9
+
+    def test_words_wrap_past_the_last_counter(self):
+        s = protocols.RngStream(77)
+        s.counter = (1 << 64) - 2
+        got = s.words(4).tolist()
+        assert got == [_exact_word(s.key, c)
+                       for c in range((1 << 64) - 2, (1 << 64) + 2)]
+        assert s.counter == (1 << 64) + 2
+
+    def test_negative_count_rejected(self):
+        s = protocols.RngStream(4)
+        s.words(5)
+        with pytest.raises(ValueError):
+            s.words(-3)
+        with pytest.raises(ValueError):
+            s.uniforms(-1)
+        assert s.counter == 5
+        assert s.words(0).size == 0
+        assert s.uniforms(0).size == 0
+        assert s.counter == 5
+        assert s.words(2).tolist() == [_exact_word(s.key, 5),
+                                       _exact_word(s.key, 6)]
 
     def test_reproducible_from_seed(self):
         a = protocols.RngStream(1234)
@@ -377,6 +442,96 @@ class TestVectorizedMatchesScalar:
                                        protocols.RngStream(40 + case), trials)
             assert np.array_equal(run.empirical.rows, counts / trials)
             assert stream.counter == trials * (m + n + w.input_size)
+
+
+class TestLazyRejection:
+    """Round-by-round runs compute only the rounds each trial reaches."""
+
+    @pytest.mark.parametrize("base", [(1 << 40) + 5, (1 << 64) - (1 << 10)])
+    def test_matches_reference_at_preset_counter(self, base):
+        rng = np.random.default_rng(72)
+        for case in range(4):
+            plan = _random_plan(rng, int(rng.integers(2, 7)),
+                                int(rng.integers(1, 8)))
+            trials = int(rng.integers(100, 300))
+            stream = protocols.RngStream(90 + case)
+            stream.counter = base
+            run = protocols.rejection_sample_run(plan, stream, trials)
+            out, acc, rejects, _ = _lazy_rejection(plan, stream.key, base,
+                                                   trials)
+            assert np.array_equal(run.accept_counts, acc)
+            assert run.rejects == rejects
+            assert np.array_equal(run.empirical.probs,
+                                  Pmf.normalized(out.astype(float)).probs)
+            assert stream.counter == base + trials * 2 * plan.m
+            tail = protocols.RngStream(90 + case)
+            tail.counter = stream.counter
+            assert np.array_equal(stream.words(3), tail.words(3))
+
+    def test_lambda_one_accepts_in_round_one(self):
+        p = Pmf([0.2, 0.5, 0.3])
+        plan = protocols.RejectionPlan.build(p, p, 5)
+        assert plan.lam == 1.0
+        stream = protocols.RngStream(3)
+        run = protocols.rejection_sample_run(plan, stream, 3000)
+        assert run.accept_counts.tolist() == [3000, 0, 0, 0, 0]
+        assert run.rejects == 0
+        assert stream.counter == 3000 * 10
+        out, acc, rejects, read = _lazy_rejection(plan, stream.key, 0, 3000)
+        assert np.array_equal(run.empirical.probs,
+                              Pmf.normalized(out.astype(float)).probs)
+        assert read == 2 * 3000
+
+    def test_single_round(self):
+        rng = np.random.default_rng(73)
+        plan = _random_plan(rng, 5, 1)
+        stream = protocols.RngStream(12)
+        run = protocols.rejection_sample_run(plan, stream, 500)
+        out, acc, rejects, _ = _lazy_rejection(plan, stream.key, 0, 500)
+        assert np.array_equal(run.accept_counts, acc)
+        assert run.rejects == rejects
+        assert np.array_equal(run.empirical.probs,
+                              Pmf.normalized(out.astype(float)).probs)
+        assert stream.counter == 500 * 2
+
+    def test_small_lambda_reaches_the_last_round(self):
+        # lam = 1/16: most of 4 rounds reject and the round-4 draw is kept.
+        plan = protocols.RejectionPlan.build(Pmf([1.0] + [0.0] * 15),
+                                             Pmf([1.0 / 16] * 16), 4)
+        assert plan.lam == pytest.approx(1.0 / 16)
+        stream = protocols.RngStream(13)
+        run = protocols.rejection_sample_run(plan, stream, 600)
+        out, acc, rejects, _ = _lazy_rejection(plan, stream.key, 0, 600)
+        assert run.rejects > 600 // 2
+        assert np.array_equal(run.accept_counts, acc)
+        assert run.rejects == rejects
+        assert np.array_equal(run.empirical.probs,
+                              Pmf.normalized(out.astype(float)).probs)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_computes_only_the_rounds_reached(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(protocols, "_BLOCK_WORDS", block)
+        computed = []
+        real = protocols.RngStream.words_at
+
+        def spy(self, index):
+            words = real(self, index)
+            computed.append(words.size)
+            return words
+
+        monkeypatch.setattr(protocols.RngStream, "words_at", spy)
+        rng = np.random.default_rng(74)
+        for case in range(4):
+            plan = _random_plan(rng, int(rng.integers(2, 7)),
+                                int(rng.integers(2, 9)))
+            computed.clear()
+            run = protocols.rejection_sample_run(
+                plan, protocols.RngStream(case), 20000)
+            rounds = np.arange(1, plan.m + 1)
+            reached = int(run.accept_counts @ rounds) + plan.m * run.rejects
+            assert sum(computed) == 2 * reached
+            assert sum(computed) < 20000 * 2 * plan.m
 
 
 class TestAchievabilitySize:
@@ -653,6 +808,19 @@ class TestBroadcastRun:
             protocols.broadcast_protocol_run(w, Pmf([1.0, 0.0]),
                                              Pmf([0.5, 0.5]), 2, 2,
                                              protocols.RngStream(0), 10)
+
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (0, 0), (-1, 1)])
+    def test_list_sizes_must_be_positive(self, m, n):
+        w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
+        half = Pmf([0.5, 0.5])
+        stream = protocols.RngStream(0)
+        with pytest.raises(ValueError):
+            protocols.broadcast_protocol_run(w, half, half, m, n, stream, 10)
+        assert stream.counter == 0
+        with pytest.raises(ValueError):
+            protocols.induced_channel_scatter(w, half, half, m, n)
+        with pytest.raises(ValueError):
+            protocols.induced_channel_literal(w, half, half, m, n)
 
     def test_list_sizes_respect_spectrum_converse(self):
         # The achieved accuracy eps of the (M, N) index protocol forces
