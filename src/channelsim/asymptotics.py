@@ -303,8 +303,12 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF as 0.5 erfc(-x / sqrt 2).
+
+    The complementary error function keeps full relative accuracy in the
+    lower tail, where 0.5 (1 + erf(x / sqrt 2)) cancels.
+    """
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # Rational minimax coefficients for the initial quantile guess
@@ -340,9 +344,21 @@ def _quantile_guess(p: float) -> float:
 
 
 def inv_normal_cdf(eps: float) -> float:
-    """Standard normal quantile, safeguarded Newton to ~1e-12 absolute."""
+    """Standard normal quantile, accurate to about 1e-15 of max(1, |x|).
+
+    That holds for every eps from the smallest normal double (about
+    2.2e-308) up; below it Phi itself is subnormal and imprecise.
+
+    Solved in the lower half and mirrored: for eps > 1/2 the quantile is
+    -inv_normal_cdf(1 - eps), and 1 - eps is exact there. Safeguarded
+    Newton from the rational guess stops once
+    |Phi(x) - eps| <= 1e-14 max(1, x^2) eps: rounding x / sqrt 2 alone
+    puts a relative error of about x^2 ulp into Phi far in the tail.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("quantile argument must lie strictly in (0, 1)")
+    if eps > 0.5:
+        return -inv_normal_cdf(1.0 - eps)
     x = _quantile_guess(eps)
     lo, hi = x - 1e-6, x + 1e-6
     while normal_cdf(lo) > eps:
@@ -360,7 +376,7 @@ def inv_normal_cdf(eps: float) -> float:
         nxt = x - step
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) < 1e-13 and abs(f) < 1e-13:
+        if abs(f) <= 1e-14 * eps * max(1.0, x * x):
             return nxt
         x = nxt
     return x
@@ -398,9 +414,10 @@ def second_order_simulation(params: SecondOrderParams, n: int,
         raise ValueError("blocklength must be at least 1")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly in (0, 1)")
-    level = 1.0 - eps
-    v = _v_at(params, level)
-    return n * params.capacity + math.sqrt(n * v) * inv_normal_cdf(level)
+    # Phi^-1(1 - eps) = -Phi^-1(eps) without rounding 1 - eps, which is
+    # 1.0 for eps below about 1.1e-16.
+    v = _v_at(params, 1.0 - eps)
+    return n * params.capacity - math.sqrt(n * v) * inv_normal_cdf(eps)
 
 
 @dataclasses.dataclass(frozen=True)

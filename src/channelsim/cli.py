@@ -248,15 +248,16 @@ def _cmd_bsc_curve(cfg: RunConfig) -> int:
     if not cfg.n_values:
         raise _ConfigError("--n LO..HI is required")
     params = asymptotics.dispersion(prob.Dmc.bsc(cfg.delta))
+    ns = sorted(cfg.n_values)
+    costs = ns_meta.bsc_ns_log2_costs(ns, cfg.delta, cfg.eps).tolist()
 
-    def point(n):
-        got = ns_meta.bsc_ns_cost(n, cfg.delta, cfg.eps)
+    def point(n, log2_cost):
         sim = asymptotics.second_order_simulation(params, n, cfg.eps)
         cod = asymptotics.second_order_coding(params, n, cfg.eps)
-        return (n, got.log2_cost, got.log2_cost / n, sim / n, cod / n,
+        return (n, log2_cost, log2_cost / n, sim / n, cod / n,
                 params.capacity)
 
-    rows = [point(n) for n in sorted(cfg.n_values)]
+    rows = [point(n, cost) for n, cost in zip(ns, costs)]
     _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, delta=cfg.delta),
               ["n", "log2_ns_cost", "log2_ns_cost_per_n",
                "simulation_second_order_per_n", "coding_second_order_per_n",

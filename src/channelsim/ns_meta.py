@@ -17,7 +17,8 @@ phase 1 in the cost direction. The substitute channel is rebuilt from t
 afterwards.
 For BSC tensor powers the permutation symmetry reduces both directions to
 closed forms over the Hamming-weight classes, computed in the log domain,
-so any blocklength is cheap; see ``bsc_ns_cost``.
+so any blocklength is cheap; see ``bsc_ns_cost`` and, for many
+blocklengths at once, ``bsc_ns_log2_costs``.
 
 Witness conventions: LP witnesses are renormalized row-wise before being
 returned, and reported reference weights zeta are M - s from the LP, whose
@@ -302,14 +303,39 @@ def smoothing_witness(w, q, eps: float):
 # of C_k, w_k and s; the floor is then exactly log2 s = -n.
 # ----------------------------------------------------------------------
 
+# Cells (blocklengths times weight classes) per block of the level sweep in
+# ``bsc_ns_log2_costs``. It bounds memory only and never changes an output.
+_LEVEL_CELLS = 1 << 13
+
+
+def _lgamma_table(n_max: int) -> np.ndarray:
+    """ln j! for j = 0..n_max."""
+    return np.array([math.lgamma(j + 1.0) for j in range(int(n_max) + 1)])
+
+
+def _bsc_class_logs(lg: np.ndarray, ns: np.ndarray, delta: float):
+    """log2 C_k and log2 w_k, one row per n in ``ns``, columns k = 0..max ns.
+
+    ``ns`` holds integers and ``lg`` is an ``_lgamma_table`` reaching
+    max ns. Cells with k > n get log2 C_k = -inf, so they carry no mass in
+    any sum along a row (there n - k indexes ``lg`` from its far end, and
+    the mask drops the value).
+    """
+    n = ns[:, None]
+    k = np.arange(ns.max() + 1)
+    log_c = np.where(k <= n, lg[n] - lg[k] - lg[n - k], -np.inf)
+    # n and k as floats by lookup, not by an integer-to-float cast, whose
+    # code pages would outweigh a short sweep's own memory.
+    kf = np.arange(k.size, dtype=np.float64)
+    return (log_c / math.log(2.0),
+            (kf[n] - kf) * (math.log1p(-delta) / math.log(2.0))
+            + kf * math.log2(delta))
+
 
 def _bsc_log_weights(n: int, delta: float):
     """log2 C_k and log2 w_k for the weight classes k = 0..n."""
-    lg = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    k = np.arange(n + 1, dtype=np.float64)
-    return ((lg[-1] - lg - lg[::-1]) / math.log(2.0),
-            (n - k) * (math.log1p(-delta) / math.log(2.0))
-            + k * math.log2(delta))
+    log_c, log_w = _bsc_class_logs(_lgamma_table(n), np.array([n]), delta)
+    return log_c[0], log_w[0]
 
 
 def _bsc_weights(n: int, delta: float):
@@ -322,25 +348,42 @@ def _bsc_weights(n: int, delta: float):
     return np.exp2(log_c), np.exp2(log_w), np.exp2(log_c + log_w)
 
 
-def _bsc_log_level(log_c: np.ndarray, log_w: np.ndarray, eps: float) -> float:
-    """log2 s* for s* = max(2^-n, min{s : G(s) >= 1 - eps}).
+def _bsc_log_levels(log_c: np.ndarray, log_w: np.ndarray, n: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """log2 s* for s* = max(2^-n, min{s : G(s) >= 1 - eps}), one per row.
 
-    w_k falls with k, so on [w_t, w_{t-1}] the classes k < t are capped at
-    s and the rest are kept whole: G(s) = s sum_{k<t} C_k + sum_{k>=t} C_k w_k.
-    The level is the root on the first such segment that reaches 1 - eps.
+    Rows are ``_bsc_class_logs`` of the blocklengths ``n``, given here as
+    floats. w_k falls with k, so on [w_t, w_{t-1}] the classes k < t are
+    capped at s and the rest are kept whole:
+    G(s) = s sum_{k<t} C_k + sum_{k>=t} C_k w_k. The level is the root on
+    the first such segment that reaches 1 - eps; the last segment
+    t = n + 1 always does.
     """
-    n = log_c.size - 1
-    # whole[t-1] = sum_{k>=t} C_k w_k for t = 1..n+1, summed from the small end.
-    whole = np.append(np.cumsum(np.exp2(log_c + log_w)[::-1])[::-1][1:], 0.0)
+    # whole[:, t-1] = sum_{k>=t} C_k w_k, summed from the small end; the
+    # empty cells past n add exact zeros first.
+    tail = np.cumsum(np.exp2(log_c + log_w)[:, ::-1], axis=1)[:, ::-1]
+    whole = np.zeros_like(tail)
+    whole[:, :-1] = tail[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = np.log2((1.0 - eps) - whole) - np.logaddexp2.accumulate(log_c)
-    on_segment = np.append(log_s[:-1] >= log_w[1:], True)
-    return max(float(log_s[np.argmax(on_segment)]), float(-n))
+        log_s = (np.log2((1.0 - eps) - whole)
+                 - np.logaddexp2.accumulate(log_c, axis=1))
+    on_segment = np.arange(log_c.shape[1], dtype=np.float64) >= n[:, None]
+    on_segment[:, :-1] |= log_s[:, :-1] >= log_w[:, 1:]
+    first = np.argmax(on_segment, axis=1)
+    return np.maximum(log_s[np.arange(n.size), first], -n)
+
+
+def _bsc_row_level(n: int, delta: float, eps: float):
+    """log2 C_k, log2 w_k (k = 0..n) and log2 s* for one blocklength."""
+    log_c, log_w = _bsc_log_weights(n, delta)
+    level = _bsc_log_levels(log_c[None], log_w[None], np.array([float(n)]),
+                            eps)
+    return log_c, log_w, float(level[0])
 
 
 def _bsc_waterfill(n: int, delta: float, eps: float) -> float:
-    """The level s* of the symmetrized cost program, see ``_bsc_log_level``."""
-    return 2.0 ** _bsc_log_level(*_bsc_log_weights(n, delta), eps)
+    """The level s* of the symmetrized cost program, see ``_bsc_log_levels``."""
+    return 2.0 ** _bsc_row_level(n, delta, eps)[2]
 
 
 def _bsc_kept_mass(log_c: np.ndarray, log_w: np.ndarray, log_s: float) -> float:
@@ -394,13 +437,51 @@ def _validate_bsc_args(n: int, delta: float) -> None:
         raise ValueError("crossover must lie in (0, 0.5]")
 
 
+def _validate_eps(eps: float) -> None:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+
+
+def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
+    """log2 of the no-signaling cost of BSC(delta)^{(x) n} for each n in ns.
+
+    The same values as ``bsc_ns_cost(n, delta, eps).log2_cost``, bit for
+    bit, in the order of ``ns``, without the substitute profile. One lgamma
+    table serves every n, and the levels are found for blocks of rows of at
+    most ``_LEVEL_CELLS`` cells (blocklengths times weight classes).
+    """
+    ns = list(ns)
+    for n in ns:
+        _validate_bsc_args(n, delta)
+    _validate_eps(eps)
+    # Python's sort, not numpy's: paging in numpy's sort kernels costs more
+    # resident memory than a short sweep uses.
+    order = sorted(range(len(ns)), key=ns.__getitem__)
+    ints = np.array([ns[i] for i in order], dtype=np.int64)
+    floats = np.array([ns[i] for i in order], dtype=np.float64)
+    lg = _lgamma_table(ints[-1]) if ns else None
+    out = np.empty(len(ns))
+    start = 0
+    while start < len(ns):
+        # Rows as wide as the first one would fit this many; the widest row
+        # so reached then cuts the count, and rows are sorted, so the block
+        # stays within the bound unless a single row exceeds it.
+        stop = min(len(ns), start + max(1, _LEVEL_CELLS // (ints[start] + 1)))
+        stop = start + max(1, min(stop - start,
+                                  _LEVEL_CELLS // (ints[stop - 1] + 1)))
+        log_c, log_w = _bsc_class_logs(lg, ints[start:stop], delta)
+        block = floats[start:stop]
+        out[order[start:stop]] = block + _bsc_log_levels(log_c, log_w, block,
+                                                         eps)
+        start = stop
+    return out
+
+
 def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
     """No-signaling cost of BSC(delta)^{(x) n}: log2 cost = n + log2 s*."""
     _validate_bsc_args(n, delta)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    log_c, log_w = _bsc_log_weights(n, delta)
-    log_s = _bsc_log_level(log_c, log_w, eps)
+    _validate_eps(eps)
+    log_c, log_w, log_s = _bsc_row_level(n, delta, eps)
     log2_cost = n + log_s
     return BscNsCost(
         n=n, delta=delta, eps=eps,

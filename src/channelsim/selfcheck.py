@@ -134,12 +134,19 @@ def check_capacity(_seed):
 
 
 def check_quantile(_seed):
-    """Normal quantile inverts the cdf across the working range."""
-    for eps in (1e-6, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-6):
+    """Normal quantile inverts the cdf across the working range.
+
+    Checked on the smaller tail min(eps, 1 - eps), relative to it, so the
+    deep-tail points test the quantile where an absolute bound sees nothing.
+    """
+    points = (1e-100, 1e-12, 1e-6, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95,
+              1.0 - 1e-6, 1.0 - 1e-12)
+    for eps in points:
         x = asymptotics.inv_normal_cdf(eps)
-        if abs(asymptotics.normal_cdf(x) - eps) > 1e-12:
+        tail = min(eps, 1.0 - eps)
+        if abs(asymptotics.normal_cdf(-abs(x)) - tail) > 1e-12 * tail:
             return False, f"round trip failed at {eps}"
-    return True, "8 quantile round trips"
+    return True, f"{len(points)} quantile round trips"
 
 
 def check_bracket(_seed):

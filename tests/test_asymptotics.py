@@ -337,6 +337,34 @@ class TestNormalQuantile:
             with pytest.raises(ValueError):
                 asy.inv_normal_cdf(bad)
 
+    @pytest.mark.parametrize("eps", [
+        1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-13, 1e-10, 1e-8, 1e-4,
+        0.01, 0.05, 0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-9, 0.7, 0.95,
+        1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_matches_mpmath(self, eps):
+        # The quantile of the double eps itself, from a 40-digit root of
+        # log Phi(x) = log eps (or of the upper tail above 1/2, which is
+        # exact in doubles there).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            tail = mpmath.mpf(eps) if eps <= 0.5 else 1 - mpmath.mpf(eps)
+            root = mpmath.findroot(
+                lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(tail),
+                asy._quantile_guess(min(eps, 1.0 - eps)))
+            want = float(root if eps <= 0.5 else -root)
+        got = asy.inv_normal_cdf(eps)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_selfcheck_sees_tail_errors(self, monkeypatch):
+        from channelsim import selfcheck
+
+        assert selfcheck.check_quantile(0)[0]
+        # the cancelling erf form of the cdf is off by far more than an
+        # absolute 1e-12 could show at eps = 1e-12
+        monkeypatch.setattr(asy, "normal_cdf", lambda x: 0.5 * (
+            1.0 + math.erf(x / math.sqrt(2.0))))
+        assert not selfcheck.check_quantile(0)[0]
+
 
 class TestSecondOrder:
     def test_formulas(self):
@@ -350,6 +378,20 @@ class TestSecondOrder:
         want_sim = n * params.capacity + math.sqrt(n * params.v_max) * phi_hi
         got_sim = asy.second_order_simulation(params, n, eps)
         assert got_sim == pytest.approx(want_sim, abs=1e-9)
+
+    def test_tiny_eps(self):
+        # 1 - eps rounds to 1.0 here; the expansion must stay finite and
+        # use the mirrored quantile
+        params = asy.dispersion(prob.Dmc.bsc(0.1))
+        eps = 1e-17
+        got = asy.second_order_simulation(params, 100, eps)
+        phi = asy.inv_normal_cdf(eps)
+        assert math.isfinite(got)
+        assert got == 100 * params.capacity \
+            - math.sqrt(100 * params.v_max) * phi
+        assert asy.second_order_coding(params, 100, eps) == pytest.approx(
+            100 * params.capacity + math.sqrt(100 * params.v_min) * phi,
+            rel=1e-15)
 
     def test_frozen_values(self):
         params = asy.dispersion(prob.Dmc.bsc(0.1))

@@ -372,6 +372,35 @@ class TestDeterminism:
         assert row[0] == "1030"
         assert float(row[1]) == ns_meta.bsc_ns_cost(1030, 0.11, 0.05).log2_cost
 
+    def test_bsc_curve_rows_match_bsc_ns_cost(self, capsys):
+        # a range across the sweep's block boundaries and past the double
+        # range of C_k, and a single blocklength
+        for n_arg, ns in (("1025..1034", range(1025, 1035)), ("7", [7])):
+            code, out, _ = _run(capsys, ["bsc-curve", "--delta", "0.11",
+                                         "--eps", "0.05", "--n", n_arg])
+            assert code == 0
+            rows = [ln.split(",") for ln in out.splitlines()
+                    if ln[:1].isdigit()]
+            assert [int(r[0]) for r in rows] == list(ns)
+            for r in rows:
+                assert float(r[1]) == ns_meta.bsc_ns_cost(
+                    int(r[0]), 0.11, 0.05).log2_cost
+
+    def test_tiny_eps_stays_finite(self, capsys, bsc_file):
+        # 1 - eps rounds to 1.0 at this eps
+        code, out, _ = _run(capsys, ["bsc-curve", "--delta", "0.11",
+                                     "--eps", "1e-17", "--n", "1..4"])
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines() if ln[:1].isdigit()]
+        assert len(rows) == 4
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+        code, out, _ = _run(capsys, ["second-order", "--channel", bsc_file,
+                                     "--eps", "1e-17", "--n", "100"])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert math.isfinite(row["simulation_bits"])
+        assert math.isfinite(row["coding_bits"])
+
     def test_sweep_threads_do_not_change_bytes(self, tmp_path, capsys,
                                                monkeypatch):
         a = tmp_path / "a.csv"

@@ -400,3 +400,63 @@ class TestBscFastPath:
             ns_meta.bsc_ns_cost(4, 0.6, 0.05)
         with pytest.raises(ValueError):
             ns_meta.bsc_ns_eps(4, 0.1, 1)
+
+
+def _reference_log2_cost(n, delta, eps):
+    """n + log2 s* by the per-blocklength water-filling over one row.
+
+    The one-row form the batched sweep replaced, kept as its reference:
+    a fresh lgamma list per n, then the first segment of G that reaches
+    1 - eps.
+    """
+    lg = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    k = np.arange(n + 1, dtype=np.float64)
+    log_c = (lg[-1] - lg - lg[::-1]) / math.log(2.0)
+    log_w = ((n - k) * (math.log1p(-delta) / math.log(2.0))
+             + k * math.log2(delta))
+    whole = np.append(np.cumsum(np.exp2(log_c + log_w)[::-1])[::-1][1:], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log2((1.0 - eps) - whole) - np.logaddexp2.accumulate(log_c)
+    on_segment = np.append(log_s[:-1] >= log_w[1:], True)
+    return n + max(float(log_s[np.argmax(on_segment)]), float(-n))
+
+
+class TestBscSweep:
+    @pytest.mark.parametrize("delta", [1e-12, 0.01, 0.11, 0.3, 0.5])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 0.9])
+    def test_matches_reference_bit_for_bit(self, delta, eps):
+        # 1..300 spans many blocks of growing width; 1030 and 2000 sit in
+        # blocks of their own sizes, past where C_k overflows a double.
+        ns = list(range(1, 301)) + [1030, 2000]
+        got = ns_meta.bsc_ns_log2_costs(ns, delta, eps)
+        want = [_reference_log2_cost(n, delta, eps) for n in ns]
+        assert got.tolist() == want
+
+    def test_block_size_never_changes_output(self, monkeypatch):
+        ns = list(range(990, 1041)) + list(range(1, 60))
+        want = ns_meta.bsc_ns_log2_costs(ns, 0.11, 0.05)
+        for cells in (1, 64, 5000, 1 << 20):
+            monkeypatch.setattr(ns_meta, "_LEVEL_CELLS", cells)
+            got = ns_meta.bsc_ns_log2_costs(ns, 0.11, 0.05)
+            assert got.tobytes() == want.tobytes(), cells
+
+    def test_unsorted_and_repeated_blocklengths(self):
+        ns = [7, 3, 1030, 3, 1, 64, 2]
+        got = ns_meta.bsc_ns_log2_costs(ns, 0.2, 0.1)
+        assert got.tolist() == [ns_meta.bsc_ns_cost(n, 0.2, 0.1).log2_cost
+                                for n in ns]
+        assert ns_meta.bsc_ns_log2_costs([], 0.2, 0.1).size == 0
+
+    def test_one_level_kernel(self):
+        # bsc_ns_cost and _bsc_waterfill read the sweep's level
+        for n in (1, 5, 300):
+            s = ns_meta._bsc_waterfill(n, 0.11, 0.05)
+            assert ns_meta.bsc_ns_cost(n, 0.11, 0.05).s == s
+            assert n + math.log2(s) == _reference_log2_cost(n, 0.11, 0.05)
+
+    def test_validates_args(self):
+        for ns, delta, eps in (([3, 0], 0.1, 0.05), ([2.5], 0.1, 0.05),
+                               ([3], 0.6, 0.05), ([3], 0.1, 1.0),
+                               ([3], 0.1, -0.1)):
+            with pytest.raises(ValueError):
+                ns_meta.bsc_ns_log2_costs(ns, delta, eps)
