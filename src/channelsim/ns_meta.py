@@ -445,34 +445,35 @@ def _validate_eps(eps: float) -> None:
 def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
     """log2 of the no-signaling cost of BSC(delta)^{(x) n} for each n in ns.
 
-    The same values as ``bsc_ns_cost(n, delta, eps).log2_cost``, bit for
-    bit, in the order of ``ns``, without the substitute profile. One lgamma
-    table serves every n, and the levels are found for blocks of rows of at
-    most ``_LEVEL_CELLS`` cells (blocklengths times weight classes).
+    ``ns`` must be in ascending order. The values are those of
+    ``bsc_ns_cost(n, delta, eps).log2_cost``, bit for bit, without the
+    substitute profile. One lgamma table serves every n, and the levels
+    are found for blocks of rows of at most ``_LEVEL_CELLS`` cells
+    (blocklengths times weight classes).
     """
     ns = list(ns)
     for n in ns:
         _validate_bsc_args(n, delta)
     _validate_eps(eps)
-    # Python's sort, not numpy's: paging in numpy's sort kernels costs more
-    # resident memory than a short sweep uses.
-    order = sorted(range(len(ns)), key=ns.__getitem__)
-    ints = np.array([ns[i] for i in order], dtype=np.int64)
-    floats = np.array([ns[i] for i in order], dtype=np.float64)
-    lg = _lgamma_table(ints[-1]) if ns else None
-    out = np.empty(len(ns))
+    if any(a > b for a, b in zip(ns, ns[1:])):
+        raise ValueError("blocklengths must be in ascending order")
+    # The blocklengths twice: integers to index lg, and floats for the
+    # arithmetic, built from the list and not cast (see _bsc_class_logs).
+    floats = np.array(ns, dtype=np.float64)
+    ns = np.array(ns, dtype=np.int64)
+    lg = _lgamma_table(ns[-1]) if ns.size else None
+    out = np.empty(ns.size)
     start = 0
-    while start < len(ns):
+    while start < ns.size:
         # Rows as wide as the first one would fit this many; the widest row
         # so reached then cuts the count, and rows are sorted, so the block
         # stays within the bound unless a single row exceeds it.
-        stop = min(len(ns), start + max(1, _LEVEL_CELLS // (ints[start] + 1)))
+        stop = min(ns.size, start + max(1, _LEVEL_CELLS // (ns[start] + 1)))
         stop = start + max(1, min(stop - start,
-                                  _LEVEL_CELLS // (ints[stop - 1] + 1)))
-        log_c, log_w = _bsc_class_logs(lg, ints[start:stop], delta)
+                                  _LEVEL_CELLS // (ns[stop - 1] + 1)))
+        log_c, log_w = _bsc_class_logs(lg, ns[start:stop], delta)
         block = floats[start:stop]
-        out[order[start:stop]] = block + _bsc_log_levels(log_c, log_w, block,
-                                                         eps)
+        out[start:stop] = block + _bsc_log_levels(log_c, log_w, block, eps)
         start = stop
     return out
 

@@ -138,13 +138,15 @@ def check_quantile(_seed):
 
     Checked on the smaller tail min(eps, 1 - eps), relative to it, so the
     deep-tail points test the quantile where an absolute bound sees nothing.
+    Above 1/2 the tail is Phi(-x), so a quantile of the wrong sign fails.
     """
     points = (1e-100, 1e-12, 1e-6, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95,
               1.0 - 1e-6, 1.0 - 1e-12)
     for eps in points:
         x = asymptotics.inv_normal_cdf(eps)
         tail = min(eps, 1.0 - eps)
-        if abs(asymptotics.normal_cdf(-abs(x)) - tail) > 1e-12 * tail:
+        y = asymptotics.normal_cdf(x if eps <= 0.5 else -x)
+        if abs(y - tail) > 1e-12 * tail:
             return False, f"round trip failed at {eps}"
     return True, f"{len(points)} quantile round trips"
 

@@ -365,6 +365,18 @@ class TestNormalQuantile:
             1.0 + math.erf(x / math.sqrt(2.0))))
         assert not selfcheck.check_quantile(0)[0]
 
+    def test_selfcheck_sees_wrong_sign(self, monkeypatch):
+        from channelsim import selfcheck
+
+        real = asy.inv_normal_cdf
+        # the upper-half mirror without its minus
+        monkeypatch.setattr(asy, "inv_normal_cdf", lambda eps: real(
+            1.0 - eps) if eps > 0.5 else real(eps))
+        assert not selfcheck.check_quantile(0)[0]
+        # a lower-half quantile of the wrong sign
+        monkeypatch.setattr(asy, "inv_normal_cdf", lambda eps: abs(real(eps)))
+        assert not selfcheck.check_quantile(0)[0]
+
 
 class TestSecondOrder:
     def test_formulas(self):

@@ -433,19 +433,21 @@ class TestBscSweep:
         assert got.tolist() == want
 
     def test_block_size_never_changes_output(self, monkeypatch):
-        ns = list(range(990, 1041)) + list(range(1, 60))
+        ns = list(range(1, 60)) + list(range(990, 1041))
         want = ns_meta.bsc_ns_log2_costs(ns, 0.11, 0.05)
         for cells in (1, 64, 5000, 1 << 20):
             monkeypatch.setattr(ns_meta, "_LEVEL_CELLS", cells)
             got = ns_meta.bsc_ns_log2_costs(ns, 0.11, 0.05)
             assert got.tobytes() == want.tobytes(), cells
 
-    def test_unsorted_and_repeated_blocklengths(self):
-        ns = [7, 3, 1030, 3, 1, 64, 2]
+    def test_blocklengths_must_ascend(self):
+        ns = [1, 2, 3, 3, 7, 64, 1030]
         got = ns_meta.bsc_ns_log2_costs(ns, 0.2, 0.1)
         assert got.tolist() == [ns_meta.bsc_ns_cost(n, 0.2, 0.1).log2_cost
                                 for n in ns]
         assert ns_meta.bsc_ns_log2_costs([], 0.2, 0.1).size == 0
+        with pytest.raises(ValueError):
+            ns_meta.bsc_ns_log2_costs([7, 3, 1030], 0.2, 0.1)
 
     def test_one_level_kernel(self):
         # bsc_ns_cost and _bsc_waterfill read the sweep's level
