@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .asymptotics import BaTrace, _ba_core, _simplex_grid
-from .divergences import d_s_plus, var_div
+from .divergences import _spectrum, d_s_plus, var_div
 from .prob import BroadcastDmc, Pmf, entropy_bits, push_forward, reduce_broadcast
 
 
@@ -170,34 +170,6 @@ def _factor_grids(sizes, resolution: float, limit: int):
     return grids
 
 
-def _spectrum_batch(mass: np.ndarray, log_mass: np.ndarray,
-                    log_refs: np.ndarray, eps: float) -> np.ndarray:
-    """D_s+^eps(p || r) for one p against many references, vectorized.
-
-    mass: (A,) atom masses restricted to supp(p); log_refs: (G, A) with
-    -inf allowed. Returns (G,) values, +inf where the reference-null mass
-    already reaches eps.
-    """
-    ratios = log_mass[None, :] - log_refs
-    order = np.argsort(ratios, axis=1, kind="stable")
-    vals = np.take_along_axis(ratios, order, axis=1)
-    ms = np.take_along_axis(np.broadcast_to(mass, ratios.shape), order, axis=1)
-    cum = np.cumsum(ms, axis=1)
-    a = mass.size
-    # Last index of each tie group, filled backwards.
-    is_end = np.ones_like(vals, dtype=bool)
-    is_end[:, :-1] = vals[:, 1:] > vals[:, :-1]
-    idx = np.where(is_end, np.arange(a)[None, :], a + 1)
-    group_end = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
-    exceed = mass.sum() - np.take_along_axis(cum, group_end, axis=1)
-    ok = (exceed < eps) & np.isfinite(vals)
-    any_ok = ok.any(axis=1)
-    first = np.argmax(ok, axis=1)
-    picked = np.take_along_axis(vals, first[:, None], axis=1)[:, 0]
-    out = np.where(any_ok, np.maximum(picked, 0.0), math.inf)
-    return out
-
-
 def ds_product_lower_bound(joint, eps: float, delta: float,
                            resolution: float = 1e-2,
                            limit: int = 2_000_000) -> tuple:
@@ -228,10 +200,8 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
 
     grids = _factor_grids(sizes[1:], resolution, limit)
     grids = [np.vstack([g, m[None, :]]) for g, m in zip(grids, marginals)]
-    flat = joint.probs
-    support = flat > 0.0
-    mass = flat[support]
-    log_mass = np.log2(mass)
+    support = joint.probs > 0.0
+    mass = joint.probs[support]
     # Atom coordinates over (x, y_1, .., y_k) restricted to the support.
     coords = np.unravel_index(np.flatnonzero(support), sizes)
     with np.errstate(divide="ignore"):
@@ -244,5 +214,5 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
     for i in range(k):
         with np.errstate(invalid="ignore"):
             log_refs += factor_logs[i][np.ix_(combo_index[i], coords[i + 1])]
-    values = _spectrum_batch(mass, log_mass, log_refs, eps)
+    values = _spectrum(mass, np.log2(mass) - log_refs, eps)
     return float(values.min()), float(rhs)

@@ -123,6 +123,15 @@ def _load_pmf(data, key) -> prob.Pmf:
         raise _ConfigError(f"bad pmf under {key!r}: {exc}")
 
 
+def _count_field(data, key: str) -> int:
+    """A positive integer from an instance file; booleans and floats fail."""
+    value = data.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise _ConfigError(
+            f"instance file needs a positive integer {key!r}, got {value!r}")
+    return value
+
+
 def _need(cfg: RunConfig, **bounds):
     """Check numeric preconditions before dispatch; None means missing."""
     for name, (value, lo, hi, lo_open, hi_open) in bounds.items():
@@ -242,6 +251,12 @@ def _cmd_ns_eps(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _second_order_columns(params, ns, eps):
+    """Simulation and coding expansions at every n, as lists of floats."""
+    return (asymptotics.second_order_simulation(params, ns, eps).tolist(),
+            asymptotics.second_order_coding(params, ns, eps).tolist())
+
+
 def _cmd_bsc_curve(cfg: RunConfig) -> int:
     _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True),
           delta=(cfg.delta, 0.0, 0.5, True, True))
@@ -250,14 +265,9 @@ def _cmd_bsc_curve(cfg: RunConfig) -> int:
     params = asymptotics.dispersion(prob.Dmc.bsc(cfg.delta))
     ns = sorted(cfg.n_values)
     costs = ns_meta.bsc_ns_log2_costs(ns, cfg.delta, cfg.eps).tolist()
-
-    def point(n, log2_cost):
-        sim = asymptotics.second_order_simulation(params, n, cfg.eps)
-        cod = asymptotics.second_order_coding(params, n, cfg.eps)
-        return (n, log2_cost, log2_cost / n, sim / n, cod / n,
-                params.capacity)
-
-    rows = [point(n, cost) for n, cost in zip(ns, costs)]
+    sims, cods = _second_order_columns(params, ns, cfg.eps)
+    rows = [(n, cost, cost / n, sim / n, cod / n, params.capacity)
+            for n, cost, sim, cod in zip(ns, costs, sims, cods)]
     _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, delta=cfg.delta),
               ["n", "log2_ns_cost", "log2_ns_cost_per_n",
                "simulation_second_order_per_n", "coding_second_order_per_n",
@@ -293,15 +303,6 @@ def _cmd_dispersion(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _second_order_rows(cfg: RunConfig, params):
-    rows = []
-    for n in cfg.n_values:
-        sim = asymptotics.second_order_simulation(params, n, cfg.eps)
-        cod = asymptotics.second_order_coding(params, n, cfg.eps)
-        rows.append((n, sim, cod))
-    return rows
-
-
 def _cmd_second_order(cfg: RunConfig) -> int:
     w = _load_channel(cfg)
     if not isinstance(w, prob.Dmc):
@@ -310,7 +311,8 @@ def _cmd_second_order(cfg: RunConfig) -> int:
     if not cfg.n_values:
         raise _ConfigError("--n INT or LO..HI is required")
     params = asymptotics.dispersion(w)
-    rows = _second_order_rows(cfg, params)
+    rows = list(zip(cfg.n_values,
+                    *_second_order_columns(params, cfg.n_values, cfg.eps)))
     if cfg.fmt == "csv":
         _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, band="unquantified"),
                   ["n", "simulation_bits", "coding_bits"], rows)
@@ -391,12 +393,10 @@ def _cmd_reject_sim(cfg: RunConfig) -> int:
     data = _load_json_file(cfg.channel)
     p = _load_pmf(data, "p")
     q = _load_pmf(data, "q")
-    m = data.get("m")
-    if not isinstance(m, int) or m < 1:
-        raise _ConfigError("instance file needs a positive integer 'm'")
+    m = _count_field(data, "m")
     trials = cfg.n_values[0] if cfg.n_values else 100000
-    if trials < 1:
-        raise _ConfigError("--n (trials) must be positive")
+    if len(cfg.n_values) > 1 or trials < 1:
+        raise _ConfigError("--n (trials) must be one positive integer")
     try:
         plan = protocols.RejectionPlan.build(p, q, m)
     except ValueError as exc:
@@ -424,12 +424,10 @@ def _cmd_convex_split_check(cfg: RunConfig) -> int:
         joint = prob.JointPmf(
             probs=np.asarray(data["joint"], dtype=np.float64),
             factor_sizes=tuple(data["factor_sizes"]))
-        m, n = int(data["m"]), int(data["n"])
         pars = protocols.ConvexSplitParams(*data["eps_params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(f"bad instance file: {exc}")
-    if m < 1 or n < 1:
-        raise _ConfigError("m and n must be positive")
+    m, n = _count_field(data, "m"), _count_field(data, "n")
     report = protocols.convex_split_check(joint, q, r, m, n, pars)
     _emit_json(cfg, {
         "meta": _meta_object(cfg, seed=cfg.seed),

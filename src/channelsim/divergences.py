@@ -5,6 +5,8 @@ Everything is measured in bits. Functions take raw mass vectors (anything
 wrap ``Pmf.probs`` at call sites. Where a quantity diverges because absolute
 continuity fails, the functions return ``math.inf`` rather than raising,
 except ``var_div`` whose variance is undefined without a finite mean.
+The spectrum divergence D_s+ has one vectorized kernel, ``_spectrum``, for
+``d_s_plus`` and for the channel and product-reference forms elsewhere.
 
 The hypothesis-testing quantity ``beta_star`` is evaluated exactly by subset
 enumeration. A likelihood-ratio prefix is optimal only for randomized tests;
@@ -112,38 +114,52 @@ def d_h(eps: float, p, q) -> float:
     return -math.log2(beta)
 
 
+def _spectrum(mass, log_ratio, eps: float) -> np.ndarray:
+    """D_s+^eps per row: inf{a >= 0 : mass with log-ratio above a < eps}.
+
+    Row g holds atoms of mass ``mass[g]`` (broadcast) at ``log_ratio[g]``;
+    -inf marks atoms that never exceed, +inf mass outside the reference's
+    support. The value is the first finite atom whose strict exceedance
+    is below eps, clamped at 0; it is 0 when the row's mass is below eps,
+    and +inf when no finite atom qualifies.
+    """
+    order = np.argsort(log_ratio, axis=1, kind="stable")
+    vals = np.take_along_axis(log_ratio, order, axis=1)
+    ms = np.take_along_axis(np.broadcast_to(mass, vals.shape), order, axis=1)
+    # above[:, i] = mass sorted after atom i, summed from the top so that a
+    # small tail is no difference of totals; at the last atom of a tie
+    # group it is the strict exceedance of that group's value.
+    above = np.zeros_like(ms)
+    above[:, :-1] = np.cumsum(ms[:, :0:-1], axis=1)[:, ::-1]
+    group_end = np.ones_like(vals, dtype=bool)
+    group_end[:, :-1] = vals[:, 1:] > vals[:, :-1]
+    ok = group_end & (above < eps) & np.isfinite(vals)
+    picked = vals[np.arange(vals.shape[0]), np.argmax(ok, axis=1)]
+    out = np.where(ok.any(axis=1), np.maximum(picked, 0.0), math.inf)
+    return np.where(ms.sum(axis=1) < eps, 0.0, out)
+
+
+def _d_s_plus_rows(eps: float, rows, q) -> np.ndarray:
+    """D_s+^eps(row || q) for each row, every pair checked as by d_s_plus."""
+    pairs = [_as_pmf_pair(row, q) for row in rows]
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    pa = np.array([p for p, _ in pairs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log2(pa / pairs[0][1])
+    # 0/0 atoms carry no mass and never exceed a threshold
+    log_ratio[np.isnan(log_ratio)] = -math.inf
+    return _spectrum(pa, log_ratio, eps)
+
+
 def d_s_plus(eps: float, p, q) -> float:
     """Spectrum divergence inf{a >= 0 : Pr_p[log2 p/q > a] < eps}.
 
-    The exceedance probability is a right-continuous step function of a, so
-    the infimum is attained at a log-ratio atom (or at the clamp point 0) and
-    a scan over the distinct atoms suffices. When the p-mass outside supp(q)
-    already reaches eps no threshold works and the value is +inf.
+    Attained at a log-ratio atom or at the clamp point 0 (``_spectrum``).
+    It is +inf at eps = 0 or once the p-mass outside supp(q) reaches eps,
+    and 0 for eps above p's whole mass.
     """
-    pa, qa = _as_pmf_pair(p, q)
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps == 0.0:
-        return math.inf
-    on = pa > 0.0
-    null_mass = float(pa[on & (qa == 0.0)].sum())
-    if null_mass >= eps:
-        return math.inf
-    both = on & (qa > 0.0)
-    if not both.any():
-        return 0.0
-    ratios = np.log2(pa[both] / qa[both])
-    vals, inv = np.unique(ratios, return_inverse=True)
-    masses = np.zeros(vals.size)
-    np.add.at(masses, inv, pa[both])
-    # exceed[i] = p-mass with log-ratio strictly above vals[i], plus the
-    # q-null mass that exceeds every finite threshold.
-    above = np.concatenate([np.cumsum(masses[::-1])[::-1][1:], [0.0]])
-    exceed = above + null_mass
-    if null_mass + float(masses.sum()) < eps:
-        return 0.0
-    idx = np.flatnonzero(exceed < eps)
-    return float(max(vals[idx[0]], 0.0))
+    return float(_d_s_plus_rows(eps, [p], q)[0])
 
 
 def d_max_smooth(eps: float, p, q) -> float:

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .divergences import d_max, d_max_smooth, d_s_plus
+from .divergences import _d_s_plus_rows, d_max, d_max_smooth
 from .lp import LpProblem, solve_lp
 from .prob import Dmc
 
@@ -235,8 +235,7 @@ def d_s_plus_channel(w, q, eps: float) -> float:
     per-input coefficients given by the rows, so the supremum over the
     simplex is attained at a point mass and a row maximum suffices.
     """
-    rows = _channel_rows(w)
-    return max(d_s_plus(eps, row, q) for row in rows)
+    return float(_d_s_plus_rows(eps, _channel_rows(w), q).max())
 
 
 def channel_d_max_smooth(w, q, eps: float) -> float:
@@ -373,19 +372,6 @@ def _bsc_log_levels(log_c: np.ndarray, log_w: np.ndarray, n: np.ndarray,
     return np.maximum(log_s[np.arange(n.size), first], -n)
 
 
-def _bsc_row_level(n: int, delta: float, eps: float):
-    """log2 C_k, log2 w_k (k = 0..n) and log2 s* for one blocklength."""
-    log_c, log_w = _bsc_log_weights(n, delta)
-    level = _bsc_log_levels(log_c[None], log_w[None], np.array([float(n)]),
-                            eps)
-    return log_c, log_w, float(level[0])
-
-
-def _bsc_waterfill(n: int, delta: float, eps: float) -> float:
-    """The level s* of the symmetrized cost program, see ``_bsc_log_levels``."""
-    return 2.0 ** _bsc_row_level(n, delta, eps)[2]
-
-
 def _bsc_kept_mass(log_c: np.ndarray, log_w: np.ndarray, log_s: float) -> float:
     """G(s) = sum_k C_k min(w_k, s) at s = 2^log_s."""
     return math.fsum(np.exp2(log_c + np.minimum(log_w, log_s)))
@@ -482,7 +468,9 @@ def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
     """No-signaling cost of BSC(delta)^{(x) n}: log2 cost = n + log2 s*."""
     _validate_bsc_args(n, delta)
     _validate_eps(eps)
-    log_c, log_w, log_s = _bsc_row_level(n, delta, eps)
+    log_c, log_w = _bsc_log_weights(n, delta)
+    log_s = float(_bsc_log_levels(log_c[None], log_w[None],
+                                  np.array([float(n)]), eps)[0])
     log2_cost = n + log_s
     return BscNsCost(
         n=n, delta=delta, eps=eps,

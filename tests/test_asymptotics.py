@@ -344,16 +344,25 @@ class TestNormalQuantile:
     def test_matches_mpmath(self, eps):
         # The quantile of the double eps itself, from a 40-digit root of
         # log Phi(x) = log eps (or of the upper tail above 1/2, which is
-        # exact in doubles there).
+        # exact in doubles there), started where the library starts.
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             tail = mpmath.mpf(eps) if eps <= 0.5 else 1 - mpmath.mpf(eps)
             root = mpmath.findroot(
                 lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(tail),
-                asy._quantile_guess(min(eps, 1.0 - eps)))
+                -math.sqrt(-2.0 * math.log(2.0 * min(eps, 1.0 - eps))))
             want = float(root if eps <= 0.5 else -root)
         got = asy.inv_normal_cdf(eps)
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320])
+    def test_subnormal_eps_stays_finite(self, eps):
+        # Phi is subnormal here (it underflows at the start point for the
+        # smallest eps), so only a finite quantile that Phi maps back to
+        # eps is asked for.
+        x = asy.inv_normal_cdf(eps)
+        assert math.isfinite(x) and x < -38.0
+        assert asy.normal_cdf(x) == eps
 
     def test_selfcheck_sees_tail_errors(self, monkeypatch):
         from channelsim import selfcheck
@@ -404,6 +413,18 @@ class TestSecondOrder:
         assert asy.second_order_coding(params, 100, eps) == pytest.approx(
             100 * params.capacity + math.sqrt(100 * params.v_min) * phi,
             rel=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.05, 1e-17, 0.3, 0.7])
+    def test_array_of_blocklengths_matches_scalars(self, eps):
+        # one quantile per call, the same bits as one call per n
+        params = asy.dispersion(prob.Dmc.bsc(0.1))
+        ns = list(range(1, 2001))
+        for fn in (asy.second_order_coding, asy.second_order_simulation):
+            got = fn(params, np.array(ns), eps)
+            assert got.shape == (len(ns),)
+            assert got.tolist() == [fn(params, n, eps) for n in ns]
+        with pytest.raises(ValueError):
+            asy.second_order_coding(params, np.array([3, 0]), eps)
 
     def test_frozen_values(self):
         params = asy.dispersion(prob.Dmc.bsc(0.1))

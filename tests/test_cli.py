@@ -110,6 +110,39 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--tol" in err and out == ""
 
+    def test_reject_sim_rejects_trial_range(self, capsys, tmp_path):
+        inst = _write(tmp_path / "inst.json",
+                      {"p": [0.8, 0.2], "q": [0.5, 0.5], "m": 2})
+        code, out, err = _run(capsys, ["reject-sim", "--channel", inst,
+                                       "--n", "10..20"])
+        assert code == cli.EXIT_CONFIG
+        assert "--n" in err and out == ""
+
+    @pytest.mark.parametrize("m", [True, 2.7, 2.0, "2", 0, None])
+    def test_reject_sim_m_must_be_integer(self, capsys, tmp_path, m):
+        inst = _write(tmp_path / "inst.json",
+                      {"p": [0.8, 0.2], "q": [0.5, 0.5], "m": m})
+        code, out, err = _run(capsys, ["reject-sim", "--channel", inst,
+                                       "--n", "10"])
+        assert code == cli.EXIT_CONFIG
+        assert "'m'" in err and out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 2.7), ("n", 2.7), ("m", True), ("n", 0)])
+    def test_convex_split_counts_must_be_integers(self, capsys, tmp_path,
+                                                  key, value):
+        cube = np.einsum("a,b,c->abc", [0.4, 0.6], [0.3, 0.7], [0.55, 0.45])
+        payload = {"joint": cube.reshape(-1).tolist(),
+                   "factor_sizes": [2, 2, 2],
+                   "q": [0.3, 0.7], "r": [0.55, 0.45], "m": 3, "n": 3,
+                   "eps_params": [0.035, 0.035, 0.035, 0.578, 0.578, 0.34]}
+        payload[key] = value
+        inst = _write(tmp_path / "cs.json", payload)
+        code, out, err = _run(capsys, ["convex-split-check",
+                                       "--channel", inst])
+        assert code == cli.EXIT_CONFIG
+        assert repr(key) in err and out == ""
+
     def test_nan_eps_is_config_error(self, capsys, pair_file):
         code, out, err = _run(capsys, ["divergence", "dsplus",
                                        "--channel", pair_file,

@@ -15,6 +15,22 @@ def _simplex(rng, size, floor=0.0):
     return v / v.sum()
 
 
+def _rough_simplex(rng, size, kind):
+    """A pmf on multiples of 1/8 (kind 0, ratio ties likely), with a zero
+    entry (kind 1), or a random one with its first two entries tied."""
+    if kind == 0:
+        return rng.multinomial(8, np.full(size, 1.0 / size)) / 8.0
+    v = rng.random(size)
+    if kind == 1:
+        v[rng.integers(size)] = 0.0
+    else:
+        v[1] = v[0]
+    return v / v.sum()
+
+
+SPECTRUM_EPS = (1e-12, 0.05, 0.2, 0.5, 0.999, 1.0, 1.5)
+
+
 def _beta_oracle(eps, p, q):
     """Optimal type-II error by enumerating every deterministic test set."""
     best = math.inf
@@ -179,22 +195,48 @@ class TestDsPlus:
         assert dv.d_s_plus(0.6, p, q) < math.inf
 
     def test_strict_exceedance_oracle(self):
+        # ties, zero p entries and q-null mass, and eps up to and past 1
         rng = np.random.default_rng(53)
         for _ in range(200):
             n = int(rng.integers(2, 7))
-            p = _simplex(rng, n)
-            q = _simplex(rng, n)
-            eps = float(rng.uniform(0.05, 0.9))
-            a = dv.d_s_plus(eps, p, q)
-            if not math.isfinite(a):
+            p = _rough_simplex(rng, n, int(rng.integers(3)))
+            q = _rough_simplex(rng, n, int(rng.integers(3)))
+            if q.sum() == 0.0 or p.sum() == 0.0:
                 continue
-            ratios = np.where(q > 0, p / np.where(q > 0, q, 1.0), math.inf)
-            exceed = p[np.log2(ratios) > a + 1e-12].sum()
-            assert exceed < eps + 1e-12
-            if a > 0.0:
-                # just below the infimum the exceedance must reach eps
-                below = p[np.log2(ratios) > a - 1e-9].sum()
-                assert below >= eps - 1e-9
+            for eps in SPECTRUM_EPS + (float(rng.uniform(0.05, 0.9)),):
+                a = dv.d_s_plus(eps, p, q)
+                with np.errstate(divide="ignore"):
+                    ratios = np.log2(np.where(
+                        q > 0, p / np.where(q > 0, q, 1.0), math.inf))
+                if not math.isfinite(a):
+                    # only mass outside supp(q) can defeat every threshold
+                    assert p[q == 0.0].sum() >= eps - 1e-12
+                    continue
+                exceed = p[ratios > a + 1e-12].sum()
+                assert exceed < eps + 1e-12
+                if a > 0.0:
+                    # just below the infimum the exceedance must reach eps
+                    below = p[ratios > a - 1e-9].sum()
+                    assert below >= eps - 1e-9
+
+    def test_batch_kernel_matches_d_s_plus(self):
+        # one call over many references gives d_s_plus at each, bit for bit
+        rng = np.random.default_rng(59)
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            p = _rough_simplex(rng, n, int(rng.integers(3)))
+            refs = np.array([_rough_simplex(rng, n, int(rng.integers(3)))
+                             for _ in range(8)])
+            refs = refs[refs.sum(axis=1) > 0.0]
+            if p.sum() == 0.0 or refs.size == 0:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_ratio = np.log2(p / refs)
+            log_ratio[np.isnan(log_ratio)] = -math.inf
+            for eps in SPECTRUM_EPS:
+                got = dv._spectrum(p, log_ratio, eps)
+                want = [dv.d_s_plus(eps, p, r) for r in refs]
+                assert got.tolist() == want
 
 
 class TestDmaxSmooth:

@@ -242,12 +242,24 @@ class TestReducedProgram:
 
 class TestChannelDivergences:
     def test_d_s_plus_channel_is_row_max(self):
+        # ties, zero entries, q-null mass, and eps up to and past 1
         rng = np.random.default_rng(31)
-        w = _random_channel(rng, 3, 4)
-        q = np.ones(4) / 4.0
-        got = ns_meta.d_s_plus_channel(w, q, 0.2)
-        want = max(d_s_plus(0.2, row, q) for row in w.rows)
-        assert got == want
+        for trial in range(40):
+            rows = _random_channel(rng, 3, 4).rows.copy()
+            q = np.ones(4) / 4.0
+            if trial % 4 == 1:
+                rows[:, 1] = rows[:, 0]
+                rows /= rows.sum(axis=1, keepdims=True)
+            elif trial % 4 == 2:
+                rows[0, 2] = 0.0
+                rows /= rows.sum(axis=1, keepdims=True)
+                rows[1] = [0.25, 0.5, 0.25, 0.0]
+            elif trial % 4 == 3:
+                q = np.array([0.5, 0.5, 0.0, 0.0])
+            for eps in (1e-12, 0.2, 0.5, 0.999, 1.0, 1.5):
+                got = ns_meta.d_s_plus_channel(rows, q, eps)
+                want = max(d_s_plus(eps, row, q) for row in rows)
+                assert got == want, (trial, eps)
 
     def test_channel_d_max_smooth_is_row_max(self):
         rng = np.random.default_rng(37)
@@ -313,7 +325,7 @@ class TestBscFastPath:
     def test_waterfill_matches_bisection(self):
         for n, delta, eps in ((4, 0.1, 0.05), (8, 0.3, 0.2), (12, 0.1, 0.2)):
             c, w, _ = ns_meta._bsc_weights(n, delta)
-            got = ns_meta._bsc_waterfill(n, delta, eps)
+            got = ns_meta.bsc_ns_cost(n, delta, eps).s
 
             def g(s):
                 return (c * np.minimum(w, s)).sum()
@@ -450,11 +462,12 @@ class TestBscSweep:
             ns_meta.bsc_ns_log2_costs([7, 3, 1030], 0.2, 0.1)
 
     def test_one_level_kernel(self):
-        # bsc_ns_cost and _bsc_waterfill read the sweep's level
+        # bsc_ns_cost reads the sweep's level on its own row
         for n in (1, 5, 300):
-            s = ns_meta._bsc_waterfill(n, 0.11, 0.05)
-            assert ns_meta.bsc_ns_cost(n, 0.11, 0.05).s == s
-            assert n + math.log2(s) == _reference_log2_cost(n, 0.11, 0.05)
+            got = ns_meta.bsc_ns_cost(n, 0.11, 0.05)
+            assert got.log2_cost == ns_meta.bsc_ns_log2_costs(
+                [n], 0.11, 0.05)[0]
+            assert n + math.log2(got.s) == _reference_log2_cost(n, 0.11, 0.05)
 
     def test_validates_args(self):
         for ns, delta, eps in (([3, 0], 0.1, 0.05), ([2.5], 0.1, 0.05),
