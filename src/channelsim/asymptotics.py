@@ -1,13 +1,16 @@
 """Capacity, dispersion and finite-blocklength rate expansions.
 
 Everything here feeds the asymptotic side of the simulation-versus-coding
-comparison: Blahut-Arimoto traces with a-priori certificates, the channel
-dispersion extracted from the capacity-achieving input set, the Gaussian
-quantile by a bracket-free Newton iteration, the second-order expansions
-for one blocklength or many at once, and the moderate-deviation rates. The
-unquantified residual terms (O(log n) at second order, o(a_n) in the
-moderate regime) are never folded into the returned numbers; callers that
-serialize results attach a "band: unquantified" marker instead.
+comparison: Blahut-Arimoto traces with a-priori certificates (capacity and
+its trace), inputs certified a posteriori by Blahut's bracket with a
+Newton finish on the optimal face (dispersion, and the thresholds of the
+broadcast rate region), the channel dispersion extracted from the
+capacity-achieving input set, the Gaussian quantile by a bracket-free
+Newton iteration, the second-order expansions for one blocklength or many
+at once, and the moderate-deviation rates. The unquantified residual terms
+(O(log n) at second order, o(a_n) in the moderate regime) are never folded
+into the returned numbers; callers that serialize results attach a
+"band: unquantified" marker instead.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .lp import LpProblem, solve_lp
 from .prob import Pmf
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,15 +82,6 @@ def _row_terms(rows: np.ndarray) -> np.ndarray:
             np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=1)
 
 
-def _row_divergences(rows: np.ndarray, ref: np.ndarray,
-                     row_terms: np.ndarray) -> np.ndarray:
-    """D(row_x || ref) in bits given precomputed sum_y W log2 W per row."""
-    with np.errstate(divide="ignore"):
-        log_ref = np.log2(ref)
-    cross = np.where(rows > 0.0, rows * log_ref, 0.0).sum(axis=1)
-    return row_terms - cross
-
-
 def _product_reference(out_sizes: tuple):
     """The map from an output law to prod_i p_Yi, flattened.
 
@@ -114,26 +109,40 @@ def _product_reference(out_sizes: tuple):
     return product
 
 
-def _ascent(rows: np.ndarray, out_sizes: tuple, k: int, p: np.ndarray):
-    """The Blahut-Arimoto multiplicative update; the caller owns the stop.
+def _divergence_map(rows: np.ndarray, out_sizes: tuple):
+    """The map p -> d, d_x = D(W(.|x) || prod_i p_Yi), set up once.
 
-    Starting from the input ``p``, each step yields (p, d, z, next p):
-    the step's input, the divergences d_x = D(W(.|x) || prod_i p_Yi) at
-    that input, the normalizer z = sum_x p_x 2^(d_x / k), whose k log2 z
-    is the step's estimate, and the next input p * 2^(d / k) / z. The
-    next step starts from that input. Dead output letters must already be
-    dropped. The generator never ends; callers stop consuming it.
+    Dead output letters must already be dropped. Where the reference is
+    zero on a row's support that row's divergence is +inf, without a
+    floating-point warning. Each call returns a fresh array.
     """
     row_terms = _row_terms(rows)
     product = _product_reference(out_sizes)
     # Cross terms W log2 ref on the support of W; zero off it, never written.
     live = rows > 0.0
     cross = np.zeros_like(rows)
-    while True:
+
+    def divergences(p: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             log_ref = np.log2(product(p @ rows))
         np.multiply(rows, log_ref, out=cross, where=live)
-        d = row_terms - cross.sum(axis=1)
+        return row_terms - cross.sum(axis=1)
+
+    return divergences
+
+
+def _ascent(divergences, k: int, p: np.ndarray):
+    """The Blahut-Arimoto multiplicative update; the caller owns the stop.
+
+    Starting from the input ``p``, each step yields (p, d, z, next p):
+    the step's input, the divergences d_x = D(W(.|x) || prod_i p_Yi) at
+    that input (``divergences`` is the channel's ``_divergence_map``), the
+    normalizer z = sum_x p_x 2^(d_x / k), whose k log2 z is the step's
+    estimate, and the next input p * 2^(d / k) / z. The next step starts
+    from that input. The generator never ends; callers stop consuming it.
+    """
+    while True:
+        d = divergences(p)
         # p * 2^(d / k) / z in place: the same roundings, one allocation
         nxt = np.exp2(d / k)
         nxt *= p
@@ -141,6 +150,140 @@ def _ascent(rows: np.ndarray, out_sizes: tuple, k: int, p: np.ndarray):
         nxt /= z
         yield p, d, z, nxt
         p = nxt
+
+
+def _marginal_rows(rows: np.ndarray, out_sizes: tuple) -> np.ndarray:
+    """The output factors' marginal rows W^i(y_i | x), side by side."""
+    if len(out_sizes) == 1:
+        return rows
+    cube = rows.reshape((rows.shape[0],) + tuple(out_sizes))
+    axes = range(1, cube.ndim)
+    return np.hstack([cube.sum(axis=tuple(j for j in axes if j != i))
+                      for i in axes])
+
+
+def _eliminate(a: list):
+    """Solve a square system by Gaussian elimination with partial pivoting.
+
+    ``a`` holds the augmented rows [M | rhs] as lists of floats and is
+    overwritten. Returns (x, None), or (None, j) when column j has no
+    pivot above 1e-12 of the largest entry of M: that column lies, to
+    rounding, in the span of columns 0..j-1. Plain floats: the systems are
+    a handful of rows, where numpy's per-call cost dominates.
+    """
+    n = len(a)
+    small = 1e-12 * max(abs(v) for row in a for v in row[:n])
+    for j in range(n):
+        piv = max(range(j, n), key=lambda i: abs(a[i][j]))
+        if abs(a[piv][j]) <= small:
+            return None, j
+        a[j], a[piv] = a[piv], a[j]
+        top = a[j]
+        for i in range(j + 1, n):
+            f = a[i][j] / top[j]
+            a[i] = [u - f * v for u, v in zip(a[i], top)]
+    x = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        row = a[j]
+        x[j] = (row[n] - sum(row[k] * x[k] for k in range(j + 1, n))) / row[j]
+    return x, None
+
+
+# Newton attempts start at step _NEWTON_FIRST of the ascent, or later
+# once its gap is below _FACE_SLACK bits, and repeat each time the step
+# count doubles. An attempt takes the letters within _FACE_SLACK bits of
+# max_x d_x as the candidate face and gives up after _NEWTON_STEPS steps.
+# The ascent itself stops at _ASCENT_CAP steps.
+_ASCENT_CAP = 100_000
+_NEWTON_FIRST = 4
+_FACE_SLACK = 1e-2
+_NEWTON_STEPS = 12
+
+
+def _newton_finish(divergences, marginals, p, d, gap):
+    """Newton on {d_x(p) = lam for x in S, sum p = 1} over a candidate face S.
+
+    Starts from p restricted to S and returns (p, d) with max_x d_x -
+    p.d <= gap, or None. The Jacobian of d_S is
+    -sum_i W^i_S diag(1 / q_i) W^i_S^T / ln 2, summed over the output
+    factors i (``marginals`` holds the W^i side by side). Scaled by
+    -ln 2 and bordered by the multiplier column and the normalization row
+    it is a symmetric system. S is ordered by decreasing weight; a
+    letter whose column has no pivot (it depends on heavier letters) or
+    whose weight turns negative leaves S, a letter whose divergence tops
+    every letter of S joins it at weight zero, and the iteration goes on.
+    """
+    face = np.flatnonzero(d >= d.max() - _FACE_SLACK)
+    face = face[np.argsort(-p[face], kind="stable")]
+    start = p
+    p = np.zeros_like(start)
+    p[face] = start[face] / start[face].sum()
+    for step in range(_NEWTON_STEPS + 1):
+        d = divergences(p)
+        if d.max() - p[face] @ d[face] <= gap:
+            return p, d
+        if step == _NEWTON_STEPS or d.max() == math.inf:
+            return None
+        face = np.append(face, np.flatnonzero(d > d[face].max()))
+        n = face.size
+        q = p @ marginals
+        w = marginals[face]
+        hessian = (w / np.where(q > 0.0, q, 1.0)) @ w.T
+        # Unknowns: the step on S and ln 2 times the new multiplier, which
+        # enters linearly.
+        x, bad = _eliminate(
+            [row + [1.0, rhs] for row, rhs in
+             zip(hessian.tolist(), (_LN2 * d[face]).tolist())]
+            + [[1.0] * n + [0.0, 1.0 - p.sum()]])
+        if x is None:
+            if bad == n:
+                return None
+            p[face[bad]] = 0.0
+            face = np.delete(face, bad)
+        else:
+            p[face] += x[:n]
+            keep = p[face] > 0.0
+            p[face[~keep]] = 0.0
+            face = face[keep]
+        p /= p.sum()
+    return None
+
+
+def _certified_optimum(rows: np.ndarray, out_sizes: tuple, k: int,
+                       gap: float):
+    """An input p and its divergences d with max_x d_x - p.d <= gap.
+
+    d_x = D(W(.|x) || prod_i p_Yi) is the shared ascent's divergence.
+    For every k, I(X : Y_J) = sum_i H(Y_i) - sum_x p_x H(W_x) is concave
+    in p, equals p.d, and has gradient d_x - k log2 e, so for any optimum
+    p*, I(p*) <= I(p) + (p* - p).d <= max_x d_x: the value lies in the
+    a-posteriori bracket [p.d, max_x d_x] (Blahut, 1972, for k = 1). The
+    ascent runs from the uniform input and Newton on the candidate face
+    (``_newton_finish``) is tried along the way; a failed attempt leaves
+    the multiplicative steps to go on. Dead output letters must already be
+    dropped. Raises ArithmeticError when the ascent reaches _ASCENT_CAP
+    steps with a gap still above ``gap``.
+    """
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"gap must be positive and finite, got {gap}")
+    kx = rows.shape[0]
+    divergences = _divergence_map(rows, out_sizes)
+    marginals = _marginal_rows(rows, out_sizes)
+    next_try = _NEWTON_FIRST
+    steps = _ascent(divergences, k, np.full(kx, 1.0 / kx))
+    for step, (p, d, _, _) in enumerate(steps):
+        now = float(d.max() - p @ d)
+        if now <= gap:
+            return p, d
+        if step >= next_try and now <= _FACE_SLACK:
+            found = _newton_finish(divergences, marginals, p, d, gap)
+            if found is not None:
+                return found
+            next_try = 2 * step
+        if step == _ASCENT_CAP:
+            raise ArithmeticError(
+                f"ascent stopped after {_ASCENT_CAP} steps with a gap of "
+                f"{now:.3e} bits")
 
 
 def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
@@ -170,7 +313,7 @@ def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
     estimates = []
     prev = -math.inf
     log_inputs = math.log2(kx) if kx > 1 else 0.0
-    steps = _ascent(rows, out_sizes, k, p)
+    steps = _ascent(_divergence_map(rows, out_sizes), k, p)
     for t, (_, _, z, p) in zip(range(1, max_iter + 1), steps):
         est = k * math.log2(z)
         estimates.append(est)
@@ -236,51 +379,41 @@ def _simplex_grid(dim: int, steps: int, limit: int = 2_000_000) -> np.ndarray:
     return out / steps
 
 
-# The dispersion ascent stops once Blahut's gap max_x D(W_x || pW) - I(p)
-# reaches _ASCENT_GAP. The gap must sit far below the face threshold
-# tol_cap: stopped at a gap of 5e-8, an ascent can leave a face letter out
-# of X* under tol_cap = 1e-7 and understate v_max by a quarter of a bit^2.
+# dispersion certifies its input to Blahut's gap max_x D(W_x || pW) - I(p)
+# <= _ASCENT_GAP. The gap must sit far below the face threshold tol_cap:
+# stopped at a gap of 5e-8, an ascent can leave a face letter out of X*
+# under tol_cap = 1e-7 and understate v_max by a quarter of a bit^2.
 _ASCENT_GAP = 1e-12
-_ASCENT_CAP = 100_000
 
 
 def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     """Capacity and the dispersion range over the capacity-achieving inputs.
 
-    The shared Blahut-Arimoto ascent runs from the uniform input and this
-    function stops it at the first input p whose a-posteriori gap
-    max_x D(W_x || pW) - I(p) is at most 1e-12. The letters with
-    D(W_x || pW) within tol_cap of the maximum form X*; p restricted to
-    X* and renormalized, p^, fixes the capacity-achieving output
-    q^ = p^ W, and the capacity is the lower end I(p^) of Blahut's
-    bracket. On the optimal face {p >= 0 on X*, p W = q^} the dispersion
-    is the conditional information variance sum_x p_x Var_{W_x}[log2
-    W_x / q^], which is linear in p (Polyanskiy, Poor and Verdu, 2010), so
-    v_min and v_max are two small linear programs. Any number of inputs
-    works. Raises ArithmeticError if the ascent reaches its iteration cap
-    with a gap above tol_cap / 100, or if a face program fails.
+    ``_certified_optimum`` gives an input p whose a-posteriori gap
+    max_x D(W_x || pW) - I(p) is at most 1e-12: the shared Blahut-Arimoto
+    ascent from the uniform input, finished by Newton's method on the
+    candidate optimal face. The capacity is the lower end I(p) of that
+    bracket. The letters with D(W_x || pW) within tol_cap of the maximum
+    form X*; p restricted to X* and renormalized, p^, fixes the
+    capacity-achieving output q^ = p^ W. On the optimal face
+    {p >= 0 on X*, p W = q^} the dispersion is the conditional information
+    variance sum_x p_x Var_{W_x}[log2 W_x / q^], which is linear in p
+    (Polyanskiy, Poor and Verdu, 2010), so v_min and v_max are two small
+    linear programs. Any number of inputs works. Raises ArithmeticError
+    if the ascent reaches its 100,000-step cap with the gap above 1e-12,
+    or if a face program fails.
     """
     if not 0.0 < tol_cap < math.inf:
         raise ValueError("tol_cap must be positive and finite")
     rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
     rows, out_sizes = _drop_dead_letters(rows, (rows.shape[1],))
     kx = rows.shape[0]
-    steps = _ascent(rows, out_sizes, 1, np.full(kx, 1.0 / kx))
-    for step, (p, d, _, _) in enumerate(steps):
-        gap = float(d.max() - p @ d)
-        if gap <= _ASCENT_GAP or step == _ASCENT_CAP:
-            break
-    if gap > tol_cap / 100.0:
-        raise ArithmeticError(
-            f"dispersion ascent stopped after {_ASCENT_CAP} steps with a "
-            f"gap of {gap:.3e} bits")
+    p, d = _certified_optimum(rows, out_sizes, 1, _ASCENT_GAP)
     face = np.flatnonzero(d >= d.max() - tol_cap)
     p_hat = p[face] / p[face].sum()
     q_hat = p_hat @ rows[face]
     live = q_hat > 0.0
     w_face, q_hat = rows[face][:, live], q_hat[live]
-    capacity = float(p_hat @ _row_divergences(w_face, q_hat,
-                                              _row_terms(rows[face])))
     v = np.array([var_div(row, q_hat) for row in w_face])
     extremes = []
     for sign in (1.0, -1.0):
@@ -295,7 +428,7 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     if np.max(np.abs(extremes[0] - extremes[1])) <= 1e-9:
         extremes.pop()
     return SecondOrderParams(
-        capacity=capacity,
+        capacity=float(p @ d),
         v_min=v_min,
         v_max=v_max,
         capacity_achieving_inputs=tuple(Pmf(x) for x in extremes),

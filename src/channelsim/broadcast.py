@@ -4,7 +4,10 @@ The asymptotic simulation region of a K-receiver broadcast channel is an
 intersection of half spaces, one per nonempty receiver subset J: the rates
 of the receivers in J must add up to at least the maximized multipartite
 mutual information of the channel reduced to J. This module computes those
-thresholds with the generalized Blahut-Arimoto ascent, tests membership,
+thresholds with the generalized Blahut-Arimoto ascent and a Newton finish,
+each certified within a stated gap by the a-posteriori bracket of
+``asymptotics._certified_optimum``, keeps the ascent's own trace with its
+a-priori bound (``tilde_c_ba``, behind ``ba-trace``), tests membership,
 extracts the two-receiver corner points, and evaluates the common
 dispersion and the product-reference spectrum bound used by the one-shot
 converse arguments.
@@ -21,7 +24,8 @@ import math
 
 import numpy as np
 
-from .asymptotics import BaTrace, _ba_core, _simplex_grid
+from .asymptotics import (BaTrace, _ba_core, _certified_optimum,
+                          _drop_dead_letters, _simplex_grid)
 from .divergences import _spectrum, d_s_plus, var_div
 from .prob import BroadcastDmc, Pmf, entropy_bits, push_forward, reduce_broadcast
 
@@ -60,23 +64,29 @@ def multipartite_mi(p: Pmf, w: BroadcastDmc, subset) -> MultipartiteMi:
                           h_input=h_in, h_receivers=h_rec, h_joint=h_joint)
 
 
+def _output_sizes(reduced) -> tuple:
+    """Output factor sizes of a reduced channel, broadcast or not."""
+    if hasattr(reduced, "output_sizes"):
+        return tuple(reduced.output_sizes)
+    return (reduced.output_size,)
+
+
 def tilde_c_ba(w: BroadcastDmc, subset, max_iter: int = 1_000_000,
                tol: float | None = None, init=None) -> BaTrace:
     """Maximized multipartite mutual information for one receiver subset.
 
     Ascent rule: p <- p * 2^(D(W_J(.|x) || prod_i p_Yi) / |J|). The default
     stopping increment is 1e-9 bits for up to two receivers and 1e-6 for
-    three, where each iteration is noticeably heavier.
+    three, where each iteration is noticeably heavier. The trace carries
+    the a-priori bound |J| log2|X| / t only; ``rate_region`` does not use
+    this function, and certifies each threshold a posteriori instead.
     """
     js = _receiver_subset(w, subset)
     if tol is None:
         tol = 1e-9 if len(js) <= 2 else 1e-6
     reduced = reduce_broadcast(w, js)
-    if hasattr(reduced, "output_sizes"):
-        sizes = tuple(reduced.output_sizes)
-    else:
-        sizes = (reduced.output_size,)
-    return _ba_core(reduced.rows, sizes, len(js), max_iter, tol, init)
+    return _ba_core(reduced.rows, _output_sizes(reduced), len(js), max_iter,
+                    tol, init)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,14 +98,24 @@ class RateRegion:
 
 
 def rate_region(w: BroadcastDmc, tol: float | None = None) -> RateRegion:
-    """Thresholds c_J for every nonempty receiver subset."""
+    """Thresholds c_J for every nonempty receiver subset.
+
+    Each c_J is I(p) = p.d at an input p certified by
+    ``asymptotics._certified_optimum``: the maximized multipartite mutual
+    information lies in [c_J, c_J + tol], tol defaulting to 1e-12 bits.
+    """
     if w.num_receivers > 4:
         raise ValueError("rate_region supports at most 4 receivers")
+    gap = 1e-12 if tol is None else tol
     receivers = range(w.num_receivers)
     constraints = {}
     for size in receivers:
         for js in itertools.combinations(receivers, size + 1):
-            constraints[frozenset(js)] = tilde_c_ba(w, js, tol=tol).value
+            reduced = reduce_broadcast(w, js)
+            rows, sizes = _drop_dead_letters(reduced.rows,
+                                             _output_sizes(reduced))
+            p, d = _certified_optimum(rows, sizes, len(js), gap)
+            constraints[frozenset(js)] = float(p @ d)
     return RateRegion(k=w.num_receivers, constraints=constraints)
 
 

@@ -106,6 +106,15 @@ def _load_json_file(path: str | None):
         raise _ConfigError(f"{path} is not valid JSON: {exc}")
 
 
+def _load_instance(cfg: RunConfig) -> dict:
+    """An instance file; its top level must be a JSON object."""
+    data = _load_json_file(cfg.channel)
+    if not isinstance(data, dict):
+        raise _ConfigError(f"{cfg.channel}: an instance file must hold a "
+                           f"JSON object, not a {type(data).__name__}")
+    return data
+
+
 def _load_channel(cfg: RunConfig):
     data = _load_json_file(cfg.channel)
     try:
@@ -189,7 +198,7 @@ def _emit_csv(cfg: RunConfig, header_meta: list[str], columns: list[str],
 
 
 def _cmd_divergence(cfg: RunConfig) -> int:
-    data = _load_json_file(cfg.channel)
+    data = _load_instance(cfg)
     p = _load_pmf(data, "p")
     q = _load_pmf(data, "q")
     kind = cfg.kind
@@ -390,7 +399,7 @@ def _cmd_ba_trace(cfg: RunConfig) -> int:
 
 
 def _cmd_reject_sim(cfg: RunConfig) -> int:
-    data = _load_json_file(cfg.channel)
+    data = _load_instance(cfg)
     p = _load_pmf(data, "p")
     q = _load_pmf(data, "q")
     m = _count_field(data, "m")
@@ -417,7 +426,7 @@ def _cmd_reject_sim(cfg: RunConfig) -> int:
 
 
 def _cmd_convex_split_check(cfg: RunConfig) -> int:
-    data = _load_json_file(cfg.channel)
+    data = _load_instance(cfg)
     q = _load_pmf(data, "q")
     r = _load_pmf(data, "r")
     try:

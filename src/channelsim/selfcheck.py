@@ -217,13 +217,46 @@ def check_broadcast_routes(seed):
     return True, "4 instances, both routes"
 
 
+def _two_input_threshold(cube):
+    """max_p I(X : Y_1; ..; Y_k) for a two-input channel cube W[x, y_1, ..].
+
+    The objective is concave in p = (a, 1 - a) with slope D(W_0 || Q) -
+    D(W_1 || Q), Q the product of the output marginals under p, so a
+    bisection on the sign of that slope finds the maximizing a.
+    """
+    def divergences(a):
+        out = a * cube[0] + (1.0 - a) * cube[1]
+        ref = np.ones(())
+        for axis in range(out.ndim):
+            others = tuple(i for i in range(out.ndim) if i != axis)
+            ref = np.multiply.outer(ref, out.sum(axis=others))
+        return np.array([(row * np.log2(row / ref)).sum() for row in cube])
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        d = divergences(mid)
+        lo, hi = (mid, hi) if d[0] > d[1] else (lo, mid)
+    a = 0.5 * (lo + hi)
+    return float(np.array([a, 1.0 - a]) @ divergences(a))
+
+
 def check_region(_seed):
-    """Two-receiver region invariants on a degraded pair."""
+    """Two-receiver region invariants on a degraded pair.
+
+    Each constraint must match a bisection on D(W_0 || Q) - D(W_1 || Q)
+    within 1e-10 bits.
+    """
     inner = prob.Dmc.bsc(0.3)
     outer = prob.Dmc(rows=inner.rows @ inner.rows)
-    rows = np.einsum("xy,xz->xyz", inner.rows, outer.rows).reshape(2, 4)
-    w = prob.BroadcastDmc(rows=rows, output_sizes=(2, 2))
+    cube = np.einsum("xy,xz->xyz", inner.rows, outer.rows)
+    w = prob.BroadcastDmc(rows=cube.reshape(2, 4), output_sizes=(2, 2))
     region = broadcast.rate_region(w)
+    for sub, got in region.constraints.items():
+        drop = tuple(1 + i for i in range(2) if i not in sub)
+        want = _two_input_threshold(cube.sum(axis=drop))
+        if abs(got - want) > 1e-10:
+            return False, f"constraint {sorted(sub)}: {got} vs {want}"
     sumc = region.constraints[frozenset({0, 1})]
     for sub in (frozenset({0}), frozenset({1})):
         if region.constraints[sub] > sumc + 1e-9:
@@ -236,7 +269,8 @@ def check_region(_seed):
     for c in corners:
         if not broadcast.region_contains(region, c):
             return False, f"corner {c} excluded"
-    return True, f"{len(corners)} corners inside"
+    return True, (f"{len(region.constraints)} constraints match bisection, "
+                  f"{len(corners)} corners inside")
 
 
 def check_channel_roundtrip(seed):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -204,19 +205,168 @@ class TestSharedAscent:
         _dirichlet(5),
         # a slow tail: several thousand steps to the 1e-12 gap
         _dirichlet(56)])
-    def test_dispersion_stops_where_reference_does(self, rows, monkeypatch):
-        real = asy._ascent
-        seen = {}
+    def test_dispersion_certifies_reference_capacity(self, rows):
+        live, sizes = asy._drop_dead_letters(rows, (rows.shape[1],))
+        p, d = asy._certified_optimum(live, sizes, 1, asy._ASCENT_GAP)
+        assert d.max() - p @ d <= asy._ASCENT_GAP
+        _, p_ref = _ref_dispersion_ascent(rows)
+        d_ref = _ref_row_divergences(live, p_ref @ live)
+        assert asy.dispersion(prob.Dmc(rows=rows)).capacity \
+            == pytest.approx(float(p_ref @ d_ref), abs=1e-12)
+        assert np.max(np.abs(p - p_ref)) <= 1e-6
 
-        def spy(*args):
-            for step, item in enumerate(real(*args)):
-                seen["step"], seen["p"] = step, item[0]
-                yield item
-        monkeypatch.setattr(asy, "_ascent", spy)
-        asy.dispersion(prob.Dmc(rows=rows))
-        step, p = _ref_dispersion_ascent(rows)
-        assert seen["step"] == step
-        assert np.max(np.abs(seen["p"] - p)) <= 1e-15
+
+def _random_broadcast(seed, sizes, inputs):
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(int(np.prod(sizes))), size=inputs)
+    return prob.BroadcastDmc(rows=rows, output_sizes=sizes)
+
+
+def _reference_threshold(w, js, gap=1e-13, cap=2_000_000):
+    """I(p) of the plain ascent p <- p 2^(d / |J|) run to a gap below gap."""
+    reduced = prob.reduce_broadcast(w, js)
+    if isinstance(reduced, prob.BroadcastDmc):
+        sizes = tuple(reduced.output_sizes)
+    else:
+        sizes = (reduced.output_size,)
+    rows, sizes = asy._drop_dead_letters(reduced.rows, sizes)
+    p = np.full(rows.shape[0], 1.0 / rows.shape[0])
+    for _ in range(cap):
+        out = (p @ rows).reshape(sizes)
+        ref = np.ones(())
+        for axis in range(len(sizes)):
+            others = tuple(i for i in range(len(sizes)) if i != axis)
+            ref = np.multiply.outer(ref, out.sum(axis=others))
+        d = _ref_row_divergences(rows, ref.reshape(-1))
+        if d.max() - p @ d <= gap:
+            return float(p @ d)
+        p = p * np.exp2((d - d.max()) / len(js))
+        p /= p.sum()
+    raise AssertionError("reference ascent did not reach its gap")
+
+
+def _count_ascent_steps(monkeypatch):
+    real = asy._ascent
+    seen = {"steps": 0}
+
+    def spy(*args):
+        for step, item in enumerate(real(*args)):
+            seen["steps"] = step
+            yield item
+    monkeypatch.setattr(asy, "_ascent", spy)
+    return seen
+
+
+def _dirichlet_found(seed):
+    """The Dirichlet(1) channels up to 8x8 whose ascent tails were slow."""
+    rng = np.random.default_rng(seed)
+    k, m = rng.integers(2, 9, size=2)
+    return rng.dirichlet(np.ones(m), size=k)
+
+
+class TestCertifiedOptimum:
+    def test_two_hundred_dirichlet_channels(self, monkeypatch):
+        # Seeds 78 and 169 took 147,000 and 95,000 plain ascent steps to
+        # this gap; with the Newton finish none takes more than about 50
+        # (0.3 s in total on a 2-vCPU host).
+        seen = _count_ascent_steps(monkeypatch)
+        start = time.perf_counter()
+        steps = []
+        for seed in range(200):
+            rows = _dirichlet_found(seed)
+            live, sizes = asy._drop_dead_letters(rows, (rows.shape[1],))
+            p, d = asy._certified_optimum(live, sizes, 1, 1e-12)
+            assert d.max() - p @ d <= 1e-12, seed
+            assert p.min() >= 0.0 and p.sum() == pytest.approx(1.0)
+            steps.append(seen["steps"])
+        assert time.perf_counter() - start <= 10.0
+        assert max(steps) <= 200
+        assert all(steps[seed] <= 100 for seed in (78, 169, 5, 11))
+
+    def test_rank_deficient_face(self, monkeypatch):
+        # Seed 132 is 7x2: three candidate letters in a two-letter output
+        # space are linearly dependent, so a column of the Newton system
+        # has no pivot and its letter leaves the face.
+        rows = _dirichlet_found(132)
+        assert rows.shape == (7, 2)
+        singular = []
+        real = asy._eliminate
+
+        def spy(a):
+            x, bad = real(a)
+            singular.append(x is None)
+            return x, bad
+        monkeypatch.setattr(asy, "_eliminate", spy)
+        seen = _count_ascent_steps(monkeypatch)
+        p, d = asy._certified_optimum(rows, (2,), 1, 1e-12)
+        assert any(singular)
+        assert d.max() - p @ d <= 1e-12
+        assert seen["steps"] <= 100
+        _, p_ref = _ref_dispersion_ascent(rows)
+        d_ref = _ref_row_divergences(rows, p_ref @ rows)
+        assert float(p @ d) == pytest.approx(float(p_ref @ d_ref),
+                                             abs=1e-12)
+
+    def test_failed_newton_falls_back_to_the_ascent(self, monkeypatch):
+        rows = _dirichlet(5)
+        want = asy.dispersion(prob.Dmc(rows=rows))
+        monkeypatch.setattr(asy, "_newton_finish", lambda *args: None)
+        p, d = asy._certified_optimum(rows, (rows.shape[1],), 1, 1e-12)
+        assert d.max() - p @ d <= 1e-12
+        got = asy.dispersion(prob.Dmc(rows=rows))
+        assert got.capacity == pytest.approx(want.capacity, abs=1e-12)
+        assert got.v_max == pytest.approx(want.v_max, rel=1e-9)
+
+    def test_failed_newton_hits_the_cap(self, monkeypatch):
+        # seed 78's plain ascent needs about 147,000 steps
+        monkeypatch.setattr(asy, "_newton_finish", lambda *args: None)
+        monkeypatch.setattr(asy, "_ASCENT_CAP", 2_000)
+        with pytest.raises(ArithmeticError):
+            asy.dispersion(prob.Dmc(rows=_dirichlet_found(78)))
+
+    @pytest.mark.parametrize("sizes, inputs", [
+        ((3,), 3), ((2, 3), 2), ((2, 2, 2), 2), ((2, 2, 2), 3)])
+    def test_bracket_holds_at_any_input(self, sizes, inputs):
+        # I(X : Y_J) is concave with gradient d_x - k log2 e, so the
+        # optimum lies in [p.d, max_x d_x] at every p.
+        rng = np.random.default_rng(7)
+        w = _random_broadcast(8, sizes, inputs)
+        rows, out_sizes = asy._drop_dead_letters(w.rows, sizes)
+        p, d = asy._certified_optimum(rows, out_sizes, len(sizes), 1e-12)
+        best = float(p @ d)
+        divergences = asy._divergence_map(rows, out_sizes)
+        for _ in range(50):
+            q = rng.dirichlet(np.ones(inputs))
+            dq = divergences(q)
+            assert float(q @ dq) <= best + 1e-12
+            assert best <= dq.max() + 1e-12
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, 0.0, -1e-12])
+    def test_gap_must_be_positive_and_finite(self, gap):
+        with pytest.raises(ValueError):
+            asy._certified_optimum(np.eye(2), (2,), 1, gap)
+
+
+class TestCertifiedRegion:
+    @pytest.mark.parametrize("sizes, inputs, seed", [
+        ((2, 3), 2, 1), ((2, 2), 3, 2), ((3, 2), 2, 3),
+        ((2, 2, 2), 2, 4), ((2, 2, 2), 3, 5), ((2, 3, 2), 2, 6)])
+    def test_matches_reference_and_never_drops(self, sizes, inputs, seed):
+        w = _random_broadcast(seed, sizes, inputs)
+        region = broadcast.rate_region(w)
+        for js, got in region.constraints.items():
+            js = tuple(sorted(js))
+            assert got == pytest.approx(_reference_threshold(w, js),
+                                        abs=1e-12)
+            # the increment-stopped ascent that rate_region used to run
+            assert got >= broadcast.tilde_c_ba(w, js).value - 1e-12
+
+    def test_tol_is_the_certified_gap(self):
+        w = _random_broadcast(5, (2, 2, 2), 3)
+        loose = broadcast.rate_region(w, tol=1e-6)
+        tight = broadcast.rate_region(w)
+        for js, c in tight.constraints.items():
+            assert c - 1e-6 <= loose.constraints[js] <= c + 1e-12
 
 
 class TestDispersion:

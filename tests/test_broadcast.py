@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from channelsim import broadcast, prob
+from channelsim import broadcast, prob, selfcheck
 from channelsim.asymptotics import capacity_ba
 
 
@@ -170,6 +170,18 @@ class TestRateRegion:
         reg = broadcast.rate_region(DEGRADED)
         with pytest.raises(ValueError):
             broadcast.region_contains(reg, (0.2, 0.05, 0.1))
+
+    def test_selfcheck_sees_a_threshold_off_by_1e_9(self, monkeypatch):
+        assert selfcheck.check_region(0)[0]
+        real = broadcast.rate_region
+
+        def low(w, tol=None):
+            reg = real(w, tol)
+            return broadcast.RateRegion(k=reg.k, constraints={
+                js: c - 1e-9 for js, c in reg.constraints.items()})
+        monkeypatch.setattr(broadcast, "rate_region", low)
+        ok, detail = selfcheck.check_region(0)
+        assert not ok and "constraint" in detail
 
     def test_receiver_count_guard(self):
         w = prob.BroadcastDmc(rows=np.full((2, 32), 1.0 / 32.0),

@@ -143,6 +143,17 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert repr(key) in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["reject-sim", "--n", "10"],
+        ["divergence", "kl"],
+        ["convex-split-check"]])
+    def test_instance_must_be_a_json_object(self, capsys, tmp_path, argv):
+        inst = _write(tmp_path / "list.json", [1, 2])
+        code, out, err = _run(capsys, argv + ["--channel", inst])
+        assert code == cli.EXIT_CONFIG
+        assert inst in err and "JSON object" in err and out == ""
+        assert "Traceback" not in err
+
     def test_nan_eps_is_config_error(self, capsys, pair_file):
         code, out, err = _run(capsys, ["divergence", "dsplus",
                                        "--channel", pair_file,
