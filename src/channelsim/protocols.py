@@ -16,6 +16,14 @@ block of trials runs as array operations; since any word is computed
 without the ones before it, the rejection sampler computes only the
 rounds a trial reaches. The block size changes no output.
 CHANNELSIM_THREADS is accepted for compatibility and ignored.
+
+Sampling is table-driven and makes the same float comparisons as a
+binary search. A pick reads a guide table on the top 12 bits of its word
+(Chen and Asau, 1974) and searches only when a cumulative entry lies in
+the word's bucket; an acceptance compares the word's top 53 bits with
+floor(accept * 2^53) as integers; the broadcast protocol looks each
+trial's index pair up in the cumulative posteriors of every list
+configuration, computed once before the trials.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -39,6 +48,9 @@ _MIX2 = 0x94D049BB133111EB
 # one (pick, decision) pair per round. Words are addressed by counter, so
 # this bounds memory only and never changes an output.
 _BLOCK_WORDS = 4096
+# Buckets of a guide table: a word's bucket is its top 12 bits, which
+# equal floor(u * 2^12) for its uniform u.
+_GUIDE_BITS = 12
 
 
 def _splitmix(z: int) -> int:
@@ -120,12 +132,43 @@ def _pick(cumulative: np.ndarray, u):
     return np.minimum(idx, cumulative.size - 1)
 
 
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """Guide table of a cumulative array for _guided_pick.
+
+    Bucket b covers the uniforms in [b, b + 1) / 2^12 and holds _pick of
+    its lower edge, or -1 when a cumulative entry lies strictly inside
+    it; only such a bucket's words can pick different indices.
+    """
+    edges = np.arange((1 << _GUIDE_BITS) + 1) * 2.0 ** -_GUIDE_BITS
+    below = np.searchsorted(cumulative, edges[:-1], side="right")
+    inside = np.searchsorted(cumulative, edges[1:], side="left") > below
+    table = np.minimum(below, cumulative.size - 1)
+    table[inside] = -1
+    return table
+
+
+def _guided_pick(cumulative: np.ndarray, table: np.ndarray,
+                 words: np.ndarray) -> np.ndarray:
+    """_pick of the words' uniforms through a _guide_table."""
+    idx = table[(words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)]
+    near = idx < 0
+    if near.any():
+        idx[near] = _pick(cumulative, _to_uniform(words[near]))
+    return idx
+
+
+def _check_trials(trials) -> None:
+    if (isinstance(trials, bool) or not isinstance(trials, numbers.Integral)
+            or trials < 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+
+
 def _trial_blocks(stream: RngStream, trials: int, per_trial: int):
-    """Uniforms of consecutive trials as (count, per_trial) blocks."""
+    """Words of consecutive trials as (count, per_trial) blocks."""
     step = max(1, _BLOCK_WORDS // per_trial)
     for start in range(0, trials, step):
         count = min(step, trials - start)
-        yield stream.uniforms(count * per_trial).reshape(count, per_trial)
+        yield stream.words(count * per_trial).reshape(count, per_trial)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,18 +242,22 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
     trials run round by round: round j computes only the pairs of the
     trials still live, and a trial leaves the block when it accepts. The
     counter still advances by 2M per trial, so outputs and later draws
-    are those of reading every word. accept_counts[j-1] counts round-j
-    accepts.
+    are those of reading every word. The pick goes through a guide table
+    of the reference's cumulative masses, and a decision word accepts
+    when its top 53 bits are at most floor(accept * 2^53), which is
+    u <= accept exactly since both sides are multiples of 2^-53.
+    accept_counts[j-1] counts round-j accepts.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trials(trials)
     cum = np.cumsum(plan.q.probs)
+    guide = _guide_table(cum)
+    threshold = np.floor(plan.accept * 2.0 ** 53).astype(np.uint64)
     m = plan.m
     out = np.zeros(plan.q.size, dtype=np.int64)
     acc = np.zeros(m, dtype=np.int64)
     base = np.uint64(stream.counter & _MASK64)
     stream.counter += trials * 2 * m
-    one, two = np.uint64(1), np.uint64(2)
+    one, two, low = np.uint64(1), np.uint64(2), np.uint64(11)
     step = 2 * _BLOCK_WORDS
     for start in range(0, trials, step):
         # Counters of the live trials' pick words in the current round.
@@ -218,9 +265,8 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
         live *= np.uint64(2 * m)
         live += base
         for j in range(m):
-            ys = _pick(cum, _to_uniform(stream.words_at(live)))
-            accepted = (_to_uniform(stream.words_at(live + one))
-                        <= plan.accept[ys])
+            ys = _guided_pick(cum, guide, stream.words_at(live))
+            accepted = (stream.words_at(live + one) >> low) <= threshold[ys]
             acc[j] += np.count_nonzero(accepted)
             if j == m - 1:
                 out += np.bincount(ys, minlength=plan.q.size)
@@ -301,13 +347,17 @@ def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
     Component (j, k) plants the correlated pair at positions (j, k) and
     fills every other slot with the reference; summing with uniform
     weights gives the tensor whose distance to the full product the
-    convex split lemma controls.
+    convex split lemma controls. Each of the 1 + M + N factors takes one
+    einsum subscript letter, so M + N is at most 25.
     """
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    if 1 + m + n > len(letters):
+        raise ValueError(f"m + n = {m + n} exceeds the limit of "
+                         f"{len(letters) - 1} list copies")
     kx, sy, sz = joint_xyz.shape
     atoms = kx * sy ** m * sz ** n
     if atoms > cap:
         raise ValueError(f"state space of {atoms} atoms exceeds cap {cap}")
-    letters = "abcdefghijklmnopqrstuvwxyz"
     x_l = letters[0]
     y_ls = letters[1:1 + m]
     z_ls = letters[1 + m:1 + m + n]
@@ -491,6 +541,35 @@ class BroadcastRun:
     worst_tvd: float
 
 
+def _posterior_table(rows3: np.ndarray, q: Pmf, r: Pmf, y_atoms: np.ndarray,
+                     z_atoms: np.ndarray) -> np.ndarray:
+    """Cumulative index posteriors of every list configuration.
+
+    Entry [x, c, :] is the running sum over the index pairs (j, k), in
+    row-major order, of the posterior of input x given configuration
+    c = (y-string, z-string), numbered with the z-string varying
+    fastest. Numerators are W(y_j, z_k | x) / (q(y_j) r(z_k)) and an
+    all-zero row falls back to a uniform pair. The last entry is set
+    above 1, so the first entry above a uniform u is the count of
+    entries <= u clamped to the last pair.
+    """
+    m, n = y_atoms.shape[1], z_atoms.shape[1]
+    inv_q = (1.0 / q.probs[y_atoms])[:, None, :, None]
+    inv_r = (1.0 / r.probs[z_atoms])[None, :, None, :]
+    cum = np.empty((rows3.shape[0], len(y_atoms) * len(z_atoms), m * n))
+    # One input at a time, so the temporaries stay those of one row.
+    for wx, out in zip(rows3, cum):
+        nums = (wx[y_atoms[:, None, :, None], z_atoms[None, :, None, :]]
+                * inv_q * inv_r).reshape(out.shape)
+        total = nums.sum(axis=1, keepdims=True)
+        safe = total > 0.0
+        post = np.where(safe, nums / np.where(safe, total, 1.0),
+                        1.0 / (m * n))
+        np.cumsum(post, axis=1, out=out)
+    cum[:, :, -1] = 2.0
+    return cum
+
+
 def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
                            stream: RngStream, trials: int,
                            cap: int = 1 << 20) -> BroadcastRun:
@@ -498,42 +577,50 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
 
     Per trial, draw the shared lists (M picks from q, then N from r) and,
     for each input x in turn, draw (J, K) from the index posterior and
-    record (Y_J, Z_K); a trial reads M + N + |X| words. The exact induced
-    channel comes from the vectorized enumeration; worst_tvd measures it
-    against w. A posterior can degenerate to all-zero numerators when a
-    sparse row misses every drawn list entry; the protocol then falls back
-    to a uniform index pair, matching the exact computation.
+    record (Y_J, Z_K); a trial reads M + N + |X| words. The list picks go
+    through guide tables, and the posterior of every input and list
+    configuration is computed once, before the trials, so a trial's
+    index pair is one row lookup; the table holds |X| sy^M sz^N MN
+    doubles. The exact induced channel comes from the vectorized
+    enumeration; worst_tvd measures it against w. A posterior can
+    degenerate to all-zero numerators when a sparse row misses every
+    drawn list entry; the protocol then falls back to a uniform index
+    pair, matching the exact computation.
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
     _check_list_sizes(m, n)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trials(trials)
     if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
         raise ValueError("references must have full support")
     sy, sz = w.output_sizes
     kx = w.input_size
-    rows3 = w.rows.reshape(kx, sy, sz)
     exact = induced_channel_scatter(w, q, r, m, n, cap=cap)
-    cum_q = np.cumsum(q.probs)
-    cum_r = np.cumsum(r.probs)
+    y_atoms, z_atoms = _string_atoms(sy, m), _string_atoms(sz, n)
+    configs = len(y_atoms) * len(z_atoms)
+    posterior = _posterior_table(w.rows.reshape(kx, sy, sz), q, r, y_atoms,
+                                 z_atoms).reshape(kx * configs, m * n)
+    # Flat output cell y_j * sz + z_k of each configuration and pair.
+    cells = (y_atoms[:, None, :, None] * sz
+             + z_atoms[None, :, None, :]).reshape(configs, m * n)
+    cum_q, cum_r = np.cumsum(q.probs), np.cumsum(r.probs)
+    guide_q, guide_r = _guide_table(cum_q), _guide_table(cum_r)
+    first_row = np.arange(kx)[:, None] * configs
+    first_cell = np.arange(kx)[:, None] * (sy * sz)
     counts = np.zeros(kx * sy * sz, dtype=np.int64)
-    for u in _trial_blocks(stream, trials, m + n + kx):
-        ys = _pick(cum_q, u[:, :m])
-        zs = _pick(cum_r, u[:, m:m + n])
-        # Numerators W(y_j, z_k | x) / (q(y_j) r(z_k)), shape (X, trials, MN).
-        nums = (rows3[:, ys[:, :, None], zs[:, None, :]]
-                * (1.0 / q.probs[ys])[:, :, None]
-                * (1.0 / r.probs[zs])[:, None, :]).reshape(kx, len(ys), -1)
-        total = nums.sum(axis=2, keepdims=True)
-        safe = total > 0.0
-        post = np.where(safe, nums / np.where(safe, total, 1.0), 1.0 / (m * n))
-        below = np.cumsum(post, axis=2) <= u[:, m + n:].T[:, :, None]
-        j, k = np.divmod(np.minimum(below.sum(axis=2), m * n - 1), n)
-        trial = np.arange(len(ys))
-        cell = ys[trial, j] * sz + zs[trial, k]
-        counts += np.bincount((np.arange(kx)[:, None] * (sy * sz) + cell)
-                              .reshape(-1), minlength=counts.size)
+    for words in _trial_blocks(stream, trials, m + n + kx):
+        ys = _guided_pick(cum_q, guide_q, words[:, :m])
+        zs = _guided_pick(cum_r, guide_r, words[:, m:m + n])
+        config = ys[:, 0]
+        for j in range(1, m):
+            config = config * sy + ys[:, j]
+        for k in range(n):
+            config = config * sz + zs[:, k]
+        # Index pair of each (x, trial): first cumulative entry above u.
+        u = _to_uniform(words[:, m + n:]).T
+        pair = (posterior[first_row + config] > u[:, :, None]).argmax(axis=2)
+        counts += np.bincount((first_cell + cells[config, pair]).reshape(-1),
+                              minlength=counts.size)
     empirical = BroadcastDmc(rows=counts.reshape(kx, -1) / trials,
                              output_sizes=(sy, sz))
     exact_dmc = BroadcastDmc(rows=exact, output_sizes=(sy, sz))

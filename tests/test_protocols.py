@@ -260,6 +260,67 @@ class TestRngStream:
         assert len(seqs) == 8
 
 
+class TestGuidedPick:
+    """Guide-table picks against a clamped binary search of every word."""
+
+    @staticmethod
+    def _words(cumulative):
+        """0, 2^64 - 1, the words either side of every bucket edge, and
+        the words whose uniforms sit on or next to a cumulative entry."""
+        shift = 64 - protocols._GUIDE_BITS
+        words = {0, (1 << 64) - 1}
+        for b in range(1, 1 << protocols._GUIDE_BITS):
+            words.update(((b << shift) - 1, b << shift, (b << shift) + 1))
+        for c in cumulative:
+            k = math.floor(min(c, 1.0) * 2.0 ** 53)
+            for top in (k - 1, k, k + 1):
+                if 0 <= top < 1 << 53:
+                    words.update((top << 11, (top << 11) | 0x7FF))
+        return np.array(sorted(words), dtype=np.uint64)
+
+    @staticmethod
+    def _cumulatives():
+        edge = 3000 / 4096
+        big = np.random.default_rng(75).random(5000)
+        big[::7] = 0.0
+        return [
+            np.array([0.25, 0.5, edge, 1.0]),
+            np.array([np.nextafter(edge, 0.0), np.nextafter(0.875, 0.0),
+                      1.0]),
+            np.array([np.nextafter(edge, 1.0), np.nextafter(0.875, 1.0),
+                      1.0]),
+            np.array([np.nextafter(0.25, 0.0), 0.25, np.nextafter(0.25, 1.0),
+                      np.nextafter(0.5, 0.0), 1.0]),
+            np.array([0.0, 0.0, 0.3, 0.3, 0.3, 0.7, 1.0]),
+            np.array([0.3, 1.0 - 1e-13]),
+            np.array([0.3, 0.6, 1.0 + 1e-13]),
+            np.array([1.0]),
+            np.cumsum(big / big.sum()),
+        ]
+
+    def test_matches_clamped_searchsorted(self):
+        for cum in self._cumulatives():
+            words = self._words(cum)
+            u = protocols._to_uniform(words)
+            want = np.minimum(np.searchsorted(cum, u, side="right"),
+                              cum.size - 1)
+            table = protocols._guide_table(cum)
+            assert table.size == 1 << protocols._GUIDE_BITS
+            got = protocols._guided_pick(cum, table, words)
+            assert np.array_equal(got, want)
+            # A column of a wider block, as the broadcast list picks read.
+            block = np.stack([words[::-1], words], axis=1)[:, 1:]
+            got = protocols._guided_pick(cum, table, block)
+            assert np.array_equal(got, want[:, None])
+
+    def test_only_buckets_holding_an_entry_search(self):
+        cum = np.cumsum(np.full(8, 0.125))
+        table = protocols._guide_table(cum)
+        assert np.count_nonzero(table < 0) == 0
+        cum = np.array([0.1, 0.35, 0.6, 0.85, 1.0 - 1e-12])
+        assert np.count_nonzero(protocols._guide_table(cum) < 0) == 5
+
+
 class TestRejectionPlan:
     def test_point_mass_against_uniform(self):
         plan = protocols.RejectionPlan.build(Pmf([1.0, 0.0]),
@@ -390,6 +451,13 @@ class TestRejectionRun:
                                              Pmf([0.5, 0.5]), 1)
         with pytest.raises(ValueError):
             protocols.rejection_sample_run(plan, protocols.RngStream(0), 0)
+        stream = protocols.RngStream(0)
+        for trials in (10.5, 3.0, True, False, -2, "5", None):
+            with pytest.raises(ValueError, match="positive integer"):
+                protocols.rejection_sample_run(plan, stream, trials)
+        assert stream.counter == 0
+        run = protocols.rejection_sample_run(plan, stream, np.int64(3))
+        assert run.trials == 3 and stream.counter == 6
 
 
 class TestVectorizedMatchesScalar:
@@ -420,8 +488,12 @@ class TestVectorizedMatchesScalar:
             monkeypatch.setattr(protocols, "_BLOCK_WORDS", block)
         rng = np.random.default_rng(71)
         cases = []
+        # (4, 4) lists on 2 x (2, 2) sum 16 numerators per posterior, and
+        # (3, 3) on 2 x (3, 3) has 729 list configurations, more than the
+        # trials; eight or more terms take numpy's unrolled pairwise sum.
         for kx, sizes, (m, n) in ((2, (2, 2), (2, 2)), (3, (2, 3), (2, 3)),
-                                  (2, (3, 2), (3, 1))):
+                                  (2, (3, 2), (3, 1)), (2, (2, 2), (4, 4)),
+                                  (2, (3, 3), (3, 3))):
             rows = rng.random((kx, sizes[0] * sizes[1])) + 0.05
             cases.append((BroadcastDmc(
                 rows=rows / rows.sum(axis=1, keepdims=True),
@@ -667,6 +739,19 @@ class TestConvexSplit:
                                            np.array([0.5, 0.5]), 4, 4,
                                            cap=100)
 
+    def test_list_copies_limit(self):
+        # One letter per factor in the einsum: 1 + m + n may not pass 26.
+        cube = np.einsum("a,b,c->abc", [0.4, 0.6], [1.0], [0.55, 0.45])
+        joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 1, 2))
+        pars = (0.05, 0.05, 0.05, 0.1, 0.1, 0.1)
+        for m, n in ((26, 1), (1, 25), (13, 13)):
+            with pytest.raises(ValueError, match="limit of 25"):
+                protocols.convex_split_check(joint, Pmf([1.0]),
+                                             Pmf([0.55, 0.45]), m, n, pars)
+        rep = protocols.convex_split_check(joint, Pmf([1.0]),
+                                           Pmf([0.55, 0.45]), 24, 1, pars)
+        assert rep.tvd <= 1e-14
+
     def test_validates_shapes(self):
         joint = prob.JointPmf(probs=np.full(4, 0.25), factor_sizes=(2, 2))
         with pytest.raises(ValueError):
@@ -808,6 +893,17 @@ class TestBroadcastRun:
             protocols.broadcast_protocol_run(w, Pmf([1.0, 0.0]),
                                              Pmf([0.5, 0.5]), 2, 2,
                                              protocols.RngStream(0), 10)
+        half = Pmf([0.5, 0.5])
+        stream = protocols.RngStream(0)
+        for trials in (10.5, 3.0, True, False, -2, "5", None):
+            with pytest.raises(ValueError, match="positive integer"):
+                protocols.broadcast_protocol_run(w, half, half, 2, 2, stream,
+                                                 trials)
+        assert stream.counter == 0
+        run = protocols.broadcast_protocol_run(w, half, half, 2, 2, stream,
+                                               np.int64(3))
+        assert run.empirical.rows.sum(axis=1).tolist() == [1.0, 1.0]
+        assert stream.counter == 3 * 6
 
     @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (0, 0), (-1, 1)])
     def test_list_sizes_must_be_positive(self, m, n):
