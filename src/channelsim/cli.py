@@ -123,6 +123,15 @@ def _load_channel(cfg: RunConfig):
         raise _ConfigError(f"{cfg.channel}: {exc}")
 
 
+def _load_dmc(cfg: RunConfig) -> prob.Dmc:
+    w = _load_channel(cfg)
+    if not isinstance(w, prob.Dmc):
+        raise _ConfigError(f"{cfg.subcommand} expects a point-to-point "
+                           "channel; use broadcast-region for broadcast "
+                           "channels")
+    return w
+
+
 def _load_pmf(data, key) -> prob.Pmf:
     try:
         return prob.Pmf(np.asarray(data[key], dtype=np.float64))
@@ -220,9 +229,7 @@ def _cmd_divergence(cfg: RunConfig) -> int:
 
 
 def _cmd_imax(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("imax expects a point-to-point channel")
+    w = _load_dmc(cfg)
     if cfg.eps is None or cfg.eps == 0.0:
         _emit_json(cfg, {"meta": _meta_object(cfg, eps=0.0),
                          "bits": ns_meta.i_max(w)})
@@ -235,9 +242,7 @@ def _cmd_imax(cfg: RunConfig) -> int:
 
 
 def _cmd_ns_cost(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("ns-cost expects a point-to-point channel")
+    w = _load_dmc(cfg)
     _need(cfg, eps=(cfg.eps, 0.0, 1.0, False, True))
     result = ns_meta.ns_cost(w, cfg.eps)
     _emit_json(cfg, {"meta": _meta_object(cfg, eps=cfg.eps),
@@ -246,9 +251,7 @@ def _cmd_ns_cost(cfg: RunConfig) -> int:
 
 
 def _cmd_ns_eps(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("ns-eps expects a point-to-point channel")
+    w = _load_dmc(cfg)
     if len(cfg.n_values) != 1:
         raise _ConfigError("--n must be a single integer cost")
     cost = cfg.n_values[0]
@@ -285,10 +288,7 @@ def _cmd_bsc_curve(cfg: RunConfig) -> int:
 
 
 def _cmd_capacity(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("capacity expects a point-to-point channel; "
-                           "use broadcast-region for broadcast channels")
+    w = _load_dmc(cfg)
     tol = cfg.tol if cfg.tol is not None else 1e-9
     trace = asymptotics.capacity_ba(w, tol=tol)
     _emit_json(cfg, {"meta": _meta_object(cfg, tol=tol),
@@ -299,9 +299,7 @@ def _cmd_capacity(cfg: RunConfig) -> int:
 
 
 def _cmd_dispersion(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("dispersion expects a point-to-point channel")
+    w = _load_dmc(cfg)
     params = asymptotics.dispersion(w)
     _emit_json(cfg, {"meta": _meta_object(cfg, tol=params.tol_cap),
                      "capacity_bits": params.capacity,
@@ -313,9 +311,7 @@ def _cmd_dispersion(cfg: RunConfig) -> int:
 
 
 def _cmd_second_order(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("second-order expects a point-to-point channel")
+    w = _load_dmc(cfg)
     _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True))
     if not cfg.n_values:
         raise _ConfigError("--n INT or LO..HI is required")
@@ -335,9 +331,7 @@ def _cmd_second_order(cfg: RunConfig) -> int:
 
 
 def _cmd_moderate(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError("moderate expects a point-to-point channel")
+    w = _load_dmc(cfg)
     if not cfg.n_values:
         raise _ConfigError("--n INT or LO..HI is required")
     params = asymptotics.dispersion(w)
@@ -530,8 +524,6 @@ def dispatch(cfg: RunConfig) -> int:
             else "json"
     try:
         return handler(cfg)
-    except _ConfigError:
-        raise
     except (LpNumericsError, ArithmeticError) as exc:
         print(f"channelsim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

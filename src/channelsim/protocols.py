@@ -7,7 +7,10 @@ construction sizes the message alphabet needed to simulate a channel
 within a TVD budget. The two-receiver broadcast protocol distributes
 correlated indices into shared reference lists; its induced channel is
 computed exactly by two independent routes (a literal per-atom enumeration
-and a vectorized scatter) so one can certify the other.
+and a vectorized one) so one can certify the other. The vectorized route
+and the Monte Carlo run share one kernel, which computes the index
+posteriors of every list configuration for one input at a time, so their
+memory is bounded by one input's table.
 
 Every Monte Carlo path draws from RngStream, a counter-based splitmix64
 stream, so runs are bit-reproducible from the seed alone. A trial owns a
@@ -21,9 +24,9 @@ Sampling is table-driven and makes the same float comparisons as a
 binary search. A pick reads a guide table on the top 12 bits of its word
 (Chen and Asau, 1974) and searches only when a cumulative entry lies in
 the word's bucket; an acceptance compares the word's top 53 bits with
-floor(accept * 2^53) as integers; the broadcast protocol looks each
-trial's index pair up in the cumulative posteriors of every list
-configuration, computed once before the trials.
+floor(accept * 2^53) as integers; the broadcast protocol keeps each
+trial's list configuration and, input by input, looks its index pair up
+in that input's cumulative posteriors, computed once per input.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Words per vector step: a broadcast block reads about this many, and a
-# rejection block holds 2 * _BLOCK_WORDS trials, whose live ones compute
-# one (pick, decision) pair per round. Words are addressed by counter, so
-# this bounds memory only and never changes an output.
+# Words per vector step: a broadcast block holds the trials whose list
+# picks read about this many, and a rejection block holds 2 * _BLOCK_WORDS
+# trials, whose live ones compute one (pick, decision) pair per round.
+# Words are addressed by counter, so this bounds memory only and never
+# changes an output.
 _BLOCK_WORDS = 4096
 # Buckets of a guide table: a word's bucket is its top 12 bits, which
 # equal floor(u * 2^12) for its uniform u.
@@ -157,18 +161,10 @@ def _guided_pick(cumulative: np.ndarray, table: np.ndarray,
     return idx
 
 
-def _check_trials(trials) -> None:
-    if (isinstance(trials, bool) or not isinstance(trials, numbers.Integral)
-            or trials < 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-
-
-def _trial_blocks(stream: RngStream, trials: int, per_trial: int):
-    """Words of consecutive trials as (count, per_trial) blocks."""
-    step = max(1, _BLOCK_WORDS // per_trial)
-    for start in range(0, trials, step):
-        count = min(step, trials - start)
-        yield stream.words(count * per_trial).reshape(count, per_trial)
+def _check_count(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,7 +244,7 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
     u <= accept exactly since both sides are multiples of 2^-53.
     accept_counts[j-1] counts round-j accepts.
     """
-    _check_trials(trials)
+    _check_count("trials", trials)
     cum = np.cumsum(plan.q.probs)
     guide = _guide_table(cum)
     threshold = np.floor(plan.accept * 2.0 ** 53).astype(np.uint64)
@@ -436,10 +432,58 @@ def _string_atoms(size: int, length: int) -> np.ndarray:
     return atoms.reshape(size ** length, length)
 
 
-def _check_list_sizes(m: int, n: int) -> None:
-    if m < 1 or n < 1 or int(m) != m or int(n) != n:
-        raise ValueError(f"list sizes must be positive integers, got "
-                         f"m={m}, n={n}")
+def _check_lists(w: BroadcastDmc, m, n, cap: int) -> None:
+    _check_count("list size m", m)
+    _check_count("list size n", n)
+    sy, sz = w.output_sizes
+    if sy ** m * sz ** n * w.input_size > cap:
+        raise ValueError("state space exceeds the enumeration cap")
+
+
+def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
+                      cap: int):
+    """Index posteriors of the broadcast protocol, one input at a time.
+
+    Checks the list sizes, the cap and the references' support before any
+    work, then returns (weights, cells, posteriors). List configuration
+    c = (y-string, z-string) is numbered with the z-string varying
+    fastest; weights[c] is its probability q^M(y) r^N(z) and cells[c, jk]
+    the flat output cell y_j * sz + z_k of index pair (j, k), row-major.
+    posteriors yields, for each input x in turn, the (configs, MN) array
+    of index posteriors given x. Numerators are W(y_j, z_k | x) /
+    (q(y_j) r(z_k)), the full string probability factored out, and an
+    all-zero row falls back to a uniform pair.
+    """
+    _check_lists(w, m, n, cap)
+    if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
+        raise ValueError("references must have full support")
+    sy, sz = w.output_sizes
+    y_atoms, z_atoms = _string_atoms(sy, m), _string_atoms(sz, n)
+    weights = (np.prod(q.probs[y_atoms], axis=1)[:, None]
+               * np.prod(r.probs[z_atoms], axis=1)[None, :]).reshape(-1)
+    cells = (y_atoms[:, None, :, None] * sz
+             + z_atoms[None, :, None, :]).reshape(weights.size, m * n)
+    inv_q = (1.0 / q.probs[y_atoms])[:, None, :, None]
+    inv_r = (1.0 / r.probs[z_atoms])[None, :, None, :]
+
+    def posteriors():
+        for wx in w.rows.reshape(w.input_size, sy, sz):
+            post = (wx[y_atoms[:, None, :, None], z_atoms[None, :, None, :]]
+                    * inv_q * inv_r).reshape(cells.shape)
+            total = post.sum(axis=1, keepdims=True)
+            safe = total > 0.0
+            post /= np.where(safe, total, 1.0)
+            post[~safe[:, 0]] = 1.0 / (m * n)
+            yield post
+
+    return weights, cells, posteriors()
+
+
+def _induced_row(weights: np.ndarray, cells: np.ndarray, post: np.ndarray,
+                 size: int) -> np.ndarray:
+    """One input's induced-channel row, unnormalized, added in cell order."""
+    return np.bincount(cells.reshape(-1), minlength=size,
+                       weights=(weights[:, None] * post).reshape(-1))
 
 
 def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
@@ -452,10 +496,8 @@ def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     accumulated with the string probability. Kept deliberately naive as
     the reference route; induced_channel_scatter is the fast one.
     """
-    _check_list_sizes(m, n)
+    _check_lists(w, m, n, cap)
     sy, sz = w.output_sizes
-    if sy ** m * sz ** n * w.input_size > cap:
-        raise ValueError("state space exceeds the enumeration cap")
     rows3 = w.rows.reshape(w.input_size, sy, sz)
     qv, rv = q.probs, r.probs
     out = np.zeros((w.input_size, sy * sz))
@@ -500,37 +542,12 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
 
     Shares no intermediate algebra with the literal route: numerators are
     reduced to W(y_j, z_k | x) / (q(y_j) r(z_k)) after factoring out the
-    full string probability, and the accumulation runs as one scatter-add
-    over precomputed digit arrays.
+    full string probability, and each input's row is one weighted count
+    of the output cells, which adds in the order of a scatter-add.
     """
-    _check_list_sizes(m, n)
-    sy, sz = w.output_sizes
-    if sy ** m * sz ** n * w.input_size > cap:
-        raise ValueError("state space exceeds the enumeration cap")
-    if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
-        raise ValueError("references must have full support")
-    rows3 = w.rows.reshape(w.input_size, sy, sz)
-    y_atoms = _string_atoms(sy, m)
-    z_atoms = _string_atoms(sz, n)
-    qy = np.prod(q.probs[y_atoms], axis=1)
-    rz = np.prod(r.probs[z_atoms], axis=1)
-    inv_q = 1.0 / q.probs[y_atoms]
-    inv_r = 1.0 / r.probs[z_atoms]
-    # Flat output cell y_j * sz + z_k per (y-atom, z-atom, j, k).
-    cell = (y_atoms[:, None, :, None] * sz
-            + z_atoms[None, :, None, :]).reshape(-1)
-    out = np.zeros((w.input_size, sy * sz))
-    for x in range(w.input_size):
-        ratio = rows3[x][y_atoms[:, None, :, None],
-                         z_atoms[None, :, None, :]]
-        ratio = ratio * inv_q[:, None, :, None] * inv_r[None, :, None, :]
-        denom = ratio.sum(axis=(2, 3))
-        safe = denom > 0.0
-        post = np.where(safe[:, :, None, None],
-                        ratio / np.where(safe, denom, 1.0)[:, :, None, None],
-                        1.0 / (m * n))
-        weight = (qy[:, None] * rz[None, :])[:, :, None, None]
-        np.add.at(out[x], cell, (weight * post).reshape(-1))
+    weights, cells, posteriors = _input_posteriors(w, q, r, m, n, cap)
+    out = np.array([_induced_row(weights, cells, post, w.rows.shape[1])
+                    for post in posteriors])
     return out / out.sum(axis=1, keepdims=True)
 
 
@@ -541,35 +558,6 @@ class BroadcastRun:
     worst_tvd: float
 
 
-def _posterior_table(rows3: np.ndarray, q: Pmf, r: Pmf, y_atoms: np.ndarray,
-                     z_atoms: np.ndarray) -> np.ndarray:
-    """Cumulative index posteriors of every list configuration.
-
-    Entry [x, c, :] is the running sum over the index pairs (j, k), in
-    row-major order, of the posterior of input x given configuration
-    c = (y-string, z-string), numbered with the z-string varying
-    fastest. Numerators are W(y_j, z_k | x) / (q(y_j) r(z_k)) and an
-    all-zero row falls back to a uniform pair. The last entry is set
-    above 1, so the first entry above a uniform u is the count of
-    entries <= u clamped to the last pair.
-    """
-    m, n = y_atoms.shape[1], z_atoms.shape[1]
-    inv_q = (1.0 / q.probs[y_atoms])[:, None, :, None]
-    inv_r = (1.0 / r.probs[z_atoms])[None, :, None, :]
-    cum = np.empty((rows3.shape[0], len(y_atoms) * len(z_atoms), m * n))
-    # One input at a time, so the temporaries stay those of one row.
-    for wx, out in zip(rows3, cum):
-        nums = (wx[y_atoms[:, None, :, None], z_atoms[None, :, None, :]]
-                * inv_q * inv_r).reshape(out.shape)
-        total = nums.sum(axis=1, keepdims=True)
-        safe = total > 0.0
-        post = np.where(safe, nums / np.where(safe, total, 1.0),
-                        1.0 / (m * n))
-        np.cumsum(post, axis=1, out=out)
-    cum[:, :, -1] = 2.0
-    return cum
-
-
 def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
                            stream: RngStream, trials: int,
                            cap: int = 1 << 20) -> BroadcastRun:
@@ -577,52 +565,60 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
 
     Per trial, draw the shared lists (M picks from q, then N from r) and,
     for each input x in turn, draw (J, K) from the index posterior and
-    record (Y_J, Z_K); a trial reads M + N + |X| words. The list picks go
-    through guide tables, and the posterior of every input and list
-    configuration is computed once, before the trials, so a trial's
-    index pair is one row lookup; the table holds |X| sy^M sz^N MN
-    doubles. The exact induced channel comes from the vectorized
-    enumeration; worst_tvd measures it against w. A posterior can
-    degenerate to all-zero numerators when a sparse row misses every
-    drawn list entry; the protocol then falls back to a uniform index
-    pair, matching the exact computation.
+    record (Y_J, Z_K). Trial t reads the M + N + |X| words from counter
+    base + (M + N + |X|) t: its list picks, then one index word per input.
+    The list picks go through guide tables and leave each trial's
+    configuration index, the only per-trial array kept. Inputs then run
+    one at a time: the posteriors of x given every configuration
+    (sy^M sz^N MN doubles) give x's row of the exact induced channel and,
+    cumulated, a row lookup for each trial's index pair, so memory is
+    bounded by one input's table. Blocks of trials bound the rest and
+    change no output. worst_tvd measures the exact channel against w. A
+    posterior can degenerate to all-zero numerators when a sparse row
+    misses every drawn list entry; the protocol then falls back to a
+    uniform index pair, matching the exact computation.
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
-    _check_list_sizes(m, n)
-    _check_trials(trials)
-    if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
-        raise ValueError("references must have full support")
+    _check_count("trials", trials)
+    weights, cells, posteriors = _input_posteriors(w, q, r, m, n, cap)
     sy, sz = w.output_sizes
-    kx = w.input_size
-    exact = induced_channel_scatter(w, q, r, m, n, cap=cap)
-    y_atoms, z_atoms = _string_atoms(sy, m), _string_atoms(sz, n)
-    configs = len(y_atoms) * len(z_atoms)
-    posterior = _posterior_table(w.rows.reshape(kx, sy, sz), q, r, y_atoms,
-                                 z_atoms).reshape(kx * configs, m * n)
-    # Flat output cell y_j * sz + z_k of each configuration and pair.
-    cells = (y_atoms[:, None, :, None] * sz
-             + z_atoms[None, :, None, :]).reshape(configs, m * n)
+    size = sy * sz
+    per_trial = np.uint64(m + n + w.input_size)
+    base = np.uint64(stream.counter & _MASK64)
+    stream.counter += trials * int(per_trial)
     cum_q, cum_r = np.cumsum(q.probs), np.cumsum(r.probs)
     guide_q, guide_r = _guide_table(cum_q), _guide_table(cum_r)
-    first_row = np.arange(kx)[:, None] * configs
-    first_cell = np.arange(kx)[:, None] * (sy * sz)
-    counts = np.zeros(kx * sy * sz, dtype=np.int64)
-    for words in _trial_blocks(stream, trials, m + n + kx):
+    config = np.empty(trials, dtype=np.intp)
+    step = max(1, _BLOCK_WORDS // (m + n))
+    for start in range(0, trials, step):
+        first = np.arange(start, min(start + step, trials), dtype=np.uint64)
+        words = stream.words_at((first * per_trial + base)[:, None]
+                                + np.arange(m + n, dtype=np.uint64))
         ys = _guided_pick(cum_q, guide_q, words[:, :m])
-        zs = _guided_pick(cum_r, guide_r, words[:, m:m + n])
-        config = ys[:, 0]
-        for j in range(1, m):
-            config = config * sy + ys[:, j]
-        for k in range(n):
-            config = config * sz + zs[:, k]
-        # Index pair of each (x, trial): first cumulative entry above u.
-        u = _to_uniform(words[:, m + n:]).T
-        pair = (posterior[first_row + config] > u[:, :, None]).argmax(axis=2)
-        counts += np.bincount((first_cell + cells[config, pair]).reshape(-1),
-                              minlength=counts.size)
-    empirical = BroadcastDmc(rows=counts.reshape(kx, -1) / trials,
-                             output_sizes=(sy, sz))
+        zs = _guided_pick(cum_r, guide_r, words[:, m:])
+        config[start:start + step] = np.ravel_multi_index(
+            (*ys.T, *zs.T), (sy,) * m + (sz,) * n)
+    exact = np.empty((w.input_size, size))
+    counts = np.zeros((w.input_size, size), dtype=np.int64)
+    for x, post in enumerate(posteriors):
+        exact[x] = _induced_row(weights, cells, post, size)
+        # Last entry above 1: the first entry above a uniform u is the
+        # count of entries <= u, clamped to the last pair.
+        cum = np.cumsum(post, axis=1, out=post)
+        cum[:, -1] = 2.0
+        for start in range(0, trials, step):
+            first = np.arange(start, min(start + step, trials),
+                              dtype=np.uint64)
+            u = _to_uniform(stream.words_at(
+                first * per_trial + base + np.uint64(m + n + x)))
+            # take is the faster form of cum[rows] and cells[rows, pair].
+            rows = config[start:start + step]
+            pair = (cum.take(rows, axis=0) > u[:, None]).argmax(axis=1)
+            counts[x] += np.bincount(cells.take(rows * (m * n) + pair),
+                                     minlength=size)
+    exact /= exact.sum(axis=1, keepdims=True)
+    empirical = BroadcastDmc(rows=counts / trials, output_sizes=(sy, sz))
     exact_dmc = BroadcastDmc(rows=exact, output_sizes=(sy, sz))
     return BroadcastRun(empirical=empirical, exact=exact_dmc,
                         worst_tvd=channel_tvd(exact_dmc, w))

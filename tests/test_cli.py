@@ -508,3 +508,13 @@ class TestChannelSchema:
         code, _, err = _run(capsys, ["capacity",
                                      "--channel", degraded_file])
         assert code == cli.EXIT_CONFIG
+        assert "capacity expects a point-to-point channel" in err
+
+    @pytest.mark.parametrize("sub", ["imax", "ns-cost", "ns-eps",
+                                     "dispersion", "second-order",
+                                     "moderate"])
+    def test_point_to_point_commands_reject_broadcast(self, capsys,
+                                                      degraded_file, sub):
+        code, _, err = _run(capsys, [sub, "--channel", degraded_file])
+        assert code == cli.EXIT_CONFIG
+        assert f"{sub} expects a point-to-point channel" in err

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +514,9 @@ class TestVectorizedMatchesScalar:
             counts = _scalar_broadcast(w, q, r, m, n,
                                        protocols.RngStream(40 + case), trials)
             assert np.array_equal(run.empirical.rows, counts / trials)
+            assert np.array_equal(run.exact.rows,
+                                  protocols.induced_channel_scatter(
+                                      w, q, r, m, n))
             assert stream.counter == trials * (m + n + w.input_size)
 
 
@@ -905,7 +909,9 @@ class TestBroadcastRun:
         assert run.empirical.rows.sum(axis=1).tolist() == [1.0, 1.0]
         assert stream.counter == 3 * 6
 
-    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (0, 0), (-1, 1)])
+    @pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (0, 0), (-1, 1),
+                                      (2.0, 2), (2, 2.0), (True, 2),
+                                      (2, True), (1.5, 1)])
     def test_list_sizes_must_be_positive(self, m, n):
         w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
         half = Pmf([0.5, 0.5])
@@ -917,6 +923,28 @@ class TestBroadcastRun:
             protocols.induced_channel_scatter(w, half, half, m, n)
         with pytest.raises(ValueError):
             protocols.induced_channel_literal(w, half, half, m, n)
+
+    def test_memory_bounded_by_one_input(self):
+        # The run holds one input's posteriors at a time, like the scatter,
+        # and a configuration index per trial; a table of every input's
+        # posteriors would be |X| = 8 times the scatter's.
+        rng = np.random.default_rng(27)
+        rows = rng.random((8, 4)) + 0.05
+        w = BroadcastDmc(rows=rows / rows.sum(axis=1, keepdims=True),
+                         output_sizes=(2, 2))
+        q = Pmf([0.6, 0.4])
+        r = Pmf([0.45, 0.55])
+        peaks = []
+        for call in (lambda: protocols.induced_channel_scatter(w, q, r, 6, 6),
+                     lambda: protocols.broadcast_protocol_run(
+                         w, q, r, 6, 6, protocols.RngStream(7), 1000)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_list_sizes_respect_spectrum_converse(self):
         # The achieved accuracy eps of the (M, N) index protocol forces
