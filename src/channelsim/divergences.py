@@ -7,6 +7,9 @@ continuity fails, the functions return ``math.inf`` rather than raising,
 except ``var_div`` whose variance is undefined without a finite mean.
 The spectrum divergence D_s+ has one vectorized kernel, ``_spectrum``, for
 ``d_s_plus`` and for the channel and product-reference forms elsewhere.
+The smoothed max-divergence ``d_max_smooth`` is a closed form over the
+letters sorted by p/q (one sort, two tail sums); its linear program stays
+as the reference ``_d_max_smooth_lp``.
 
 The hypothesis-testing quantity ``beta_star`` is evaluated exactly by subset
 enumeration. A likelihood-ratio prefix is optimal only for randomized tests;
@@ -163,13 +166,43 @@ def d_s_plus(eps: float, p, q) -> float:
 
 
 def d_max_smooth(eps: float, p, q) -> float:
-    """Smoothed max-divergence via a linear program.
+    """Smoothed max-divergence: least log2 m over p' in the eps-ball of p.
 
     Minimizes m over substitutes p' with 0 <= p' <= m q, sum p' = 1 and
-    tvd(p', p) <= eps, the last written with one-sided slacks mu >= p' - p,
-    sum mu <= eps. Returns log2 of the optimum. When every eps-ball member
-    keeps mass outside supp(q) there is no feasible substitute and the
-    value is +inf.
+    tvd(p', p) <= eps, in closed form: log2 max(1, lam*) with
+    lam* = min{lam : sum_y min(p_y, lam q_y) >= 1 - eps} (keep
+    min(p, lam q), refill the rest where q has room). In removed mass,
+    lam is feasible iff out + sum_{y in S} (p_y - lam q_y) <= eps for every
+    set S in supp(q), out being the p-mass outside supp(q); the worst S is
+    a suffix of the letters sorted by p/q, so lam* is the largest
+    (out + p(S) - eps) / q(S) over suffixes, whatever the order of tied
+    ratios. The value is +inf when out exceeds eps. ``_d_max_smooth_lp``
+    keeps the linear program as the reference.
+    """
+    pa, qa = _as_pmf_pair(p, q)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
+    on = qa > 0.0
+    outside = float(pa[~on].sum())
+    if outside > eps:
+        return math.inf
+    ratio = pa[on] / qa[on]
+    order = np.argsort(ratio, kind="stable")
+    # Tail sums from the top, so that a small suffix is no difference of
+    # totals; suffix k holds the letters from sorted position k on.
+    p_tail = np.cumsum(pa[on][order][::-1])
+    q_tail = np.cumsum(qa[on][order][::-1])
+    lam = float((((outside - eps) + p_tail) / q_tail).max())
+    return math.log2(max(lam, 1.0))
+
+
+def _d_max_smooth_lp(eps: float, p, q) -> float:
+    """Reference for ``d_max_smooth``: the smoothing linear program.
+
+    Variables p' (n), mu (n) and m; minimizes m subject to sum p' = 1,
+    p' <= m q and tvd(p', p) <= eps, the last written with one-sided
+    slacks mu >= p' - p, sum mu <= eps. Returns log2 of the optimum, or
+    +inf when the program is infeasible.
     """
     pa, qa = _as_pmf_pair(p, q)
     if not 0.0 <= eps < 1.0:

@@ -1,14 +1,21 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Small self-contained solver for the linear programs that appear in the
-meta-converse and smoothing computations. Design choices, deliberately
-boring: a dense tableau, upper bounds as explicit rows, Bland's
-smallest-index entering rule with ratio ties broken by the smallest
-basic variable index, equality rows handled through phase-1 artificial
-variables. Identical input therefore produces an identical pivot
-sequence and bit-identical output. The tableaux of the programs here
-are mostly zeros, so a pivot updates only the rows and columns where the
-pivot column and row are nonzero, which leaves every bit unchanged.
+Small self-contained solver for the linear programs of the meta-converse
+(``ns_meta``) and of the dispersion faces (``asymptotics``); the
+smoothed max-divergence has a closed form and keeps its program only as
+a reference. Design choices, deliberately boring: a dense tableau, upper
+bounds as explicit rows, Bland's smallest-index entering rule with ratio
+ties broken by the smallest basic variable index, equality rows handled
+through phase-1 artificial variables. Identical input therefore produces
+an identical pivot sequence and bit-identical output.
+
+At these sizes a pivot costs its numpy calls more than its arithmetic,
+so each step does as few as it can without changing a single result:
+the tableaux are mostly zeros, and a pivot divides its row in place and
+updates only the rows and columns, objective included, where the pivot
+column and row are nonzero; the ratio test reuses the rows found
+positive when the entering column was chosen; and the phase-2 objective
+is reduced only over rows whose basic cost is nonzero.
 
 Tolerances: reduced costs count as negative below -1e-9, pivot entries
 below 1e-11 are never used (an LpNumericsError is raised if no usable
@@ -92,18 +99,17 @@ class LpSolution:
 
 
 def _pivot(tab: np.ndarray, obj: np.ndarray, basis: np.ndarray, row: int, col: int):
-    piv = tab[row, col]
-    tab[row] /= piv
     pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
     # The rank-one update only touches rows with a nonzero in the pivot
-    # column and columns with a nonzero in the pivot row; every other cell
-    # would have zero subtracted from it.
-    rows = np.flatnonzero(tab[:, col])
+    # column and columns with a nonzero in the pivot row; every other cell,
+    # the objective's included, would have zero subtracted from it.
+    cols = pivot_row.nonzero()[0]
+    rows = tab[:, col].nonzero()[0]
     rows = rows[rows != row]
     if rows.size:
-        cols = np.flatnonzero(pivot_row)
-        tab[np.ix_(rows, cols)] -= np.outer(tab[rows, col], pivot_row[cols])
-    obj -= obj[col] * pivot_row
+        tab[rows[:, None], cols] -= tab[rows, col][:, None] * pivot_row[cols]
+    obj[cols] -= obj[col] * pivot_row[cols]
     basis[row] = col
 
 
@@ -116,11 +122,11 @@ def _run_simplex(tab, obj, basis, allowed, max_iters):
             raise LpNumericsError("simplex iteration limit exceeded")
         entering = -1
         saw_tiny_only = False
-        for j in np.flatnonzero(allowed & (obj[:ncols] < -RC_TOL)):
+        for j in (allowed & (obj[:ncols] < -RC_TOL)).nonzero()[0]:
             col = tab[:, j]
-            pos = col > PIVOT_TOL
-            if not pos.any():
-                if np.any(col > 0.0):
+            rows = (col > PIVOT_TOL).nonzero()[0]
+            if not rows.size:
+                if (col > 0.0).any():
                     saw_tiny_only = True   # only sub-tolerance pivots here
                     continue
                 return "unbounded", iters
@@ -130,13 +136,11 @@ def _run_simplex(tab, obj, basis, allowed, max_iters):
             if saw_tiny_only:
                 raise LpNumericsError("no pivot above 1e-11 in any improving column")
             return "optimal", iters
-        col = tab[:, entering]
-        rows = np.flatnonzero(col > PIVOT_TOL)
         ratios = tab[rows, -1] / col[rows]
         best = ratios.min()
         # Bland tie-break: smallest basic variable index among minimal ratios
         tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
-        leave = tied[np.argmin(basis[tied])]
+        leave = tied[basis[tied].argmin()]
         _pivot(tab, obj, basis, int(leave), entering)
         iters += 1
 
@@ -164,6 +168,9 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     b = np.concatenate([problem.b - problem.a @ shift,
                         problem.upper[capped] - shift[capped]])
     senses = np.array(problem.senses + ("<=",) * capped.size)
+    # Which way each original row may miss its bound, for the final check.
+    may_exceed = senses[:problem.num_rows] != ">="
+    may_fall = senses[:problem.num_rows] != "<="
     rows_total = b.size
     neg = b < 0.0
     A[neg] *= -1.0
@@ -222,9 +229,10 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     # phase 2 objective in reduced form
     obj = np.zeros(ncols + 1)
     obj[:ncols_struct] = sign_of * problem.c[var_of]
-    for i in range(rows_total):
-        if obj[basis[i]] != 0.0:
-            obj -= obj[basis[i]] * tab[i]
+    # Basic columns are unit vectors, so clearing one basic cost leaves the
+    # others as they are: only rows with a nonzero basic cost take a step.
+    for i in (obj[basis] != 0.0).nonzero()[0]:
+        obj -= obj[basis[i]] * tab[i]
     status, it2 = _run_simplex(tab, obj, basis, allowed, max_iters)
     iters_total += it2
     if status == "unbounded":
@@ -239,12 +247,10 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     np.add.at(x, var_of, sign_of * np.maximum(x_std[:ncols_struct], 0.0))
 
     resid = problem.a @ x - problem.b
-    for i, s in enumerate(problem.senses):
-        bad = (s == "<=" and resid[i] > FEAS_TOL) or \
-              (s == ">=" and resid[i] < -FEAS_TOL) or \
-              (s == "=" and abs(resid[i]) > FEAS_TOL)
-        if bad:
-            raise LpNumericsError(f"row {i} residual {resid[i]:.3e} out of tolerance")
+    bad = (may_exceed & (resid > FEAS_TOL)) | (may_fall & (resid < -FEAS_TOL))
+    if bad.any():
+        i = int(bad.argmax())
+        raise LpNumericsError(f"row {i} residual {resid[i]:.3e} out of tolerance")
     if np.any(x < problem.lower - FEAS_TOL) or np.any(x > problem.upper + FEAS_TOL):
         raise LpNumericsError("bound violation beyond tolerance")
 

@@ -184,8 +184,7 @@ class RejectionPlan:
 
     @classmethod
     def build(cls, p: Pmf, q: Pmf, m: int) -> "RejectionPlan":
-        if m < 1 or int(m) != m:
-            raise ValueError("round budget must be a positive integer")
+        _check_count("round budget", m)
         if p.size != q.size:
             raise ValueError("target and reference sizes differ")
         div = d_max(p.probs, q.probs)
@@ -427,9 +426,8 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
 
 def _string_atoms(size: int, length: int) -> np.ndarray:
     """All strings of the given length as digit rows, shape (size^len, len)."""
-    atoms = np.array(list(itertools.product(range(size), repeat=length)),
-                     dtype=np.intp)
-    return atoms.reshape(size ** length, length)
+    # np.indices counts in the order of itertools.product: last digit fastest.
+    return np.indices((size,) * length, dtype=np.intp).reshape(length, -1).T
 
 
 def _check_lists(w: BroadcastDmc, m, n, cap: int) -> None:

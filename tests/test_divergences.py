@@ -278,6 +278,110 @@ class TestDmaxSmooth:
         assert room >= deficit - 1e-9
 
 
+    def test_closed_form_matches_lp(self):
+        # 320 pairs of 2-40 letters: plain Dirichlet pairs, q with zero
+        # letters (infinite once the p-mass outside supp q exceeds eps),
+        # pairs on multiples of 1/8 (tied ratios), a q with two tied
+        # letters, and eps = 0 or the outside mass exactly.
+        rng = np.random.default_rng(83)
+        kinds = {"plain": 0, "zeros": 0, "ties": 0, "eps0": 0, "edge": 0}
+        infinite = 0
+        for i in range(320):
+            n = int(rng.integers(2, 41))
+            p = rng.dirichlet(np.ones(n) * rng.choice([1.0, 3.0]))
+            q = rng.dirichlet(np.ones(n) * rng.choice([1.0, 3.0]))
+            eps = float(rng.uniform(0.0, 0.5))
+            kind = ("plain", "zeros", "ties", "eps0", "edge")[i % 5]
+            if kind in ("zeros", "edge"):
+                dead = rng.random(n) < 0.3
+                dead[rng.integers(n)] = False
+                q = np.where(dead, 0.0, q)
+                q /= q.sum()
+                if kind == "edge":
+                    eps = float(p[dead].sum())
+            elif kind == "ties":
+                p = _rough_simplex(rng, n, 0)
+                q = _rough_simplex(rng, n, int(rng.integers(2)) + 1)
+                while not q.any():
+                    q = _rough_simplex(rng, n, 1)
+            elif kind == "eps0":
+                eps = 0.0
+            got = dv.d_max_smooth(eps, p, q)
+            want = dv._d_max_smooth_lp(eps, p, q)
+            kinds[kind] += 1
+            if math.isinf(want) or math.isinf(got):
+                assert got == want, (i, kind)
+                infinite += 1
+            else:
+                assert got == pytest.approx(want, abs=1e-9), (i, kind)
+            if kind == "edge":
+                assert math.isfinite(got)
+        assert min(kinds.values()) == 64 and 0 < infinite < 64
+
+    def test_closed_form_matches_exact_rationals(self):
+        # Dirichlet(0.3) pairs put q entries near 1e-9, where the LP
+        # reference can fail outright. The oracle works on the exact values
+        # of the double inputs: lam* is the least breakpoint or segment
+        # root at which the removed mass out + sum (p - lam q)_+ is <= eps.
+        from fractions import Fraction
+
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            n = int(rng.integers(2, 20))
+            p = rng.dirichlet(np.full(n, 0.3))
+            q = rng.dirichlet(np.full(n, 0.3))
+            eps = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+            pf = [Fraction(v) for v in p]
+            qf = [Fraction(v) for v in q]
+            ef = Fraction(eps)
+            out = sum((a for a, b in zip(pf, qf) if b == 0), Fraction(0))
+
+            def removed(lam):
+                return out + sum((max(a - lam * b, 0) for a, b in
+                                  zip(pf, qf) if b > 0), Fraction(0))
+
+            cands = [a / b for a, b in zip(pf, qf) if b > 0]
+            cands += [(out + sum(a for a, b in zip(pf, qf) if b > 0
+                                 and a >= r * b) - ef)
+                      / sum(b for a, b in zip(pf, qf) if b > 0 and a >= r * b)
+                      for r in cands]
+            feasible = [c for c in cands if c >= 0 and removed(c) <= ef]
+            got = dv.d_max_smooth(eps, p, q)
+            if out > ef:
+                assert got == math.inf
+            else:
+                want = math.log2(max(min(feasible), 1))
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_closed_form_keeps_exactly_one_minus_eps(self):
+        # Above zero bits the optimum sits where the kept mass
+        # sum min(p, lam q) reaches 1 - eps, for any order of tied ratios.
+        rng = np.random.default_rng(89)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            p = _rough_simplex(rng, n, int(rng.integers(3)))
+            q = _rough_simplex(rng, n, int(rng.integers(3)))
+            eps = float(rng.uniform(0.0, 0.4))
+            val = dv.d_max_smooth(eps, p, q)
+            outside = p[q == 0.0].sum()
+            assert math.isinf(val) == (outside > eps)
+            if math.isfinite(val) and val > 0.0:
+                kept = np.minimum(p, 2.0 ** val * q).sum()
+                assert kept == pytest.approx(1.0 - eps, abs=1e-12)
+            perm = rng.permutation(n)
+            assert dv.d_max_smooth(eps, p[perm], q[perm]) == \
+                pytest.approx(val, abs=1e-12)
+
+    def test_eps_zero_is_d_max(self):
+        rng = np.random.default_rng(97)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            p = _rough_simplex(rng, n, int(rng.integers(3)))
+            q = _simplex(rng, n, floor=0.01)
+            assert dv.d_max_smooth(0.0, p, q) == \
+                pytest.approx(max(dv.d_max(p, q), 0.0), abs=1e-12)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
        st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),

@@ -1,6 +1,7 @@
 """Simplex solver against closed forms and a vertex-enumeration oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def _pivot_programs():
                                    [slack, -slack], 0.0)
         programs.append(LpProblem(c=c, a=a, b=b, senses=tuple(kinds.tolist()),
                                   lower=lower, upper=upper))
+    # The reduced programs at the sizes of the exact one-shot costs:
+    # BSC(0.11)^3, random 8x8 and 12x12 channels, each at an eps and at
+    # cost 2 (a larger cost can leave nothing to pivot), and the 16x16
+    # BSC(0.11)^4 at eps 0.05.
+    bsc = np.array([[0.89, 0.11], [0.11, 0.89]])
+    bsc3 = np.kron(np.kron(bsc, bsc), bsc)
+    for rows in (bsc3, rng.dirichlet(np.ones(8), size=8),
+                 rng.dirichlet(np.ones(12), size=12)):
+        programs.append(ns_meta._reduced_program(
+            rows, eps=float(rng.uniform(0.03, 0.15))))
+        programs.append(ns_meta._reduced_program(rows, cost=2))
+    programs.append(ns_meta._reduced_program(np.kron(bsc3, bsc), eps=0.05))
     return programs
 
 
@@ -231,3 +244,32 @@ def test_sparse_pivot_matches_dense_reference(monkeypatch):
         assert got.iterations == want.iterations
         assert got.value == want.value
         assert np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (0.5, "row 0 residual -5.000e-01"),   # '=' row short, '>=' row too
+    (2.0, "row 0 residual 1.000e+00"),    # '=' row over, '<=' row too
+])
+def test_residual_check_names_first_bad_row(monkeypatch, scale, message):
+    # Scaling the basic values after phase 2 moves x off the constraints;
+    # the final check must catch it and name the first row it breaks.
+    from channelsim import lp
+
+    run = lp._run_simplex
+    calls = []
+
+    def scaled_run(tab, obj, basis, allowed, max_iters):
+        result = run(tab, obj, basis, allowed, max_iters)
+        calls.append(result)
+        if len(calls) == 2:
+            tab[:, -1] *= scale
+        return result
+
+    p = LpProblem(c=np.array([1.0, 2.0]),
+                  a=np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+                  b=np.array([1.0, 1.5, 0.1]),
+                  senses=("=", "<=", ">="))
+    assert solve_lp(p).x == pytest.approx([0.9, 0.1])
+    monkeypatch.setattr(lp, "_run_simplex", scaled_run)
+    with pytest.raises(lp.LpNumericsError, match=re.escape(message)):
+        solve_lp(p)

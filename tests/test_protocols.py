@@ -1,6 +1,7 @@
 """Protocol executables: rng streams, rejection runs, splits, broadcast."""
 
 import bisect
+import itertools
 import math
 import tracemalloc
 
@@ -345,10 +346,10 @@ class TestRejectionPlan:
 
     def test_validates_arguments(self):
         p, q = Pmf([0.5, 0.5]), Pmf([0.4, 0.6])
-        with pytest.raises(ValueError):
-            protocols.RejectionPlan.build(p, q, 0)
-        with pytest.raises(ValueError):
-            protocols.RejectionPlan.build(p, q, 1.5)
+        for m in (0, 1.5, True, 2.0, "3"):
+            with pytest.raises(ValueError, match="round budget"):
+                protocols.RejectionPlan.build(p, q, m)
+        assert protocols.RejectionPlan.build(p, q, np.int64(2)).m == 2
         with pytest.raises(ValueError):
             protocols.RejectionPlan.build(p, Pmf([0.3, 0.3, 0.4]), 2)
         with pytest.raises(ValueError):
@@ -771,6 +772,16 @@ class TestConvexSplit:
 
 
 class TestInducedChannelRoutes:
+    def test_string_atoms_enumerate_in_product_order(self):
+        for size, length in ((1, 1), (1, 4), (2, 1), (2, 5), (3, 3),
+                             (4, 2), (5, 1), (7, 3)):
+            want = np.array(list(itertools.product(range(size),
+                                                   repeat=length)),
+                            dtype=np.intp).reshape(size ** length, length)
+            got = protocols._string_atoms(size, length)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want), (size, length)
+
     def test_routes_agree(self):
         rng = np.random.default_rng(9)
         for m, n in ((1, 1), (2, 2), (2, 3)):
