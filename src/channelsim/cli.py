@@ -14,7 +14,6 @@ a computation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -42,22 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Validated per-invocation settings shared by all subcommands."""
-
-    subcommand: str
-    channel: str | None
-    kind: str | None
-    eps: float | None
-    delta: float | None
-    n_values: tuple[int, ...]
-    tol: float | None
-    seed: int
-    out: str | None
-    fmt: str
-
-
 def _parse_n(raw: str | None) -> tuple[int, ...]:
     if raw is None:
         return ()
@@ -73,84 +56,42 @@ def _parse_n(raw: str | None) -> tuple[int, ...]:
         raise _ConfigError(f"--n expects INT or LO..HI, got {raw!r}")
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = getattr(args, "seed", 0)
-    if not 0 <= seed < 1 << 64:
-        raise _ConfigError(f"--seed must lie in [0, 2^64), got {seed}")
+def _check_args(args) -> None:
+    """Range-check --seed and --tol and expand --n, where declared."""
+    if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+        raise _ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
     tol = getattr(args, "tol", None)
     if tol is not None and not 0.0 < tol < float("inf"):
         raise _ConfigError(f"--tol must be positive and finite, got {tol}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        channel=getattr(args, "channel", None),
-        kind=getattr(args, "kind", None),
-        eps=getattr(args, "eps", None),
-        delta=getattr(args, "delta", None),
-        n_values=_parse_n(getattr(args, "n", None)),
-        tol=tol,
-        seed=seed,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
+    if hasattr(args, "n"):
+        args.n = _parse_n(args.n)
 
 
-def _load_json_file(path: str | None):
-    if path is None:
-        raise _ConfigError("--channel PATH is required for this subcommand")
+def _read_object(args) -> dict:
+    """The --channel file; its top level must be a JSON object."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(args.channel, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
     except OSError as exc:
-        raise _ConfigError(f"cannot read {path}: {exc}")
+        raise _ConfigError(f"cannot read {args.channel}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _ConfigError(f"{path} is not valid JSON: {exc}")
-
-
-def _load_instance(cfg: RunConfig) -> dict:
-    """An instance file; its top level must be a JSON object."""
-    data = _load_json_file(cfg.channel)
+        raise _ConfigError(f"{args.channel} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise _ConfigError(f"{cfg.channel}: an instance file must hold a "
-                           f"JSON object, not a {type(data).__name__}")
+        raise _ConfigError(f"{args.channel}: the file must hold a JSON "
+                           f"object, not a {type(data).__name__}")
     return data
 
 
-def _load_channel(cfg: RunConfig):
-    data = _load_json_file(cfg.channel)
-    try:
-        return prob.channel_from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _ConfigError(f"{cfg.channel}: {exc}")
-
-
-def _load_dmc(cfg: RunConfig) -> prob.Dmc:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.Dmc):
-        raise _ConfigError(f"{cfg.subcommand} expects a point-to-point "
-                           "channel; use broadcast-region for broadcast "
-                           "channels")
+def _read_channel(args, is_broadcast: bool = False):
+    """The --channel file as a point-to-point or a broadcast channel."""
+    w = prob.channel_from_json(_read_object(args))
+    if isinstance(w, prob.BroadcastDmc) != is_broadcast:
+        kind = "broadcast" if is_broadcast else "point-to-point"
+        raise _ConfigError(f"{args.subcommand} expects a {kind} channel")
     return w
 
 
-def _load_pmf(data, key) -> prob.Pmf:
-    try:
-        return prob.Pmf(np.asarray(data[key], dtype=np.float64))
-    except KeyError:
-        raise _ConfigError(f"instance file is missing {key!r}")
-    except ValueError as exc:
-        raise _ConfigError(f"bad pmf under {key!r}: {exc}")
-
-
-def _count_field(data, key: str) -> int:
-    """A positive integer from an instance file; booleans and floats fail."""
-    value = data.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise _ConfigError(
-            f"instance file needs a positive integer {key!r}, got {value!r}")
-    return value
-
-
-def _need(cfg: RunConfig, **bounds):
+def _need(**bounds):
     """Check numeric preconditions before dispatch; None means missing."""
     for name, (value, lo, hi, lo_open, hi_open) in bounds.items():
         if value is None:
@@ -171,95 +112,94 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _meta_lines(cfg: RunConfig, **extra) -> list[str]:
+def _meta_lines(**extra) -> list[str]:
     pairs = {"tool": f"channelsim {__version__}"}
     pairs.update({k: v for k, v in extra.items() if v is not None})
     return [f"# {k}: {v}" for k, v in pairs.items()]
 
 
-def _meta_object(cfg: RunConfig, **extra) -> dict:
+def _meta_object(**extra) -> dict:
     meta = {"tool": "channelsim", "version": __version__}
     meta.update({k: v for k, v in extra.items() if v is not None})
     return meta
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
+def _emit(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _emit_json(cfg: RunConfig, payload: dict) -> None:
-    _emit(cfg, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+def _emit_json(args, payload: dict) -> None:
+    _emit(args, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
-def _emit_csv(cfg: RunConfig, header_meta: list[str], columns: list[str],
+def _emit_csv(args, header_meta: list[str], columns: list[str],
               rows: list[tuple]) -> None:
     lines = list(header_meta)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-def _cmd_divergence(cfg: RunConfig) -> int:
-    data = _load_instance(cfg)
-    p = _load_pmf(data, "p")
-    q = _load_pmf(data, "q")
-    kind = cfg.kind
+def _cmd_divergence(args) -> int:
+    data = _read_object(args)
+    p = prob.pmf_field(data, "p")
+    q = prob.pmf_field(data, "q")
+    kind = args.kind
     if kind in ("dh", "dsplus", "dmax-smooth"):
-        _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True))
+        _need(eps=(args.eps, 0.0, 1.0, True, True))
     if kind == "kl":
         value = divergences.kl(p.probs, q.probs)
     elif kind == "dmax":
         value = divergences.d_max(p.probs, q.probs)
     elif kind == "dh":
-        value = divergences.d_h(cfg.eps, p.probs, q.probs)
+        value = divergences.d_h(args.eps, p.probs, q.probs)
     elif kind == "dsplus":
-        value = divergences.d_s_plus(cfg.eps, p.probs, q.probs)
+        value = divergences.d_s_plus(args.eps, p.probs, q.probs)
     else:
-        value = divergences.d_max_smooth(cfg.eps, p.probs, q.probs)
-    _emit_json(cfg, {"meta": _meta_object(cfg, eps=cfg.eps),
-                     "kind": kind, "bits": value})
+        value = divergences.d_max_smooth(args.eps, p.probs, q.probs)
+    _emit_json(args, {"meta": _meta_object(eps=args.eps),
+                      "kind": kind, "bits": value})
     return EXIT_OK
 
 
-def _cmd_imax(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    if cfg.eps is None or cfg.eps == 0.0:
-        _emit_json(cfg, {"meta": _meta_object(cfg, eps=0.0),
-                         "bits": ns_meta.i_max(w)})
+def _cmd_imax(args) -> int:
+    w = _read_channel(args)
+    if args.eps is None or args.eps == 0.0:
+        _emit_json(args, {"meta": _meta_object(eps=0.0),
+                          "bits": ns_meta.i_max(w)})
         return EXIT_OK
-    _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True))
-    smooth = ns_meta.i_max_smooth(w, cfg.eps)
-    _emit_json(cfg, {"meta": _meta_object(cfg, eps=cfg.eps),
-                     "bits": smooth.value})
+    _need(eps=(args.eps, 0.0, 1.0, True, True))
+    smooth = ns_meta.i_max_smooth(w, args.eps)
+    _emit_json(args, {"meta": _meta_object(eps=args.eps),
+                      "bits": smooth.value})
     return EXIT_OK
 
 
-def _cmd_ns_cost(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    _need(cfg, eps=(cfg.eps, 0.0, 1.0, False, True))
-    result = ns_meta.ns_cost(w, cfg.eps)
-    _emit_json(cfg, {"meta": _meta_object(cfg, eps=cfg.eps),
-                     "i_max_eps": result.i_max_eps, "cost": result.cost})
+def _cmd_ns_cost(args) -> int:
+    w = _read_channel(args)
+    _need(eps=(args.eps, 0.0, 1.0, False, True))
+    result = ns_meta.ns_cost(w, args.eps)
+    _emit_json(args, {"meta": _meta_object(eps=args.eps),
+                      "i_max_eps": result.i_max_eps, "cost": result.cost})
     return EXIT_OK
 
 
-def _cmd_ns_eps(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    if len(cfg.n_values) != 1:
+def _cmd_ns_eps(args) -> int:
+    w = _read_channel(args)
+    if len(args.n) != 1:
         raise _ConfigError("--n must be a single integer cost")
-    cost = cfg.n_values[0]
+    cost = args.n[0]
     if cost < 2:
         raise _ConfigError("--n (the cost) must be at least 2")
     result = ns_meta.ns_eps_for_cost(w, cost)
-    _emit_json(cfg, {"meta": _meta_object(cfg, cost=cost),
-                     "eps": result.eps})
+    _emit_json(args, {"meta": _meta_object(cost=cost), "eps": result.eps})
     return EXIT_OK
 
 
@@ -269,86 +209,86 @@ def _second_order_columns(params, ns, eps):
             asymptotics.second_order_coding(params, ns, eps).tolist())
 
 
-def _cmd_bsc_curve(cfg: RunConfig) -> int:
-    _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True),
-          delta=(cfg.delta, 0.0, 0.5, True, True))
-    if not cfg.n_values:
+def _cmd_bsc_curve(args) -> int:
+    _need(eps=(args.eps, 0.0, 1.0, True, True),
+          delta=(args.delta, 0.0, 0.5, True, True))
+    if not args.n:
         raise _ConfigError("--n LO..HI is required")
-    params = asymptotics.dispersion(prob.Dmc.bsc(cfg.delta))
-    ns = sorted(cfg.n_values)
-    costs = ns_meta.bsc_ns_log2_costs(ns, cfg.delta, cfg.eps).tolist()
-    sims, cods = _second_order_columns(params, ns, cfg.eps)
+    params = asymptotics.dispersion(prob.Dmc.bsc(args.delta))
+    ns = sorted(args.n)
+    costs = ns_meta.bsc_ns_log2_costs(ns, args.delta, args.eps).tolist()
+    sims, cods = _second_order_columns(params, ns, args.eps)
     rows = [(n, cost, cost / n, sim / n, cod / n, params.capacity)
             for n, cost, sim, cod in zip(ns, costs, sims, cods)]
-    _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, delta=cfg.delta),
+    _emit_csv(args, _meta_lines(eps=args.eps, delta=args.delta),
               ["n", "log2_ns_cost", "log2_ns_cost_per_n",
                "simulation_second_order_per_n", "coding_second_order_per_n",
                "capacity"], rows)
     return EXIT_OK
 
 
-def _cmd_capacity(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
+def _cmd_capacity(args) -> int:
+    w = _read_channel(args)
+    tol = args.tol if args.tol is not None else 1e-9
     trace = asymptotics.capacity_ba(w, tol=tol)
-    _emit_json(cfg, {"meta": _meta_object(cfg, tol=tol),
-                     "capacity_bits": trace.value,
-                     "iterations": len(trace.estimates),
-                     "final_bound": trace.final_bound})
+    _emit_json(args, {"meta": _meta_object(tol=tol),
+                      "capacity_bits": trace.value,
+                      "iterations": len(trace.estimates),
+                      "final_bound": trace.final_bound})
     return EXIT_OK
 
 
-def _cmd_dispersion(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
+def _cmd_dispersion(args) -> int:
+    w = _read_channel(args)
     params = asymptotics.dispersion(w)
-    _emit_json(cfg, {"meta": _meta_object(cfg, tol=params.tol_cap),
-                     "capacity_bits": params.capacity,
-                     "v_min": params.v_min, "v_max": params.v_max,
-                     "capacity_achieving_inputs":
-                         [p.probs.tolist()
-                          for p in params.capacity_achieving_inputs]})
+    _emit_json(args, {"meta": _meta_object(tol=params.tol_cap),
+                      "capacity_bits": params.capacity,
+                      "v_min": params.v_min, "v_max": params.v_max,
+                      "capacity_achieving_inputs":
+                          [p.probs.tolist()
+                           for p in params.capacity_achieving_inputs]})
     return EXIT_OK
 
 
-def _cmd_second_order(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    _need(cfg, eps=(cfg.eps, 0.0, 1.0, True, True))
-    if not cfg.n_values:
+def _cmd_second_order(args) -> int:
+    w = _read_channel(args)
+    _need(eps=(args.eps, 0.0, 1.0, True, True))
+    if not args.n:
         raise _ConfigError("--n INT or LO..HI is required")
     params = asymptotics.dispersion(w)
-    rows = list(zip(cfg.n_values,
-                    *_second_order_columns(params, cfg.n_values, cfg.eps)))
-    if cfg.fmt == "csv":
-        _emit_csv(cfg, _meta_lines(cfg, eps=cfg.eps, band="unquantified"),
+    rows = list(zip(args.n,
+                    *_second_order_columns(params, args.n, args.eps)))
+    if args.format == "csv":
+        _emit_csv(args, _meta_lines(eps=args.eps, band="unquantified"),
                   ["n", "simulation_bits", "coding_bits"], rows)
     else:
-        _emit_json(cfg, {
-            "meta": _meta_object(cfg, eps=cfg.eps, band="unquantified"),
+        _emit_json(args, {
+            "meta": _meta_object(eps=args.eps, band="unquantified"),
             "capacity_bits": params.capacity,
             "rows": [{"n": n, "simulation_bits": s, "coding_bits": c}
                      for n, s, c in rows]})
     return EXIT_OK
 
 
-def _cmd_moderate(cfg: RunConfig) -> int:
-    w = _load_dmc(cfg)
-    if not cfg.n_values:
+def _cmd_moderate(args) -> int:
+    w = _read_channel(args)
+    if not args.n:
         raise _ConfigError("--n INT or LO..HI is required")
     params = asymptotics.dispersion(w)
     rows = []
-    for n in cfg.n_values:
+    for n in args.n:
         r = asymptotics.moderate_deviation_rates(params, n)
         rows.append((n, r.a_n, r.eps_n, r.simulation_at_eps,
                      r.simulation_at_complement, r.coding_at_eps,
                      r.coding_at_complement))
-    if cfg.fmt == "csv":
-        _emit_csv(cfg, _meta_lines(cfg, band="unquantified"),
+    if args.format == "csv":
+        _emit_csv(args, _meta_lines(band="unquantified"),
                   ["n", "a_n", "eps_n", "simulation_at_eps",
                    "simulation_at_complement", "coding_at_eps",
                    "coding_at_complement"], rows)
     else:
-        _emit_json(cfg, {
-            "meta": _meta_object(cfg, band="unquantified"),
+        _emit_json(args, {
+            "meta": _meta_object(band="unquantified"),
             "rows": [{"n": n, "a_n": a, "eps_n": e,
                       "simulation_at_eps": s1, "simulation_at_complement": s2,
                       "coding_at_eps": c1, "coding_at_complement": c2}
@@ -356,16 +296,13 @@ def _cmd_moderate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_broadcast_region(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    if not isinstance(w, prob.BroadcastDmc):
-        raise _ConfigError("broadcast-region expects a broadcast channel "
-                           "(JSON with output_sizes)")
-    region = broadcast.rate_region(w, tol=cfg.tol)
+def _cmd_broadcast_region(args) -> int:
+    w = _read_channel(args, is_broadcast=True)
+    region = broadcast.rate_region(w, tol=args.tol)
     constraints = sorted(region.constraints.items(),
                          key=lambda kv: (len(kv[0]), sorted(kv[0])))
     payload = {
-        "meta": _meta_object(cfg, tol=cfg.tol),
+        "meta": _meta_object(tol=args.tol),
         "num_receivers": region.k,
         # receivers are 1-based on the wire, 0-based in the library
         "constraints": [{"subset": [i + 1 for i in sorted(sub)],
@@ -374,118 +311,131 @@ def _cmd_broadcast_region(cfg: RunConfig) -> int:
     if region.k == 2:
         payload["corners"] = [list(c)
                               for c in broadcast.region_corners_k2(region)]
-    _emit_json(cfg, payload)
+    _emit_json(args, payload)
     return EXIT_OK
 
 
-def _cmd_ba_trace(cfg: RunConfig) -> int:
-    w = _load_channel(cfg)
-    tol = cfg.tol
+def _cmd_ba_trace(args) -> int:
+    w = prob.channel_from_json(_read_object(args))
+    tol = args.tol
     if isinstance(w, prob.BroadcastDmc):
         subset = tuple(range(w.num_receivers))
         trace = broadcast.tilde_c_ba(w, subset, tol=tol)
     else:
         trace = asymptotics.capacity_ba(w, tol=tol if tol else 1e-9)
     rows = [(t, est, trace.bound(t)) for t, est in trace.iterates]
-    _emit_csv(cfg, _meta_lines(cfg, tol=tol),
+    _emit_csv(args, _meta_lines(tol=tol),
               ["iteration", "estimate", "bound"], rows)
     return EXIT_OK
 
 
-def _cmd_reject_sim(cfg: RunConfig) -> int:
-    data = _load_instance(cfg)
-    p = _load_pmf(data, "p")
-    q = _load_pmf(data, "q")
-    m = _count_field(data, "m")
-    trials = cfg.n_values[0] if cfg.n_values else 100000
-    if len(cfg.n_values) > 1 or trials < 1:
+def _cmd_reject_sim(args) -> int:
+    data = _read_object(args)
+    p = prob.pmf_field(data, "p")
+    q = prob.pmf_field(data, "q")
+    m = prob.count_field(data, "m")
+    trials = args.n[0] if args.n else 100000
+    if len(args.n) > 1 or trials < 1:
         raise _ConfigError("--n (trials) must be one positive integer")
-    try:
-        plan = protocols.RejectionPlan.build(p, q, m)
-    except ValueError as exc:
-        raise _ConfigError(str(exc))
+    plan = protocols.RejectionPlan.build(p, q, m)
     marginal, _ = protocols.rejection_exact_marginal(plan)
-    run = protocols.rejection_sample_run(plan, protocols.RngStream(cfg.seed),
+    run = protocols.rejection_sample_run(plan, protocols.RngStream(args.seed),
                                          trials)
-    _emit_json(cfg, {
-        "meta": _meta_object(cfg, seed=cfg.seed),
+    _emit_json(args, {
+        "meta": _meta_object(seed=args.seed),
         "tvd_exact": prob.tvd(marginal, p),
         "bound": (1.0 - plan.lam) ** plan.m,
         "trials": trials,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "empirical_tvd_to_exact": prob.tvd(run.empirical, marginal),
         "accept_counts": [int(c) for c in run.accept_counts],
     })
     return EXIT_OK
 
 
-def _cmd_convex_split_check(cfg: RunConfig) -> int:
-    data = _load_instance(cfg)
-    q = _load_pmf(data, "q")
-    r = _load_pmf(data, "r")
-    try:
-        joint = prob.JointPmf(
-            probs=np.asarray(data["joint"], dtype=np.float64),
-            factor_sizes=tuple(data["factor_sizes"]))
-        pars = protocols.ConvexSplitParams(*data["eps_params"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ConfigError(f"bad instance file: {exc}")
-    m, n = _count_field(data, "m"), _count_field(data, "n")
+def _cmd_convex_split_check(args) -> int:
+    data = _read_object(args)
+    joint = prob.JointPmf(prob.numbers_field(data, "joint"),
+                          prob.counts_field(data, "factor_sizes"))
+    q = prob.pmf_field(data, "q")
+    r = prob.pmf_field(data, "r")
+    m, n = prob.count_field(data, "m"), prob.count_field(data, "n")
+    budget = prob.numbers_field(data, "eps_params")
+    if budget.size != 6 or not np.all(budget > 0.0):
+        raise _ConfigError("'eps_params' must be six positive numbers")
+    pars = protocols.ConvexSplitParams(*budget.tolist())
     report = protocols.convex_split_check(joint, q, r, m, n, pars)
-    _emit_json(cfg, {
-        "meta": _meta_object(cfg, seed=cfg.seed),
+    # Nothing is drawn; the seed fields keep the format of reject-sim's.
+    _emit_json(args, {
+        "meta": _meta_object(seed=0),
         "tvd_exact": report.tvd,
         "bound": report.bound,
         "holds": report.hypotheses_hold,
         "thresholds_bits": list(report.thresholds),
         "trials": 0,
-        "seed": cfg.seed,
+        "seed": 0,
     })
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    results = selfcheck.run_all(cfg.seed)
+def _cmd_verify(args) -> int:
+    results = selfcheck.run_all(args.seed)
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
     failed = sum(1 for _, ok, _ in results if not ok)
     lines.append(f"{len(results) - failed} passed, {failed} failed")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
-_HANDLERS = {
-    "divergence": _cmd_divergence,
-    "imax": _cmd_imax,
-    "ns-cost": _cmd_ns_cost,
-    "ns-eps": _cmd_ns_eps,
-    "bsc-curve": _cmd_bsc_curve,
-    "capacity": _cmd_capacity,
-    "dispersion": _cmd_dispersion,
-    "second-order": _cmd_second_order,
-    "moderate": _cmd_moderate,
-    "broadcast-region": _cmd_broadcast_region,
-    "ba-trace": _cmd_ba_trace,
-    "reject-sim": _cmd_reject_sim,
-    "convex-split-check": _cmd_convex_split_check,
-    "verify": _cmd_verify,
+# Each subcommand's handler, help and the flags it reads. build_parser
+# adds exactly these flags plus --out, so any other flag is a usage error.
+_COMMANDS = {
+    "divergence": (_cmd_divergence, "pairwise divergence of pmfs",
+                   ("channel", "eps")),
+    "imax": (_cmd_imax, "channel max-information (optionally smoothed)",
+             ("channel", "eps")),
+    "ns-cost": (_cmd_ns_cost, "exact one-shot simulation cost",
+                ("channel", "eps")),
+    "ns-eps": (_cmd_ns_eps, "best tolerance at a fixed integer cost",
+               ("channel", "n")),
+    "bsc-curve": (_cmd_bsc_curve, "cost sweep for a binary symmetric channel",
+                  ("eps", "delta", "n")),
+    "capacity": (_cmd_capacity, "iterative capacity with certificate",
+                 ("channel", "tol")),
+    "dispersion": (_cmd_dispersion, "capacity and dispersion extremes",
+                   ("channel",)),
+    "second-order": (_cmd_second_order, "second-order rate expansions",
+                     ("channel", "eps", "n", "format")),
+    "moderate": (_cmd_moderate, "moderate deviation rate pairs",
+                 ("channel", "n", "format")),
+    "broadcast-region": (_cmd_broadcast_region,
+                         "simulation rate region constraints",
+                         ("channel", "tol")),
+    "ba-trace": (_cmd_ba_trace, "per-iteration estimates and certificates",
+                 ("channel", "tol")),
+    "reject-sim": (_cmd_reject_sim,
+                   "rejection sampler run on an instance file",
+                   ("channel", "n", "seed")),
+    "convex-split-check": (_cmd_convex_split_check,
+                           "exact convex-split TVD vs bound", ("channel",)),
+    "verify": (_cmd_verify, "run the built-in property battery", ("seed",)),
 }
 
-
-def _add_common(sub, channel=True):
-    if channel:
-        sub.add_argument("--channel", metavar="PATH",
-                         help="input JSON file (channel or instance)")
-    sub.add_argument("--eps", type=float, help="tolerance parameter")
-    sub.add_argument("--delta", type=float, help="slack parameter")
-    sub.add_argument("--n", help="integer or LO..HI range")
-    sub.add_argument("--tol", type=float, help="numeric tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
-    sub.add_argument("--out", metavar="PATH", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
-                     help="output format where both are supported")
+_FLAGS = {
+    "channel": dict(metavar="PATH", required=True,
+                    help="input JSON file (channel or instance)"),
+    "eps": dict(type=float, help="tolerance parameter"),
+    "delta": dict(type=float, help="slack parameter"),
+    "n": dict(help="integer or LO..HI range"),
+    "tol": dict(type=float, help="numeric tolerance"),
+    "seed": dict(type=int, default=0, help="RNG seed (u64)"),
+    "format": dict(choices=("csv", "json"), default="json",
+                   help="output format"),
+    "out": dict(metavar="PATH", help="output file path"),
+}
 
 
 def build_parser() -> _Parser:
@@ -494,36 +444,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"channelsim {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    div = subs.add_parser("divergence", help="pairwise divergence of pmfs")
-    div.add_argument("kind",
-                     choices=("kl", "dmax", "dh", "dsplus", "dmax-smooth"))
-    _add_common(div)
-    for name, help_text in (
-            ("imax", "channel max-information (optionally smoothed)"),
-            ("ns-cost", "exact one-shot simulation cost"),
-            ("ns-eps", "best tolerance at a fixed integer cost"),
-            ("bsc-curve", "cost sweep for a binary symmetric channel"),
-            ("capacity", "iterative capacity with certificate"),
-            ("dispersion", "capacity and dispersion extremes"),
-            ("second-order", "second-order rate expansions"),
-            ("moderate", "moderate deviation rate pairs"),
-            ("broadcast-region", "simulation rate region constraints"),
-            ("ba-trace", "per-iteration estimates and certificates"),
-            ("reject-sim", "rejection sampler run on an instance file"),
-            ("convex-split-check", "exact convex-split TVD vs bound"),
-            ("verify", "run the built-in property battery")):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub, channel=(name != "verify"))
+        if name == "divergence":
+            sub.add_argument("kind", choices=("kl", "dmax", "dh", "dsplus",
+                                              "dmax-smooth"))
+        for flag in flags + ("out",):
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
-def dispatch(cfg: RunConfig) -> int:
-    handler = _HANDLERS[cfg.subcommand]
-    if cfg.fmt is None:
-        cfg.fmt = "csv" if cfg.subcommand in ("bsc-curve", "ba-trace") \
-            else "json"
+def dispatch(args) -> int:
+    handler = _COMMANDS[args.subcommand][0]
     try:
-        return handler(cfg)
+        return handler(args)
     except (LpNumericsError, ArithmeticError) as exc:
         print(f"channelsim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -542,8 +476,8 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return dispatch(cfg)
+        _check_args(args)
+        return dispatch(args)
     except _ConfigError as exc:
         print(f"channelsim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

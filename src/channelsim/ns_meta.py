@@ -337,16 +337,6 @@ def _bsc_log_weights(n: int, delta: float):
     return log_c[0], log_w[0]
 
 
-def _bsc_weights(n: int, delta: float):
-    """Class counts C_k, per-string masses w_k and class masses b_k.
-
-    Linear-domain view of ``_bsc_log_weights``; C_k is finite only up to
-    n of about 1030.
-    """
-    log_c, log_w = _bsc_log_weights(n, delta)
-    return np.exp2(log_c), np.exp2(log_w), np.exp2(log_c + log_w)
-
-
 def _bsc_log_levels(log_c: np.ndarray, log_w: np.ndarray, n: np.ndarray,
                     eps: float) -> np.ndarray:
     """log2 s* for s* = max(2^-n, min{s : G(s) >= 1 - eps}), one per row.

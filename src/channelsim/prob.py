@@ -17,7 +17,6 @@ vector rather than an exact pmf.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from typing import Iterable, Sequence
 
@@ -256,23 +255,70 @@ def reduce_broadcast(w: BroadcastDmc, keep: Iterable[int]):
     return BroadcastDmc(flat, tuple(w.output_sizes[i] for i in keep_sorted))
 
 
-def channel_from_json(source):
+def count_field(obj: dict, key: str) -> int:
+    """The JSON integer >= 1 under ``key``; booleans and floats fail."""
+    value = obj.get(key)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def counts_field(obj: dict, key: str) -> tuple:
+    """The nonempty list of JSON integers >= 1 under ``key``."""
+    value = obj.get(key)
+    if not (isinstance(value, list) and value
+            and all(type(v) is int and v >= 1 for v in value)):
+        raise ValueError(
+            f"{key!r} must be a nonempty list of integers >= 1, got {value!r}")
+    return tuple(value)
+
+
+def numbers_field(obj: dict, key: str, ndim: int = 1) -> np.ndarray:
+    """The finite JSON numbers under ``key`` as an array: a nonempty list,
+    or with ``ndim=2`` nonempty rows of equal length; booleans and strings
+    fail."""
+    value = obj.get(key)
+    rows = value if ndim == 2 and isinstance(value, list) else [value]
+    if rows and all(isinstance(row, list) and row
+                    and len(row) == len(rows[0])
+                    and set(map(type, row)) <= {int, float} for row in rows):
+        try:
+            arr = np.array(value, dtype=np.float64)
+        except OverflowError:  # an integer past the double range
+            pass
+        else:
+            if np.all(np.isfinite(arr)):
+                return arr
+    shape = "equal-length rows" if ndim == 2 else "a list"
+    raise ValueError(f"{key!r} must be {shape} of finite numbers")
+
+
+def pmf_field(obj: dict, key: str) -> Pmf:
+    """The pmf formed by the numbers under ``key``."""
+    probs = numbers_field(obj, key)
+    try:
+        return Pmf(probs)
+    except ValueError as exc:
+        raise ValueError(f"{key!r}: {exc}") from None
+
+
+def channel_from_json(obj: dict):
     """Parse the channel interchange schema.
 
-    Accepts a dict or a JSON string shaped like
-    {"input_size": 2, "output_sizes": [2], "rows": [[...], [...]]}.
-    A single output gives a Dmc, several give a BroadcastDmc.
+    Accepts a dict shaped like
+    {"input_size": 2, "output_sizes": [2], "rows": [[...], [...]]};
+    other keys are ignored. A single output gives a Dmc, several give a
+    BroadcastDmc.
     """
-    obj = json.loads(source) if isinstance(source, str) else source
-    sizes = [int(m) for m in obj["output_sizes"]]
-    rows = np.asarray(obj["rows"], dtype=np.float64)
-    if rows.shape[0] != int(obj["input_size"]):
+    sizes = counts_field(obj, "output_sizes")
+    rows = numbers_field(obj, "rows", ndim=2)
+    if rows.shape[0] != count_field(obj, "input_size"):
         raise ValueError("row count disagrees with input_size")
     if len(sizes) == 1:
         if rows.shape[1] != sizes[0]:
             raise ValueError("row width disagrees with output size")
         return Dmc(rows)
-    return BroadcastDmc(rows, tuple(sizes))
+    return BroadcastDmc(rows, sizes)
 
 
 def channel_to_json(w) -> dict:

@@ -268,16 +268,16 @@ class TestJsonOutputs:
 
     @pytest.mark.parametrize("argv", [
         ["dispersion"],
-        ["second-order", "--eps", "0.05", "--n", "100..102"],
-        ["moderate", "--n", "100..102"],
+        ["second-order", "--eps", "0.05", "--n", "100..102",
+         "--format", "json"],
+        ["moderate", "--n", "100..102", "--format", "json"],
     ])
     def test_four_input_channel(self, capsys, tmp_path, argv):
         rows = np.full((4, 4), 0.1) + 0.6 * np.eye(4)
         path = _write(tmp_path / "sym4.json",
                       {"input_size": 4, "output_sizes": [4],
                        "rows": rows.tolist()})
-        code, out, _ = _run(capsys, argv + ["--channel", path,
-                                            "--format", "json"])
+        code, out, _ = _run(capsys, argv + ["--channel", path])
         assert code == 0
         payload = json.loads(out)
         if argv[0] == "dispersion":

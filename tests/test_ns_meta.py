@@ -316,15 +316,25 @@ class TestSmoothingWitness:
             assert lhs >= rhs - 1e-9
 
 
+def _bsc_weights(n: int, delta: float):
+    """Class counts C_k, per-string masses w_k and class masses b_k.
+
+    Linear-domain view of ``ns_meta._bsc_log_weights``; C_k is finite only
+    up to n of about 1030.
+    """
+    log_c, log_w = ns_meta._bsc_log_weights(n, delta)
+    return np.exp2(log_c), np.exp2(log_w), np.exp2(log_c + log_w)
+
+
 class TestBscFastPath:
     def test_weights_sum(self):
-        c, w, b = ns_meta._bsc_weights(6, 0.1)
+        c, w, b = _bsc_weights(6, 0.1)
         assert (c * w).sum() == pytest.approx(1.0)
         assert c.sum() == pytest.approx(2.0 ** 6)
 
     def test_waterfill_matches_bisection(self):
         for n, delta, eps in ((4, 0.1, 0.05), (8, 0.3, 0.2), (12, 0.1, 0.2)):
-            c, w, _ = ns_meta._bsc_weights(n, delta)
+            c, w, _ = _bsc_weights(n, delta)
             got = ns_meta.bsc_ns_cost(n, delta, eps).s
 
             def g(s):
@@ -357,7 +367,7 @@ class TestBscFastPath:
 
     def test_witness_profile_invariants(self):
         got = ns_meta.bsc_ns_cost(6, 0.1, 0.05)
-        c, w, _ = ns_meta._bsc_weights(6, 0.1)
+        c, w, _ = _bsc_weights(6, 0.1)
         assert (c * got.r).sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(got.r <= got.s + 1e-9)
         assert np.all(got.r >= -1e-12)
