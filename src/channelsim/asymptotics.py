@@ -99,7 +99,7 @@ def _product_reference(out_sizes: tuple):
 
     def product(out: np.ndarray) -> np.ndarray:
         out = out.reshape(out_sizes)
-        margs = [out.sum(axis=other).reshape(shape)
+        margs = [np.add.reduce(out, axis=other).reshape(shape)
                  for other, shape in factors]
         ref = margs[0]
         for marg in margs[1:]:
@@ -114,19 +114,35 @@ def _divergence_map(rows: np.ndarray, out_sizes: tuple):
 
     Dead output letters must already be dropped. Where the reference is
     zero on a row's support that row's divergence is +inf, without a
-    floating-point warning. Each call returns a fresh array.
+    floating-point warning and with no errstate context: a reference
+    with a zero takes log2 only where it is nonzero, into a buffer
+    prefilled with -inf (one without takes it everywhere), and the cross
+    terms W log2 ref are formed on the support of W only (unmasked when
+    W has full support), so a vanishing reference gives -inf cross terms
+    and never 0 * -inf. Each call returns a fresh array.
     """
     row_terms = _row_terms(rows)
     product = _product_reference(out_sizes)
     # Cross terms W log2 ref on the support of W; zero off it, never written.
     live = rows > 0.0
+    full = bool(live.all())
     cross = np.zeros_like(rows)
+    log_ref = np.empty(rows.shape[1])
+    # What .sum() computes, without its Python wrapper.
+    add = np.add.reduce
 
     def divergences(p: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            log_ref = np.log2(product(p @ rows))
-        np.multiply(rows, log_ref, out=cross, where=live)
-        return row_terms - cross.sum(axis=1)
+        ref = product(p @ rows)
+        if np.count_nonzero(ref) == ref.size:
+            np.log2(ref, out=log_ref)
+        else:
+            log_ref.fill(-np.inf)
+            np.log2(ref, out=log_ref, where=ref != 0.0)
+        if full:
+            np.multiply(rows, log_ref, out=cross)
+        else:
+            np.multiply(rows, log_ref, out=cross, where=live)
+        return row_terms - add(cross, axis=1)
 
     return divergences
 
@@ -141,12 +157,14 @@ def _ascent(divergences, k: int, p: np.ndarray):
     estimate, and the next input p * 2^(d / k) / z. The next step starts
     from that input. The generator never ends; callers stop consuming it.
     """
+    add = np.add.reduce
     while True:
         d = divergences(p)
-        # p * 2^(d / k) / z in place: the same roundings, one allocation
-        nxt = np.exp2(d / k)
+        # p * 2^(d / k) / z in place: the same roundings, one allocation;
+        # d / 1 is d exactly.
+        nxt = np.exp2(d if k == 1 else d / k)
         nxt *= p
-        z = nxt.sum()
+        z = add(nxt)
         nxt /= z
         yield p, d, z, nxt
         p = nxt

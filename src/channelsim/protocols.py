@@ -17,16 +17,22 @@ stream, so runs are bit-reproducible from the seed alone. A trial owns a
 fixed range of counters, so trial t always sees the same words and a
 block of trials runs as array operations; since any word is computed
 without the ones before it, the rejection sampler computes only the
-rounds a trial reaches. The block size changes no output.
+rounds a trial reaches. Word i is the splitmix64 finalizer (_mix, one
+in-place kernel that every path shares) of the state key + (i + 1) *
+golden mod 2^64, so the samplers carry states, not counters: a live
+rejection trial steps its state by golden to its decision word and by
+2 golden to its next round, and a broadcast trial's words are a fixed
+state offset from its first. The block size changes no output.
 CHANNELSIM_THREADS is accepted for compatibility and ignored.
 
 Sampling is table-driven and makes the same float comparisons as a
 binary search. A pick reads a guide table on the top 12 bits of its word
 (Chen and Asau, 1974) and searches only when a cumulative entry lies in
-the word's bucket; an acceptance compares the word's top 53 bits with
-floor(accept * 2^53) as integers; the broadcast protocol keeps each
-trial's list configuration and, input by input, looks its index pair up
-in that input's cumulative posteriors, computed once per input.
+the word's bucket; an acceptance compares the whole word, as one 64-bit
+integer, with the largest word whose top 53 bits are at most
+floor(accept * 2^53); the broadcast protocol keeps each trial's list
+configuration and, input by input, looks its index pair up in that
+input's cumulative posteriors, computed once per input.
 """
 
 from __future__ import annotations
@@ -46,12 +52,18 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The same as numpy scalars, for array arithmetic mod 2^64.
+_GOLDEN_U = np.uint64(_GOLDEN)
+_MIX1_U, _MIX2_U = np.uint64(_MIX1), np.uint64(_MIX2)
+_SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
 # Words per vector step: a broadcast block holds the trials whose list
 # picks read about this many, and a rejection block holds 2 * _BLOCK_WORDS
 # trials, whose live ones compute one (pick, decision) pair per round.
 # Words are addressed by counter, so this bounds memory only and never
 # changes an output.
 _BLOCK_WORDS = 4096
+# Largest round budget m of a RejectionPlan.
+MAX_ROUNDS = 1 << 20
 # Buckets of a guide table: a word's bucket is its top 12 bits, which
 # equal floor(u * 2^12) for its uniform u.
 _GUIDE_BITS = 12
@@ -62,6 +74,25 @@ def _splitmix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
+    """The splitmix64 finalizer of the uint64 states z, elementwise.
+
+    Writes into ``out`` (z itself by default) and returns it; ``scratch``
+    is a uint64 array of z's shape that is overwritten. Word i of a
+    stream is this finalizer of the state key + (i + 1) * golden.
+    """
+    first, second, third = _SHIFTS
+    np.right_shift(z, first, out=scratch)
+    out = np.bitwise_xor(z, scratch, out=z if out is None else out)
+    out *= _MIX1_U
+    np.right_shift(out, second, out=scratch)
+    out ^= scratch
+    out *= _MIX2_U
+    np.right_shift(out, third, out=scratch)
+    out ^= scratch
+    return out
 
 
 class RngStream:
@@ -79,22 +110,19 @@ class RngStream:
         self.key = _splitmix(self.seed)
         self.counter = 0
 
+    def state_at(self, counter: int) -> int:
+        """The pre-mix state of the word at a counter, taken mod 2^64."""
+        return (self.key + (counter + 1) * _GOLDEN) & _MASK64
+
     def words_at(self, index) -> np.ndarray:
         """The words at the given counters, as a uint64 array of that shape.
 
         Counters are taken mod 2^64; ``counter`` does not move.
         """
-        z = np.asarray(index, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z += np.uint64((self.key + _GOLDEN) & _MASK64)
-        t = z >> np.uint64(30)
-        z ^= t
-        z *= np.uint64(_MIX1)
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= np.uint64(_MIX2)
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
-        return z
+        z = np.array(index, dtype=np.uint64)
+        z *= _GOLDEN_U
+        z += np.uint64(self.state_at(0))
+        return _mix(z, np.empty_like(z))
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array."""
@@ -141,12 +169,13 @@ def _guide_table(cumulative: np.ndarray) -> np.ndarray:
 
     Bucket b covers the uniforms in [b, b + 1) / 2^12 and holds _pick of
     its lower edge, or -1 when a cumulative entry lies strictly inside
-    it; only such a bucket's words can pick different indices.
+    it; only such a bucket's words can pick different indices. Entries
+    are int32, so a block's picks take half the memory of intp ones.
     """
     edges = np.arange((1 << _GUIDE_BITS) + 1) * 2.0 ** -_GUIDE_BITS
     below = np.searchsorted(cumulative, edges[:-1], side="right")
     inside = np.searchsorted(cumulative, edges[1:], side="left") > below
-    table = np.minimum(below, cumulative.size - 1)
+    table = np.minimum(below, cumulative.size - 1).astype(np.int32)
     table[inside] = -1
     return table
 
@@ -154,10 +183,12 @@ def _guide_table(cumulative: np.ndarray) -> np.ndarray:
 def _guided_pick(cumulative: np.ndarray, table: np.ndarray,
                  words: np.ndarray) -> np.ndarray:
     """_pick of the words' uniforms through a _guide_table."""
-    idx = table[(words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)]
-    near = idx < 0
-    if near.any():
-        idx[near] = _pick(cumulative, _to_uniform(words[near]))
+    # Clip mode is take's fastest; every bucket index is in range.
+    idx = table.take((words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64),
+                     mode="clip")
+    near = np.flatnonzero(idx < 0)
+    if near.size:
+        idx.flat[near] = _pick(cumulative, _to_uniform(words.take(near)))
     return idx
 
 
@@ -173,7 +204,9 @@ class RejectionPlan:
 
     lam = 2^(-D_max(p || q)) is the acceptance scale; lam * p(y) / q(y)
     never exceeds 1, entries above it by at most 1e-12 of rounding are
-    clamped. accept holds those per-symbol acceptance probabilities.
+    clamped. accept holds those per-symbol acceptance probabilities. The
+    round budget m is at most MAX_ROUNDS (2^20): a run keeps one count
+    per round, and a trial owns 2m words of the stream.
     """
 
     p: Pmf
@@ -185,6 +218,9 @@ class RejectionPlan:
     @classmethod
     def build(cls, p: Pmf, q: Pmf, m: int) -> "RejectionPlan":
         _check_count("round budget", m)
+        if m > MAX_ROUNDS:
+            raise ValueError(f"round budget m must be at most {MAX_ROUNDS}, "
+                             f"got {m}")
         if p.size != q.size:
             raise ValueError("target and reference sizes differ")
         div = d_max(p.probs, q.probs)
@@ -234,43 +270,55 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
     Trial t owns the 2M words at counters base + 2M t + 2(j-1) and the
     next one, the (reference pick, decision) pair of round j, and outputs
     the first accepted round's sample, else the round-M one. Blocks of
-    trials run round by round: round j computes only the pairs of the
-    trials still live, and a trial leaves the block when it accepts. The
-    counter still advances by 2M per trial, so outputs and later draws
-    are those of reading every word. The pick goes through a guide table
-    of the reference's cumulative masses, and a decision word accepts
-    when its top 53 bits are at most floor(accept * 2^53), which is
-    u <= accept exactly since both sides are multiples of 2^-53.
+    trials run round by round: each live trial carries the pre-mix state
+    of its round's pick word, whose decision word's state is golden on
+    and whose next round's is 2 golden on, so round j mixes only the
+    pairs of the trials still live, and a trial leaves the block when it
+    accepts. The counter still advances by 2M per trial, so outputs and
+    later draws are those of reading every word. The pick goes through a
+    guide table of the reference's cumulative masses, and a decision
+    word w accepts when w <= floor(accept * 2^53) * 2^11 + 2^11 - 1 (all
+    ones when accept is 1), which is (w >> 11) <= floor(accept * 2^53),
+    that is u <= accept exactly since both sides are multiples of 2^-53.
     accept_counts[j-1] counts round-j accepts.
     """
     _check_count("trials", trials)
     cum = np.cumsum(plan.q.probs)
     guide = _guide_table(cum)
-    threshold = np.floor(plan.accept * 2.0 ** 53).astype(np.uint64)
+    top = np.floor(plan.accept * 2.0 ** 53).astype(np.uint64)
+    limit = np.where(top >> np.uint64(53), np.uint64(_MASK64),
+                     (top << np.uint64(11)) | np.uint64(2047))
     m = plan.m
     out = np.zeros(plan.q.size, dtype=np.int64)
     acc = np.zeros(m, dtype=np.int64)
-    base = np.uint64(stream.counter & _MASK64)
+    first = stream.state_at(stream.counter)
     stream.counter += trials * 2 * m
-    one, two, low = np.uint64(1), np.uint64(2), np.uint64(11)
+    stride = 2 * m * _GOLDEN
+    gamma2 = np.uint64(2 * _GOLDEN & _MASK64)
     step = 2 * _BLOCK_WORDS
+    # The spare row takes the mixing scratch, then the acceptance limits.
+    spare_row, word_row = np.empty((2, min(step, trials)), dtype=np.uint64)
     for start in range(0, trials, step):
-        # Counters of the live trials' pick words in the current round.
-        live = np.arange(start, min(start + step, trials), dtype=np.uint64)
-        live *= np.uint64(2 * m)
-        live += base
+        # Pre-mix states of the block's pick words in its first round; a
+        # decision word's state is golden on, the next round's 2 golden.
+        state = np.arange(min(step, trials - start), dtype=np.uint64)
+        state *= np.uint64(stride & _MASK64)
+        state += np.uint64((first + start * stride) & _MASK64)
         for j in range(m):
-            ys = _guided_pick(cum, guide, stream.words_at(live))
-            accepted = (stream.words_at(live + one) >> low) <= threshold[ys]
-            acc[j] += np.count_nonzero(accepted)
+            spare, word = spare_row[:state.size], word_row[:state.size]
+            ys = _guided_pick(cum, guide, _mix(state, spare, out=word))
+            _mix(np.add(state, _GOLDEN_U, out=word), spare)
+            accepted = word <= limit.take(ys, out=spare, mode="clip")
+            taken = ys.compress(accepted)
+            acc[j] += taken.size
             if j == m - 1:
                 out += np.bincount(ys, minlength=plan.q.size)
                 break
-            out += np.bincount(ys[accepted], minlength=plan.q.size)
-            live = live[~accepted]
-            if live.size == 0:
+            out += np.bincount(taken, minlength=plan.q.size)
+            state = state.compress(~accepted)
+            if state.size == 0:
                 break
-            live += two
+            state += gamma2
     return RejectionRun(empirical=Pmf.normalized(out.astype(np.float64)),
                         accept_counts=acc, rejects=trials - int(acc.sum()),
                         trials=trials)
@@ -582,39 +630,52 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n, cap)
     sy, sz = w.output_sizes
     size = sy * sz
-    per_trial = np.uint64(m + n + w.input_size)
-    base = np.uint64(stream.counter & _MASK64)
-    stream.counter += trials * int(per_trial)
+    per_trial = m + n + w.input_size
+    # Word c of the stream mixes the state key + (c + 1) golden, so trial
+    # t's word i mixes first + t * stride + i golden: a block's states are
+    # one offset, a Python int reduced mod 2^64, plus a fixed ramp.
+    first = stream.state_at(stream.counter)
+    stream.counter += trials * per_trial
+    stride = per_trial * _GOLDEN
     cum_q, cum_r = np.cumsum(q.probs), np.cumsum(r.probs)
     guide_q, guide_r = _guide_table(cum_q), _guide_table(cum_r)
     config = np.empty(trials, dtype=np.intp)
     step = max(1, _BLOCK_WORDS // (m + n))
+    ramp = np.arange(min(step, trials), dtype=np.uint64)
+    ramp *= np.uint64(stride & _MASK64)
+    list_states = (ramp[:, None]
+                   + np.arange(m + n, dtype=np.uint64) * _GOLDEN_U)
     for start in range(0, trials, step):
-        first = np.arange(start, min(start + step, trials), dtype=np.uint64)
-        words = stream.words_at((first * per_trial + base)[:, None]
-                                + np.arange(m + n, dtype=np.uint64))
+        words = np.add(list_states[:trials - start],
+                       np.uint64((first + start * stride) & _MASK64))
+        words = _mix(words, np.empty_like(words))
         ys = _guided_pick(cum_q, guide_q, words[:, :m])
         zs = _guided_pick(cum_r, guide_r, words[:, m:])
         config[start:start + step] = np.ravel_multi_index(
             (*ys.T, *zs.T), (sy,) * m + (sz,) * n)
     exact = np.empty((w.input_size, size))
     counts = np.zeros((w.input_size, size), dtype=np.int64)
+    state, scratch = np.empty((2, ramp.size), dtype=np.uint64)
     for x, post in enumerate(posteriors):
         exact[x] = _induced_row(weights, cells, post, size)
         # Last entry above 1: the first entry above a uniform u is the
         # count of entries <= u, clamped to the last pair.
         cum = np.cumsum(post, axis=1, out=post)
         cum[:, -1] = 2.0
+        index_word = first + (m + n + x) * _GOLDEN
         for start in range(0, trials, step):
-            first = np.arange(start, min(start + step, trials),
-                              dtype=np.uint64)
-            u = _to_uniform(stream.words_at(
-                first * per_trial + base + np.uint64(m + n + x)))
-            # take is the faster form of cum[rows] and cells[rows, pair].
+            live = min(step, trials - start)
+            at = np.uint64((index_word + start * stride) & _MASK64)
+            u = _to_uniform(_mix(np.add(ramp[:live], at, out=state[:live]),
+                                 scratch[:live]))
+            # take is the faster form of cum[rows] and cells[rows, pair];
+            # every index is in range, so clipping changes none.
             rows = config[start:start + step]
-            pair = (cum.take(rows, axis=0) > u[:, None]).argmax(axis=1)
-            counts[x] += np.bincount(cells.take(rows * (m * n) + pair),
-                                     minlength=size)
+            pair = (cum.take(rows, axis=0, mode="clip")
+                    > u[:, None]).argmax(axis=1)
+            counts[x] += np.bincount(
+                cells.take(rows * (m * n) + pair, mode="clip"),
+                minlength=size)
     exact /= exact.sum(axis=1, keepdims=True)
     empirical = BroadcastDmc(rows=counts / trials, output_sizes=(sy, sz))
     exact_dmc = BroadcastDmc(rows=exact, output_sizes=(sy, sz))

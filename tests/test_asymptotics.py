@@ -215,6 +215,38 @@ class TestSharedAscent:
             == pytest.approx(float(p_ref @ d_ref), abs=1e-12)
         assert np.max(np.abs(p - p_ref)) <= 1e-6
 
+    @pytest.mark.parametrize("rows, sizes", [
+        ([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.2, 0.8]], (3,)),
+        # Receiver 1 never sees letter 0 once input 0 has no weight.
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+          [0.0, 0.0, 0.5, 0.5]], (2, 2))])
+    def test_vanishing_reference_is_inf_without_warning(self, rows, sizes):
+        # An input with a zero, as _newton_finish produces, leaves the
+        # reference zero on row 0's support only.
+        rows = np.array(rows)
+        divergences = asy._divergence_map(rows, sizes)
+        p = np.array([0.0, 0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                before = divergences(np.full(3, 1.0 / 3.0))
+                d = divergences(p)
+                after = divergences(np.full(3, 1.0 / 3.0))
+        assert np.isfinite(before).all()
+        assert np.array_equal(after, before)
+        assert d[0] == math.inf
+        out = (p @ rows).reshape(sizes)
+        ref = np.ones(())
+        for axis in range(len(sizes)):
+            others = tuple(i for i in range(len(sizes)) if i != axis)
+            ref = np.multiply.outer(ref, out.sum(axis=others))
+        ref = ref.reshape(-1)
+        for x in (1, 2):
+            live = rows[x] > 0.0
+            want = float(rows[x][live] @ np.log2(rows[x][live] / ref[live]))
+            assert math.isfinite(d[x])
+            assert d[x] == pytest.approx(want, abs=1e-12)
+
 
 def _random_broadcast(seed, sizes, inputs):
     rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from channelsim import cli, divergences, ns_meta, prob
+from channelsim import cli, divergences, ns_meta, prob, protocols
 
 
 def _write(path, payload):
@@ -126,6 +126,18 @@ class TestExitCodes:
                                        "--n", "10"])
         assert code == cli.EXIT_CONFIG
         assert "'m'" in err and out == ""
+
+    @pytest.mark.parametrize("m", [10 ** 30, protocols.MAX_ROUNDS + 1])
+    def test_reject_sim_round_budget_is_capped(self, capsys, tmp_path, m):
+        # Rejected before the per-round counts are allocated.
+        inst = _write(tmp_path / "inst.json",
+                      {"p": [0.5, 0.5], "q": [0.5, 0.5], "m": m})
+        code, out, err = _run(capsys, ["reject-sim", "--channel", inst,
+                                       "--n", "10"])
+        assert code == cli.EXIT_CONFIG
+        assert (f"round budget m must be at most {protocols.MAX_ROUNDS}"
+                in err)
+        assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("key, value", [
         ("m", 2.7), ("n", 2.7), ("m", True), ("n", 0)])

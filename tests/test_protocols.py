@@ -355,6 +355,14 @@ class TestRejectionPlan:
         with pytest.raises(ValueError):
             protocols.RejectionPlan.build(p, Pmf([1.0, 0.0]), 2)
 
+    def test_round_budget_cap(self):
+        p, q = Pmf([0.5, 0.5]), Pmf([0.4, 0.6])
+        cap = protocols.MAX_ROUNDS
+        assert protocols.RejectionPlan.build(p, q, cap).m == cap
+        for m in (cap + 1, np.int64(cap + 1), 10 ** 30):
+            with pytest.raises(ValueError, match=f"m must be at most {cap}"):
+                protocols.RejectionPlan.build(p, q, m)
+
 
 class TestRejectionExact:
     def test_point_mass_marginal(self):
@@ -504,21 +512,27 @@ class TestVectorizedMatchesScalar:
         cases.append((BroadcastDmc(rows=[[1.0, 0.0, 0.0, 0.0],
                                          [0.25, 0.25, 0.25, 0.25]],
                                    output_sizes=(2, 2)), 2, 2))
-        for case, (w, m, n) in enumerate(cases):
+        # From base 2^64 - 100 the counters wrap within the first trials.
+        bases = (0, (1 << 64) - 100)
+        for case, (base, (w, m, n)) in enumerate(
+                itertools.product(bases, cases)):
             sy, sz = w.output_sizes
             q = Pmf(_random_pmf(rng, sy, floor=0.2))
             r = Pmf(_random_pmf(rng, sz, floor=0.2))
             trials = int(rng.integers(150, 400))
             stream = protocols.RngStream(40 + case)
+            stream.counter = base
             run = protocols.broadcast_protocol_run(w, q, r, m, n, stream,
                                                    trials)
-            counts = _scalar_broadcast(w, q, r, m, n,
-                                       protocols.RngStream(40 + case), trials)
+            scalar = protocols.RngStream(40 + case)
+            scalar.counter = base
+            counts = _scalar_broadcast(w, q, r, m, n, scalar, trials)
             assert np.array_equal(run.empirical.rows, counts / trials)
             assert np.array_equal(run.exact.rows,
                                   protocols.induced_channel_scatter(
                                       w, q, r, m, n))
-            assert stream.counter == trials * (m + n + w.input_size)
+            assert stream.counter == scalar.counter
+            assert stream.counter == base + trials * (m + n + w.input_size)
 
 
 class TestLazyRejection:
@@ -589,15 +603,15 @@ class TestLazyRejection:
     def test_computes_only_the_rounds_reached(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(protocols, "_BLOCK_WORDS", block)
+        # Every word is computed by the finalizer kernel; count its inputs.
         computed = []
-        real = protocols.RngStream.words_at
+        real = protocols._mix
 
-        def spy(self, index):
-            words = real(self, index)
-            computed.append(words.size)
-            return words
+        def spy(z, scratch, out=None):
+            computed.append(z.size)
+            return real(z, scratch, out)
 
-        monkeypatch.setattr(protocols.RngStream, "words_at", spy)
+        monkeypatch.setattr(protocols, "_mix", spy)
         rng = np.random.default_rng(74)
         for case in range(4):
             plan = _random_plan(rng, int(rng.integers(2, 7)),
