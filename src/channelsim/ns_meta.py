@@ -15,15 +15,19 @@ r = W - t and s = M - zeta (see ``_reduced_program``). W itself is
 feasible, so r = s = 0 is a basic feasible start and the simplex skips
 phase 1 in the cost direction. The substitute channel is rebuilt from t
 afterwards.
-For BSC tensor powers the permutation symmetry reduces both directions to
-closed forms over the Hamming-weight classes, computed in the log domain,
-so any blocklength is cheap; see ``bsc_ns_cost`` and, for many
-blocklengths at once, ``bsc_ns_log2_costs``.
+On a symmetric channel, one whose rows are permutations of one another and
+whose columns are too (Cover and Thomas, section 7.2), a flat zeta is
+optimal and both directions are closed forms of row 0 alone, with no LP
+(see ``_solve_reduced``). For BSC tensor powers, the symmetric channels of
+this kind that grow with n, the flat level reduces further to the
+Hamming-weight classes, computed in the log domain, so any blocklength is
+cheap; see ``bsc_ns_cost`` and, for many blocklengths at once,
+``bsc_ns_log2_costs``.
 
-Witness conventions: LP witnesses are renormalized row-wise before being
+Witness conventions: witnesses are renormalized row-wise before being
 returned, and reported reference weights zeta are M - s from the LP, whose
 sum is the (fractional) cost; at a fixed integer cost they are first raised
-evenly to sum to that cost.
+evenly to sum to that cost. On a symmetric channel zeta is flat.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 
 import numpy as np
 
-from .divergences import _d_s_plus_rows, d_max, d_max_smooth
+from .divergences import _d_s_plus_rows, d_max_smooth
 from .lp import LpProblem, solve_lp
 from .prob import Dmc
 
@@ -139,9 +143,62 @@ def _reduced_program(rows: np.ndarray, eps: float = 0.0,
                      senses=("<=",) * (km + k) + (last,))
 
 
+def _is_symmetric(rows: np.ndarray) -> bool:
+    """Whether the rows are permutations of one another and so are the
+    columns, compared bit for bit."""
+    by_row = np.sort(rows, axis=1)
+    by_col = np.sort(rows, axis=0)
+    return bool((by_row == by_row[0]).all()
+                and (by_col == by_col[:, :1]).all())
+
+
 def _solve_reduced(rows: np.ndarray, what: str, eps: float = 0.0,
                    cost: int | None = None):
-    """Solve ``_reduced_program``; returns (value, W~ witness, zeta).
+    """Optimum of ``_reduced_program``; returns (value, W~ witness, zeta).
+
+    The value is I_max^eps in bits, or with a cost the least deviation
+    (possibly a rounding below 0). A symmetric channel (``_is_symmetric``)
+    takes the flat zeta in closed form; any other channel, even one an
+    ulp off symmetric, takes ``_solve_reduced_lp``. The flat zeta is
+    optimal there. Write G_y(z) = sum_x min(W(y|x), z), concave and
+    nondecreasing in z. Averaging the k row constraints of any feasible
+    (t, zeta) gives
+
+        min_x sum_y min(W(y|x), zeta_y) <= (1/k) sum_y G_y(zeta_y).
+
+    The columns share one multiset, so every G_y is the same G, and by
+    Jensen (1/k) sum_y G(zeta_y) <= (m/k) G(mean zeta): the flat zeta
+    with the same sum (in the cost form, with sum at most c, so also the
+    flat c/m) does at least as well on average. The rows share one
+    multiset, so every row keeps the same sum_y min(W(y|x), z) =
+    (m/k) G(z) under a flat z, and the flat vector meets every row's
+    constraint exactly when it meets row 0's. Hence
+
+        I_max^eps = log2 max(1, lam*),
+        lam* = m min{z : sum_y min(W(y|0), z) >= 1 - eps},
+
+    which is ``d_max_smooth(eps, W(.|0), uniform)`` (the max(1, .) is the
+    floor sum zeta >= 1), and at cost c the deviation is
+    1 - sum_y min(W(y|0), c/m), summed as the removed mass
+    sum_y max(W(y|0) - c/m, 0), the LP's own r, so that a small deviation
+    is no difference of near-equal sums. The witness keeps
+    t = min(W, zeta).
+    """
+    if not _is_symmetric(rows):
+        return _solve_reduced_lp(rows, what, eps=eps, cost=cost)
+    m = rows.shape[1]
+    if cost is None:
+        value = d_max_smooth(eps, rows[0], np.full(m, 1.0 / m))
+        zeta = np.full(m, 2.0 ** value / m)
+    else:
+        zeta = np.full(m, cost / m)
+        value = float(np.maximum(rows[0] - zeta, 0.0).sum())
+    return value, _rebuild_rows(np.minimum(rows, zeta), zeta), zeta
+
+
+def _solve_reduced_lp(rows: np.ndarray, what: str, eps: float = 0.0,
+                      cost: int | None = None):
+    """``_solve_reduced`` by the simplex, for any channel.
 
     Maps back t = W - r and zeta = M - s. At a fixed cost, zeta is then
     raised evenly until it sums to the cost, which keeps every t <= zeta.
@@ -153,7 +210,7 @@ def _solve_reduced(rows: np.ndarray, what: str, eps: float = 0.0,
     t = rows - sol.x[:k * m].reshape(k, m)
     zeta = rows.max(axis=0) - sol.x[k * m:k * m + m]
     if cost is None:
-        value = float(zeta.sum())
+        value = float(math.log2(zeta.sum()))
     else:
         zeta += max(cost - zeta.sum(), 0.0) / m
         value = sol.value
@@ -177,19 +234,21 @@ def _rebuild_rows(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 def i_max_smooth(w, eps: float) -> SmoothImax:
     """Smoothed channel max-information, the simulation meta-converse.
 
-    Solved as the reduced LP of ``_reduced_program``: minimize sum zeta over
+    The reduced program of ``_reduced_program``: minimize sum zeta over
     overlaps 0 <= t <= W with t_xy <= zeta_y, sum_y t_xy >= 1 - eps per row
     and sum zeta >= 1, posed as maximize sum s over the removed masses
     r = W - t and s = M - zeta. Every right-hand side is non-negative, so
-    the simplex starts from t = W, zeta = M and runs no phase 1. The
-    substitute channel W~ is rebuilt from t.
+    the simplex starts from t = W, zeta = M and runs no phase 1. On a
+    symmetric channel no LP is built: averaging the rows and Jensen over
+    the shared column multiset make a flat zeta optimal, so the value is
+    ``d_max_smooth(eps, W(.|0), uniform)`` (proof at ``_solve_reduced``).
+    The substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     value, w_tilde, zeta = _solve_reduced(rows, "max-information", eps=eps)
-    return SmoothImax(value=float(math.log2(value)), w_tilde=w_tilde,
-                      zeta=zeta)
+    return SmoothImax(value=value, w_tilde=w_tilde, zeta=zeta)
 
 
 def ns_cost(w, eps: float) -> NsCostResult:
@@ -218,7 +277,10 @@ def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     sum_y t_xy >= 1 - gamma per row, in the removed masses r = W - t and
     s = M - zeta. Only sum s >= sum M - c can start infeasible, so phase 1
     has a single artificial. zeta is then raised evenly to sum to c, and
-    the substitute channel W~ is rebuilt from t.
+    the substitute channel W~ is rebuilt from t. On a symmetric channel
+    the flat zeta = c/m is optimal (proof at ``_solve_reduced``), so the
+    deviation is sum_y max(W(y|0) - c/m, 0) = 1 - sum_y min(W(y|0), c/m)
+    with no LP.
     """
     rows = _channel_rows(w)
     if int(c) != c or c < 2:

@@ -41,6 +41,22 @@ def _check_mass(vec: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must sum to 1 within {MASS_TOL}, got {total!r}")
 
 
+def _check_rows(arr: np.ndarray) -> None:
+    """_check_mass on every row of a nonempty 2-d array, in one pass.
+
+    Rows that are finite, nonnegative and sum to 1 within half the
+    tolerance pass at once; otherwise every row goes through _check_mass
+    in order, so the first bad row raises its own message. The half
+    tolerance covers any rounding difference between the vectorized and
+    the per-row sums, so the same arrays pass and fail as row by row.
+    """
+    if (np.isfinite(arr).all() and (arr >= 0.0).all()
+            and np.abs(arr.sum(axis=1) - 1.0).max() <= MASS_TOL / 2):
+        return
+    for x in range(arr.shape[0]):
+        _check_mass(arr[x], f"channel row {x}")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over a finite alphabet."""
@@ -89,8 +105,7 @@ class Dmc:
         arr = _freeze(self.rows)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("channel matrix must be 2-d and nonempty")
-        for x in range(arr.shape[0]):
-            _check_mass(arr[x], f"channel row {x}")
+        _check_rows(arr)
         object.__setattr__(self, "rows", arr)
 
     @classmethod
@@ -134,8 +149,7 @@ class BroadcastDmc:
         arr = _freeze(self.rows)
         if arr.ndim != 2 or arr.shape[1] != math.prod(sizes):
             raise ValueError("row width must equal the product of output sizes")
-        for x in range(arr.shape[0]):
-            _check_mass(arr[x], f"channel row {x}")
+        _check_rows(arr)
         object.__setattr__(self, "rows", arr)
         object.__setattr__(self, "output_sizes", sizes)
 

@@ -27,8 +27,9 @@ CHANNELSIM_THREADS is accepted for compatibility and ignored.
 
 Sampling is table-driven and makes the same float comparisons as a
 binary search. A pick reads a guide table on the top 12 bits of its word
-(Chen and Asau, 1974) and searches only when a cumulative entry lies in
-the word's bucket; an acceptance compares the whole word, as one 64-bit
+(Chen and Asau, 1974); a bucket holding one cumulative entry compares the
+whole word with that entry's threshold word, and only a bucket holding
+two or more searches; an acceptance compares the whole word, as one 64-bit
 integer, with the largest word whose top 53 bits are at most
 floor(accept * 2^53); the broadcast protocol keeps each trial's list
 configuration and, input by input, looks its index pair up in that
@@ -41,6 +42,7 @@ import dataclasses
 import itertools
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,31 +166,54 @@ def _pick(cumulative: np.ndarray, u):
     return np.minimum(idx, cumulative.size - 1)
 
 
-def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+class _Guide(NamedTuple):
+    """A _guide_table: per-bucket base picks and limit words."""
+
+    base: np.ndarray
+    limits: np.ndarray
+    searches: bool
+
+
+def _guide_table(cumulative: np.ndarray) -> _Guide:
     """Guide table of a cumulative array for _guided_pick.
 
-    Bucket b covers the uniforms in [b, b + 1) / 2^12 and holds _pick of
-    its lower edge, or -1 when a cumulative entry lies strictly inside
-    it; only such a bucket's words can pick different indices. Entries
-    are int32, so a block's picks take half the memory of intp ones.
+    Bucket b covers the uniforms in [b, b + 1) / 2^12; ``base[b]`` is
+    _pick of its lower edge. When exactly one cumulative entry c lies
+    strictly inside the bucket, a word w there picks one more exactly when
+    u >= c, that is (w >> 11) >= ceil(c 2^53), so ``limits[b]`` holds
+    (ceil(c 2^53) << 11) - 1 and the pick is base + (w > limit); c < 1
+    keeps the shift in 64 bits. Every other limit is 2^64 - 1, which no
+    word exceeds. A bucket whose one entry is the last needs no limit:
+    the clamp to the last index picks the same on both sides of it. A
+    bucket holding two or more entries has base -1 and its words search;
+    ``searches`` says whether any bucket does. Bases are int32, so a
+    block's picks take half the memory of intp ones.
     """
     edges = np.arange((1 << _GUIDE_BITS) + 1) * 2.0 ** -_GUIDE_BITS
     below = np.searchsorted(cumulative, edges[:-1], side="right")
-    inside = np.searchsorted(cumulative, edges[1:], side="left") > below
-    table = np.minimum(below, cumulative.size - 1).astype(np.int32)
-    table[inside] = -1
-    return table
+    inner = np.searchsorted(cumulative, edges[1:], side="left") - below
+    last = cumulative.size - 1
+    base = np.minimum(below, last).astype(np.int32)
+    limits = np.full(base.size, _MASK64, dtype=np.uint64)
+    one = (inner == 1) & (below < last)
+    top = np.ceil(cumulative[below[one]] * 2.0 ** 53).astype(np.uint64)
+    limits[one] = (top << np.uint64(11)) - np.uint64(1)
+    many = inner > 1
+    base[many] = -1
+    return _Guide(base, limits, bool(many.any()))
 
 
-def _guided_pick(cumulative: np.ndarray, table: np.ndarray,
+def _guided_pick(cumulative: np.ndarray, guide: _Guide,
                  words: np.ndarray) -> np.ndarray:
     """_pick of the words' uniforms through a _guide_table."""
+    bucket = (words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)
     # Clip mode is take's fastest; every bucket index is in range.
-    idx = table.take((words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64),
-                     mode="clip")
-    near = np.flatnonzero(idx < 0)
-    if near.size:
-        idx.flat[near] = _pick(cumulative, _to_uniform(words.take(near)))
+    idx = guide.base.take(bucket, mode="clip")
+    idx += words > guide.limits.take(bucket, mode="clip")
+    if guide.searches:
+        near = np.flatnonzero(idx < 0)
+        if near.size:
+            idx.flat[near] = _pick(cumulative, _to_uniform(words.take(near)))
     return idx
 
 

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from . import asymptotics, broadcast, divergences, ns_meta, prob, protocols
+from . import (asymptotics, broadcast, divergences, lp, ns_meta, prob,
+               protocols)
 
 _SLACK = 1e-7
 
@@ -118,6 +119,30 @@ def check_ns_cost(seed):
         if np.any(got.w_tilde > got.zeta[None, :] + 1e-9):
             return False, "witness exceeds its cap"
     return True, "10 random channels"
+
+
+def check_flat_ns(seed):
+    """Flat closed form against the reduced LP on symmetric channels."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        m = int(rng.integers(3, 7))
+        base = rng.dirichlet(np.ones(m))
+        rows = np.array([np.roll(base, i) for i in range(m)])
+        peak = rows.max(axis=0).sum()
+        for eps in (0.02, 0.2):
+            got = 2.0 ** ns_meta.i_max_smooth(rows, eps).value
+            sol = lp.solve_lp(ns_meta._reduced_program(rows, eps=eps))
+            # The LP maximizes sum s, the mass removed from sum M, so its
+            # value is -sum s and sum zeta = sum M + value.
+            want = peak + sol.value
+            if sol.status != "optimal" or abs(got - want) > 1e-9:
+                return False, f"cost {got} vs LP {want} at m={m}"
+        cost = int(rng.integers(2, m + 1))
+        got = ns_meta.ns_eps_for_cost(rows, cost).eps
+        sol = lp.solve_lp(ns_meta._reduced_program(rows, cost=cost))
+        if sol.status != "optimal" or abs(got - max(sol.value, 0.0)) > 1e-9:
+            return False, f"deviation {got} vs LP {sol.value} at m={m}"
+    return True, "4 random circulant channels"
 
 
 def check_capacity(_seed):
@@ -295,6 +320,7 @@ _CHECKS = (
     ("divergence-sandwich", check_divergence_sandwich),
     ("smooth-dmax-bound", check_smooth_dmax_vs_beta),
     ("ns-cost-ceiling", check_ns_cost),
+    ("ns-flat-vs-lp", check_flat_ns),
     ("capacity-closed-forms", check_capacity),
     ("normal-quantile", check_quantile),
     ("cs-cc-bracket", check_bracket),

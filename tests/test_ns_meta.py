@@ -1,11 +1,13 @@
 """Meta-converse LPs: exact values, witnesses, and the BSC fast paths."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from channelsim import lp, ns_meta, prob
+from channelsim import cli, lp, ns_meta, prob
 from channelsim.divergences import d_max, d_max_smooth, d_s_plus
 from channelsim.lp import LpProblem, solve_lp
 
@@ -238,6 +240,156 @@ class TestReducedProgram:
         sol = solve_lp(program)
         assert sol.status == "optimal"
         assert sol.iterations <= 64
+
+
+def _circulant(base):
+    return np.array([np.roll(base, i) for i in range(base.size)])
+
+
+def _qary(q, diagonal):
+    off = (1.0 - diagonal) / (q - 1)
+    return np.full((q, q), off) + np.eye(q) * (diagonal - off)
+
+
+def _symmetric_channels():
+    """Channels whose rows, and whose columns, permute one another."""
+    rng = np.random.default_rng(1818)
+    cases = [pytest.param(ns_meta.bsc_channel(n, delta).rows,
+                          id=f"bsc{delta}^{n}")
+             for n in (1, 2, 3, 4) for delta in (0.11, 0.5)]
+    cases += [pytest.param(_qary(q, d), id=f"qary{q}")
+              for q, d in ((3, 0.6), (5, 0.8))]
+    cases += [pytest.param(_circulant(rng.dirichlet(np.ones(m))),
+                           id=f"circulant{m}") for m in (3, 5, 7)]
+    sparse = rng.dirichlet(np.ones(6))
+    sparse[[1, 4]] = 0.0
+    cases += [
+        pytest.param(_circulant(sparse / sparse.sum()), id="circulant-zeros"),
+        pytest.param(_circulant(np.array([0.5, 0.5, 0.0, 0.0])),
+                     id="circulant-halves"),
+        pytest.param(np.array([[0.35, 0.35, 0.15, 0.15],
+                               [0.15, 0.15, 0.35, 0.35]]), id="2x4"),
+        pytest.param(np.eye(4), id="identity4"),
+    ]
+    return cases
+
+
+def _flat_params(m):
+    """The eps and costs each symmetric channel is checked at."""
+    eps = [e for e in (0.0, 0.02, 0.1, 0.5, 1.0 - 1.0 / m + 0.05) if e < 1.0]
+    return eps, list(range(2, m + 2))
+
+
+def _one_ulp_off():
+    rows = ns_meta.bsc_channel(2, 0.11).rows.copy()
+    rows[0, 0] = np.nextafter(rows[0, 0], 1.0)
+    return rows
+
+
+def _no_lp(program):
+    raise AssertionError("a symmetric channel built an LP")
+
+
+def _counting_lp(monkeypatch):
+    calls = []
+    real = ns_meta.solve_lp
+
+    def counting(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(ns_meta, "solve_lp", counting)
+    return calls
+
+
+def _load_workloads():
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFlatClosedForm:
+    @pytest.mark.parametrize("rows", _symmetric_channels())
+    def test_matches_lp_route(self, rows, monkeypatch):
+        m = rows.shape[1]
+        eps_list, costs = _flat_params(m)
+        assert ns_meta._is_symmetric(rows)
+        imax_lp = [ns_meta._solve_reduced_lp(rows, "max-information", eps=e)
+                   for e in eps_list]
+        dev_lp = [ns_meta._solve_reduced_lp(rows, "deviation", cost=c)
+                  for c in costs]
+        monkeypatch.setattr(ns_meta, "solve_lp", _no_lp)
+        uniform = np.full(m, 1.0 / m)
+        for eps, (want, _, _) in zip(eps_list, imax_lp):
+            got = ns_meta.i_max_smooth(rows, eps)
+            assert got.value == pytest.approx(want, abs=1e-12)
+            assert got.value == d_max_smooth(eps, rows[0], uniform)
+            assert np.all(got.zeta == got.zeta[0])
+            assert got.zeta.sum() == pytest.approx(2.0 ** got.value,
+                                                   rel=1e-12)
+            _assert_witness(rows, got.w_tilde, got.zeta, eps)
+            assert ns_meta.ns_cost(rows, eps).cost == \
+                ns_meta._clamped_ceil(2.0 ** want)
+        for cost, (want, _, _) in zip(costs, dev_lp):
+            got = ns_meta.ns_eps_for_cost(rows, cost)
+            assert got.eps == pytest.approx(max(want, 0.0), abs=1e-12)
+            assert np.all(got.zeta == cost / m)
+            _assert_witness(rows, got.w_tilde, got.zeta, got.eps)
+
+    @pytest.mark.parametrize("rows", [
+        # Rows permute one another, columns do not: the flat formula
+        # would give log2 1.8 = 0.848 bits, the optimum is log2 1.6.
+        pytest.param(np.array([[0.6, 0.4, 0.0], [0.0, 0.6, 0.4]]),
+                     id="rows-only"),
+        # Columns permute one another, rows do not: flat on row 0 would
+        # give 0 bits.
+        pytest.param(np.array([[0.5, 0.5], [0.2, 0.8], [0.8, 0.2]]),
+                     id="columns-only"),
+        pytest.param(_one_ulp_off(), id="bsc^2-one-ulp-off"),
+    ])
+    def test_asymmetric_takes_the_lp(self, rows, monkeypatch):
+        assert not ns_meta._is_symmetric(rows)
+        calls = _counting_lp(monkeypatch)
+        got = ns_meta.i_max_smooth(rows, 0.0)
+        assert len(calls) == 1
+        assert got.value == pytest.approx(ns_meta.i_max(rows), abs=1e-12)
+        ns_meta.ns_eps_for_cost(rows, 2)
+        assert len(calls) == 2
+
+    # At seed 1881 the cost of ns-eps-bsc3 is 2, where 1 - sum min(W, c/m)
+    # rounds an ulp away from the LP's removed mass.
+    @pytest.mark.parametrize("seed", [11, 1881])
+    def test_oneshot_traffic(self, tmp_path, monkeypatch, seed):
+        # The benchmark's dense cost jobs: the BSC(0.11)^3 and ^4 ones
+        # take the closed form, with the LP route's output bytes, and the
+        # random channels the LP.
+        jobs = _load_workloads().make_jobs("oneshot", seed, str(tmp_path))
+        calls = _counting_lp(monkeypatch)
+        fast, slow = [], []
+        for job in jobs:
+            argv = list(job.get("argv", ()))
+            if not argv or argv[0] not in ("ns-cost", "ns-eps", "imax"):
+                continue
+            for flag in ("--channel", "--out"):
+                argv[argv.index(flag) + 1] = str(
+                    tmp_path / argv[argv.index(flag) + 1])
+            out = tmp_path / job["out"]
+            before = len(calls)
+            assert cli.main(argv) == cli.EXIT_OK
+            if len(calls) > before:
+                slow.append(job["id"])
+                continue
+            fast.append(job["id"])
+            got = out.read_bytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(ns_meta, "_is_symmetric", lambda rows: False)
+                assert cli.main(argv) == cli.EXIT_OK
+            assert out.read_bytes() == got
+        assert sorted(fast) == ["imax-bsc3", "ns-cost-bsc3", "ns-cost-bsc4",
+                                "ns-eps-bsc3"]
+        assert len(slow) == 9
 
 
 class TestChannelDivergences:

@@ -106,3 +106,47 @@ def test_useless_bsc_costs_nothing(n):
     fast = ns_meta.bsc_ns_cost(n, 0.5, 0.1)
     assert fast.log2_cost == 0.0
     assert fast.cost == 1
+
+
+def _symmetric_cases():
+    """Channels whose rows, and whose columns, permute one another."""
+    rng = np.random.default_rng(1819)
+    cases = [pytest.param(ns_meta.bsc_channel(n, delta).rows,
+                          id=f"bsc{delta}^{n}")
+             for n, delta in ((1, 0.5), (2, 0.11), (3, 0.5), (4, 0.11))]
+    for m in (3, 6):
+        base = rng.dirichlet(np.ones(m))
+        if m == 6:
+            base[[0, 3]] = 0.0
+            base /= base.sum()
+        cases.append(pytest.param(
+            np.array([np.roll(base, i) for i in range(m)]),
+            id=f"circulant{m}"))
+    off = 0.05
+    cases += [
+        pytest.param(np.full((5, 5), off) + np.eye(5) * (0.8 - off),
+                     id="qary5"),
+        pytest.param(np.array([[0.35, 0.35, 0.15, 0.15],
+                               [0.15, 0.15, 0.35, 0.35]]), id="2x4"),
+        pytest.param(np.eye(3), id="identity3"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("rows", _symmetric_cases())
+def test_symmetric_closed_form_matches_highs(rows):
+    # These take the flat closed form; HiGHS solves the full program.
+    assert ns_meta._is_symmetric(rows)
+    m = rows.shape[1]
+    for eps in (0.0, 0.02, 0.1, 0.5, 1.0 - 1.0 / m + 0.05):
+        if eps >= 1.0:
+            continue
+        got = ns_meta.i_max_smooth(rows, eps)
+        assert got.value == pytest.approx(
+            math.log2(_full_program(rows, eps=eps)), abs=1e-9)
+        _check_witness(rows, got.w_tilde, got.zeta, eps)
+    for cost in range(2, m + 2):
+        dev = ns_meta.ns_eps_for_cost(rows, cost)
+        want = max(_full_program(rows, cost=cost), 0.0)
+        assert dev.eps == pytest.approx(want, abs=1e-9)
+        _check_witness(rows, dev.w_tilde, dev.zeta, dev.eps)

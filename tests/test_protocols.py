@@ -307,7 +307,8 @@ class TestGuidedPick:
             want = np.minimum(np.searchsorted(cum, u, side="right"),
                               cum.size - 1)
             table = protocols._guide_table(cum)
-            assert table.size == 1 << protocols._GUIDE_BITS
+            assert table.base.size == 1 << protocols._GUIDE_BITS
+            assert table.limits.size == 1 << protocols._GUIDE_BITS
             got = protocols._guided_pick(cum, table, words)
             assert np.array_equal(got, want)
             # A column of a wider block, as the broadcast list picks read.
@@ -316,11 +317,52 @@ class TestGuidedPick:
             assert np.array_equal(got, want[:, None])
 
     def test_only_buckets_holding_an_entry_search(self):
-        cum = np.cumsum(np.full(8, 0.125))
-        table = protocols._guide_table(cum)
-        assert np.count_nonzero(table < 0) == 0
+        # Entries on bucket edges need neither a limit nor a search.
+        table = protocols._guide_table(np.cumsum(np.full(8, 0.125)))
+        assert np.count_nonzero(table.base < 0) == 0
+        assert np.all(table.limits == np.uint64((1 << 64) - 1))
+        assert not table.searches
+        # One entry inside a bucket is a limit word, not a search; the
+        # last entry needs neither, since the clamp picks the last index
+        # on both sides of it.
         cum = np.array([0.1, 0.35, 0.6, 0.85, 1.0 - 1e-12])
-        assert np.count_nonzero(protocols._guide_table(cum) < 0) == 5
+        table = protocols._guide_table(cum)
+        assert np.count_nonzero(table.base < 0) == 0
+        assert np.count_nonzero(table.limits != np.uint64((1 << 64) - 1)) == 4
+        assert not table.searches
+        # Only a bucket holding two or more entries searches.
+        cum = np.array([0.1, 0.1 + 1e-5, 0.6, 0.6 + 2e-5, 0.6 + 3e-5, 1.0])
+        table = protocols._guide_table(cum)
+        assert np.count_nonzero(table.base < 0) == 2
+        assert table.searches
+
+    def _assert_picks(self, cum):
+        words = self._words(cum)
+        want = np.minimum(np.searchsorted(cum, protocols._to_uniform(words),
+                                          side="right"), cum.size - 1)
+        got = protocols._guided_pick(cum, protocols._guide_table(cum), words)
+        assert np.array_equal(got, want)
+
+    def test_letter_below_one_bucket(self):
+        # A letter of mass below 2^-12 puts two entries in one bucket,
+        # which searches, beside buckets that compare limit words.
+        for mass in (1e-5, 2.0 ** -13, 2.0 ** -40, 0.0):
+            cum = np.cumsum([0.2501, mass, 0.2, 0.5499 - mass])
+            table = protocols._guide_table(cum)
+            assert table.searches
+            assert np.count_nonzero(table.base < 0) == 1
+            self._assert_picks(cum)
+
+    def test_last_entry_rounding_below_one(self):
+        # cumsum of ten 0.1 ends at 1 - 2^-53: the top word's uniform
+        # reaches it, and the pick is clamped to the last letter.
+        cum = np.cumsum(np.full(10, 0.1))
+        assert cum[-1] == 1.0 - 2.0 ** -53
+        assert not protocols._guide_table(cum).searches
+        self._assert_picks(cum)
+        top = np.array([(1 << 64) - 1], dtype=np.uint64)
+        assert protocols._guided_pick(cum, protocols._guide_table(cum),
+                                      top)[0] == 9
 
 
 class TestRejectionPlan:
