@@ -16,13 +16,14 @@ into the returned numbers; callers that serialize results attach a
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf
+from .prob import Pmf, _channel_rows
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -304,35 +305,29 @@ def _certified_optimum(rows: np.ndarray, out_sizes: tuple, k: int,
                 f"{now:.3e} bits")
 
 
-def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
-             tol: float, init) -> BaTrace:
+# The a-priori traces (capacity, ba-trace) stop at _TRACE_CAP steps. This
+# is not _ASCENT_CAP: sharing it would move where a long trace stops.
+_TRACE_CAP = 1_000_000
+
+
+def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int,
+             tol: float) -> BaTrace:
     """Run the shared ascent for capacity and the C-tilde runs.
 
-    Starts from ``init`` (uniform by default) and stops at the first step
-    t whose estimate k log2 z_t rises by less than tol over step t-1's,
-    or whose a-priori bound k*log2|X|/t is below tol, or at max_iter. The
-    trace keeps each step's estimate and the last step's input only.
+    Starts from the uniform input and stops at the first step t whose
+    estimate k log2 z_t rises by less than tol over step t-1's, or whose
+    a-priori bound k*log2|X|/t is below tol, or at _TRACE_CAP. The trace
+    keeps each step's estimate and the last step's input only.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     rows, out_sizes = _drop_dead_letters(rows, out_sizes)
     kx = rows.shape[0]
-    if init is None:
-        p = np.full(kx, 1.0 / kx)
-    else:
-        p = init.probs.copy() if isinstance(init, Pmf) else np.asarray(
-            init, dtype=np.float64).copy()
-        if p.size != kx or np.any(p <= 0.0):
-            raise ValueError("initial input pmf must be strictly positive "
-                             "on the full alphabet")
-        p /= p.sum()
     estimates = []
     prev = -math.inf
     log_inputs = math.log2(kx) if kx > 1 else 0.0
-    steps = _ascent(_divergence_map(rows, out_sizes), k, p)
-    for t, (_, _, z, p) in zip(range(1, max_iter + 1), steps):
+    steps = _ascent(_divergence_map(rows, out_sizes), k, np.full(kx, 1.0 / kx))
+    for t, (_, _, z, p) in zip(range(1, _TRACE_CAP + 1), steps):
         est = k * math.log2(z)
         estimates.append(est)
         if est - prev < tol or k * log_inputs / t < tol:
@@ -342,16 +337,14 @@ def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int, max_iter: int,
                    num_inputs=kx)
 
 
-def capacity_ba(w, max_iter: int = 1_000_000, tol: float = 1e-9,
-                init=None) -> BaTrace:
-    """Channel capacity by Blahut-Arimoto.
+def capacity_ba(w, tol: float = 1e-9) -> BaTrace:
+    """Channel capacity by Blahut-Arimoto from the uniform input.
 
     Returns the trace; the capacity estimate is ``trace.value`` and the
     optimum is certified to lie within ``trace.final_bound`` above it.
-    ``init`` defaults to the uniform input and must have full support.
     """
-    rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
-    return _ba_core(rows, (rows.shape[1],), 1, max_iter, tol, init)
+    rows = _channel_rows(w)
+    return _ba_core(rows, (rows.shape[1],), 1, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,7 +356,8 @@ class SecondOrderParams:
     differ only when that set is not a single point.
     capacity_achieving_inputs holds the face's minimizer and maximizer of
     the variance, one entry when they coincide. tol_cap is the divergence
-    slack within which an input letter counts as capacity-achieving.
+    slack within which an input letter counts as capacity-achieving,
+    1e-7 bits.
     """
 
     capacity: float
@@ -373,45 +367,47 @@ class SecondOrderParams:
     tol_cap: float
 
 
-def _simplex_grid(dim: int, steps: int, limit: int = 2_000_000) -> np.ndarray:
-    """All compositions of ``steps`` into ``dim`` parts, scaled to the simplex."""
+# Most points a simplex grid, or a product of them, may hold.
+MAX_GRID_POINTS = 2_000_000
+
+
+def _simplex_grid(dim: int, steps: int) -> np.ndarray:
+    """All compositions of ``steps`` into ``dim`` parts, scaled to the simplex.
+
+    Stars and bars: the dim - 1 dividers among steps + dim - 1 slots,
+    taken in lexicographic order, cut the stars into the parts, so the
+    rows come in lexicographic order too.
+    """
     count = math.comb(steps + dim - 1, dim - 1)
-    if count > limit:
+    if count > MAX_GRID_POINTS:
         raise ValueError(
-            f"grid of {count} points exceeds the {limit} cap; "
+            f"grid of {count} points exceeds the {MAX_GRID_POINTS} cap; "
             "coarsen the resolution")
-    out = np.empty((count, dim), dtype=np.float64)
-    row = 0
-
-    def fill(prefix, remaining, slot):
-        nonlocal row
-        if slot == dim - 1:
-            out[row, :slot] = prefix
-            out[row, slot] = remaining
-            row += 1
-            return
-        for v in range(remaining + 1):
-            fill(prefix + [v], remaining - v, slot + 1)
-
-    fill([], steps, 0)
-    return out / steps
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(steps + dim - 1), dim - 1)),
+        dtype=np.int64, count=count * (dim - 1)).reshape(count, dim - 1)
+    edges = np.hstack([np.full((count, 1), -1), cuts,
+                       np.full((count, 1), steps + dim - 1)])
+    return (np.diff(edges, axis=1) - 1) / steps
 
 
 # dispersion certifies its input to Blahut's gap max_x D(W_x || pW) - I(p)
-# <= _ASCENT_GAP. The gap must sit far below the face threshold tol_cap:
+# <= _ASCENT_GAP. The gap must sit far below the face threshold _TOL_CAP:
 # stopped at a gap of 5e-8, an ascent can leave a face letter out of X*
-# under tol_cap = 1e-7 and understate v_max by a quarter of a bit^2.
+# under a threshold of 1e-7 and understate v_max by a quarter of a bit^2.
 _ASCENT_GAP = 1e-12
+_TOL_CAP = 1e-7
 
 
-def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
+def dispersion(w) -> SecondOrderParams:
     """Capacity and the dispersion range over the capacity-achieving inputs.
 
     ``_certified_optimum`` gives an input p whose a-posteriori gap
     max_x D(W_x || pW) - I(p) is at most 1e-12: the shared Blahut-Arimoto
     ascent from the uniform input, finished by Newton's method on the
     candidate optimal face. The capacity is the lower end I(p) of that
-    bracket. The letters with D(W_x || pW) within tol_cap of the maximum
+    bracket. The letters with D(W_x || pW) within 1e-7 of the maximum
     form X*; p restricted to X* and renormalized, p^, fixes the
     capacity-achieving output q^ = p^ W. On the optimal face
     {p >= 0 on X*, p W = q^} the dispersion is the conditional information
@@ -421,13 +417,11 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
     if the ascent reaches its 100,000-step cap with the gap above 1e-12,
     or if a face program fails.
     """
-    if not 0.0 < tol_cap < math.inf:
-        raise ValueError("tol_cap must be positive and finite")
-    rows = w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
+    rows = _channel_rows(w)
     rows, out_sizes = _drop_dead_letters(rows, (rows.shape[1],))
     kx = rows.shape[0]
     p, d = _certified_optimum(rows, out_sizes, 1, _ASCENT_GAP)
-    face = np.flatnonzero(d >= d.max() - tol_cap)
+    face = np.flatnonzero(d >= d.max() - _TOL_CAP)
     p_hat = p[face] / p[face].sum()
     q_hat = p_hat @ rows[face]
     live = q_hat > 0.0
@@ -450,7 +444,7 @@ def dispersion(w, tol_cap: float = 1e-7) -> SecondOrderParams:
         v_min=v_min,
         v_max=v_max,
         capacity_achieving_inputs=tuple(Pmf(x) for x in extremes),
-        tol_cap=tol_cap,
+        tol_cap=_TOL_CAP,
     )
 
 

@@ -24,8 +24,9 @@ import math
 
 import numpy as np
 
-from .asymptotics import (BaTrace, _ba_core, _certified_optimum,
-                          _drop_dead_letters, _simplex_grid)
+from .asymptotics import (MAX_GRID_POINTS, BaTrace, _ba_core,
+                          _certified_optimum, _drop_dead_letters,
+                          _simplex_grid)
 from .divergences import _spectrum, d_s_plus, var_div
 from .prob import BroadcastDmc, Pmf, entropy_bits, push_forward, reduce_broadcast
 
@@ -71,13 +72,13 @@ def _output_sizes(reduced) -> tuple:
     return (reduced.output_size,)
 
 
-def tilde_c_ba(w: BroadcastDmc, subset, max_iter: int = 1_000_000,
-               tol: float | None = None, init=None) -> BaTrace:
+def tilde_c_ba(w: BroadcastDmc, subset, tol: float | None = None) -> BaTrace:
     """Maximized multipartite mutual information for one receiver subset.
 
-    Ascent rule: p <- p * 2^(D(W_J(.|x) || prod_i p_Yi) / |J|). The default
-    stopping increment is 1e-9 bits for up to two receivers and 1e-6 for
-    three, where each iteration is noticeably heavier. The trace carries
+    Ascent rule, from the uniform input:
+    p <- p * 2^(D(W_J(.|x) || prod_i p_Yi) / |J|). The default stopping
+    increment is 1e-9 bits for up to two receivers and 1e-6 for three,
+    where each iteration is noticeably heavier. The trace carries
     the a-priori bound |J| log2|X| / t only; ``rate_region`` does not use
     this function, and certifies each threshold a posteriori instead.
     """
@@ -85,8 +86,7 @@ def tilde_c_ba(w: BroadcastDmc, subset, max_iter: int = 1_000_000,
     if tol is None:
         tol = 1e-9 if len(js) <= 2 else 1e-6
     reduced = reduce_broadcast(w, js)
-    return _ba_core(reduced.rows, _output_sizes(reduced), len(js), max_iter,
-                    tol, init)
+    return _ba_core(reduced.rows, _output_sizes(reduced), len(js), tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,14 +176,14 @@ def common_dispersion(p: Pmf, w: BroadcastDmc) -> float:
     return total
 
 
-def _factor_grids(sizes, resolution: float, limit: int):
+def _factor_grids(sizes, resolution: float):
     """Simplex grids per output factor plus the combo count guard."""
     steps = max(int(round(1.0 / resolution)), 1)
-    grids = [_simplex_grid(size, steps, limit=limit) for size in sizes]
+    grids = [_simplex_grid(size, steps) for size in sizes]
     combos = 1
     for g in grids:
         combos *= g.shape[0]
-        if combos > limit:
+        if combos > MAX_GRID_POINTS:
             raise ValueError(
                 "product-reference grid too large; coarsen the resolution "
                 "or reduce the output alphabets")
@@ -191,8 +191,7 @@ def _factor_grids(sizes, resolution: float, limit: int):
 
 
 def ds_product_lower_bound(joint, eps: float, delta: float,
-                           resolution: float = 1e-2,
-                           limit: int = 2_000_000) -> tuple:
+                           resolution: float = 1e-2) -> tuple:
     """Best product-reference spectrum divergence versus its lower bound.
 
     lhs approximates inf over product references q_1 x ... x q_k of
@@ -200,7 +199,8 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
     marginals are appended to each grid); rhs is the closed-form bound
     D_s+^(eps + k delta)(p || p_X x p_Y1 x ... x p_Yk) + k log2 delta.
     Coarsening the grid can only raise the lhs, so the inequality
-    lhs >= rhs is tested one-sidedly.
+    lhs >= rhs is tested one-sidedly. Each factor's grid, and their
+    product, may hold at most MAX_GRID_POINTS points.
     """
     sizes = tuple(joint.factor_sizes)
     k = len(sizes) - 1
@@ -218,7 +218,7 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
     rhs = d_s_plus(eps + k * delta, joint.probs, ref.reshape(-1)) \
         + k * math.log2(delta)
 
-    grids = _factor_grids(sizes[1:], resolution, limit)
+    grids = _factor_grids(sizes[1:], resolution)
     grids = [np.vstack([g, m[None, :]]) for g, m in zip(grids, marginals)]
     support = joint.probs > 0.0
     mass = joint.probs[support]

@@ -147,6 +147,20 @@ def _emit_csv(args, header_meta: list[str], columns: list[str],
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _emit_table(args, meta: dict, columns: list[str], rows: list[tuple],
+                **fields) -> None:
+    """Rows as CSV, or as JSON ``rows`` dicts keyed by the column names.
+
+    meta goes to the CSV comment lines or the JSON meta object; fields
+    are extra top-level JSON values, placed before ``rows``.
+    """
+    if args.format == "csv":
+        _emit_csv(args, _meta_lines(**meta), columns, rows)
+    else:
+        _emit_json(args, {"meta": _meta_object(**meta), **fields,
+                          "rows": [dict(zip(columns, row)) for row in rows]})
+
+
 def _cmd_divergence(args) -> int:
     data = _read_object(args)
     p = prob.pmf_field(data, "p")
@@ -258,15 +272,9 @@ def _cmd_second_order(args) -> int:
     params = asymptotics.dispersion(w)
     rows = list(zip(args.n,
                     *_second_order_columns(params, args.n, args.eps)))
-    if args.format == "csv":
-        _emit_csv(args, _meta_lines(eps=args.eps, band="unquantified"),
-                  ["n", "simulation_bits", "coding_bits"], rows)
-    else:
-        _emit_json(args, {
-            "meta": _meta_object(eps=args.eps, band="unquantified"),
-            "capacity_bits": params.capacity,
-            "rows": [{"n": n, "simulation_bits": s, "coding_bits": c}
-                     for n, s, c in rows]})
+    _emit_table(args, {"eps": args.eps, "band": "unquantified"},
+                ["n", "simulation_bits", "coding_bits"], rows,
+                capacity_bits=params.capacity)
     return EXIT_OK
 
 
@@ -281,18 +289,10 @@ def _cmd_moderate(args) -> int:
         rows.append((n, r.a_n, r.eps_n, r.simulation_at_eps,
                      r.simulation_at_complement, r.coding_at_eps,
                      r.coding_at_complement))
-    if args.format == "csv":
-        _emit_csv(args, _meta_lines(band="unquantified"),
-                  ["n", "a_n", "eps_n", "simulation_at_eps",
-                   "simulation_at_complement", "coding_at_eps",
-                   "coding_at_complement"], rows)
-    else:
-        _emit_json(args, {
-            "meta": _meta_object(band="unquantified"),
-            "rows": [{"n": n, "a_n": a, "eps_n": e,
-                      "simulation_at_eps": s1, "simulation_at_complement": s2,
-                      "coding_at_eps": c1, "coding_at_complement": c2}
-                     for n, a, e, s1, s2, c1, c2 in rows]})
+    _emit_table(args, {"band": "unquantified"},
+                ["n", "a_n", "eps_n", "simulation_at_eps",
+                 "simulation_at_complement", "coding_at_eps",
+                 "coding_at_complement"], rows)
     return EXIT_OK
 
 

@@ -3,7 +3,8 @@
 Small self-contained solver for the linear programs of the meta-converse
 (``ns_meta``) and of the dispersion faces (``asymptotics``); the
 smoothed max-divergence has a closed form and keeps its program only as
-a reference. Design choices, deliberately boring: a dense tableau, upper
+a reference. Design choices, deliberately boring: a dense tableau,
+nonnegative variables (no lower bounds, no free variables) with upper
 bounds as explicit rows, Bland's smallest-index entering rule with ratio
 ties broken by the smallest basic variable index, equality rows handled
 through phase-1 artificial variables. Identical input therefore produces
@@ -41,17 +42,17 @@ class LpNumericsError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LpProblem:
-    """minimize c.x  subject to  A x (<=, =, >=) b  and  lower <= x <= upper.
+    """minimize c.x  subject to  A x (<=, =, >=) b  and  0 <= x <= upper.
 
-    senses is one string per row, each '<=', '=' or '>='. Bounds default
-    to [0, +inf); use -inf/+inf entries for free or unbounded variables.
+    senses is one string per row, each '<=', '=' or '>='. Every variable
+    is nonnegative; upper defaults to +inf, and a +inf entry leaves that
+    variable unbounded above.
     """
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
     senses: tuple
-    lower: np.ndarray = None
     upper: np.ndarray = None
 
     def __post_init__(self):
@@ -63,14 +64,10 @@ class LpProblem:
             raise ValueError("constraint matrix shape mismatch")
         if len(senses) != b.size or any(s not in ("<=", "=", ">=") for s in senses):
             raise ValueError("senses must be '<=', '=' or '>=' per row")
-        lower = (np.zeros(c.size) if self.lower is None
-                 else np.asarray(self.lower, dtype=np.float64))
         upper = (np.full(c.size, np.inf) if self.upper is None
                  else np.asarray(self.upper, dtype=np.float64))
-        if lower.size != c.size or upper.size != c.size:
+        if upper.size != c.size:
             raise ValueError("bound vector size mismatch")
-        if np.any(lower > upper):
-            raise ValueError("empty box: lower > upper")
         for name, arr in (("c", c), ("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
@@ -78,7 +75,6 @@ class LpProblem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "senses", senses)
-        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
     @property
@@ -145,28 +141,20 @@ def _run_simplex(tab, obj, basis, allowed, max_iters):
         iters += 1
 
 
-def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem, returning an optimal basic solution.
 
-    Raises LpNumericsError when the tableau cannot be trusted; returns
-    status 'infeasible' or 'unbounded' (with x = None) for well-posed
-    programs without an optimum.
+    Raises LpNumericsError when the tableau cannot be trusted, including
+    past 200 * (rows + columns) + 2000 pivots in a phase; returns status
+    'infeasible' or 'unbounded' (with x = None) for well-posed programs
+    without an optimum.
     """
     n = problem.num_vars
 
-    # ---- rewrite bounds: shift finite lowers, split free vars, rows for uppers
-    shift = np.where(np.isfinite(problem.lower), problem.lower, 0.0)
-    # Structural column j stands for sign_of[j] * x[var_of[j]]: every
-    # variable once, then a negated copy of each free variable.
-    free = np.flatnonzero(~np.isfinite(problem.lower))
-    var_of = np.concatenate([np.arange(n), free])
-    sign_of = np.concatenate([np.ones(n), -np.ones(free.size)])
-    ncols_struct = var_of.size
+    # ---- one '<=' row per finite upper bound
     capped = np.flatnonzero(np.isfinite(problem.upper))
-    A = np.vstack([problem.a[:, var_of] * sign_of,
-                   np.where(var_of == capped[:, None], sign_of, 0.0)])
-    b = np.concatenate([problem.b - problem.a @ shift,
-                        problem.upper[capped] - shift[capped]])
+    A = np.vstack([problem.a, np.arange(n) == capped[:, None]])
+    b = np.concatenate([problem.b, problem.upper[capped]])
     senses = np.array(problem.senses + ("<=",) * capped.size)
     # Which way each original row may miss its bound, for the final check.
     may_exceed = senses[:problem.num_rows] != ">="
@@ -182,24 +170,22 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     slack_rows = np.flatnonzero(senses != "=")
     art_rows = np.flatnonzero(senses != "<=")
     n_slack, n_art = slack_rows.size, art_rows.size
-    ncols = ncols_struct + n_slack + n_art
+    ncols = n + n_slack + n_art
     tab = np.zeros((rows_total, ncols + 1))
-    tab[:, :ncols_struct] = A
+    tab[:, :n] = A
     tab[:, -1] = b
-    slack_cols = ncols_struct + np.arange(n_slack)
-    art_cols = ncols_struct + n_slack + np.arange(n_art)
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(n_art)
     tab[slack_rows, slack_cols] = np.where(senses[slack_rows] == "<=", 1.0, -1.0)
     tab[art_rows, art_cols] = 1.0
     basis = np.empty(rows_total, dtype=np.int64)
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols     # a '>=' row starts on its artificial
 
-    if max_iters is None:
-        max_iters = 200 * (rows_total + ncols) + 2000
-
+    max_iters = 200 * (rows_total + ncols) + 2000
     iters_total = 0
     allowed = np.ones(ncols, dtype=bool)
-    first_art = ncols_struct + n_slack
+    first_art = n + n_slack
     if n_art:
         # phase 1: minimize the sum of artificials, expressed in reduced form
         obj = -tab[art_rows].sum(axis=0)
@@ -228,7 +214,7 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
 
     # phase 2 objective in reduced form
     obj = np.zeros(ncols + 1)
-    obj[:ncols_struct] = sign_of * problem.c[var_of]
+    obj[:n] = problem.c
     # Basic columns are unit vectors, so clearing one basic cost leaves the
     # others as they are: only rows with a nonzero basic cost take a step.
     for i in (obj[basis] != 0.0).nonzero()[0]:
@@ -238,24 +224,23 @@ def solve_lp(problem: LpProblem, max_iters: int = None) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", -math.inf, None, iters_total)
 
-    # ---- recover x in the original variable space and validate
+    # ---- read x off the basis and validate
     x_std = np.zeros(ncols)
     x_std[basis] = tab[:, -1]
     if x_std.min() < -FEAS_TOL:
         raise LpNumericsError("negative basic value beyond tolerance")
-    x = shift.copy()
-    np.add.at(x, var_of, sign_of * np.maximum(x_std[:ncols_struct], 0.0))
+    x = np.maximum(x_std[:n], 0.0)
 
     resid = problem.a @ x - problem.b
     bad = (may_exceed & (resid > FEAS_TOL)) | (may_fall & (resid < -FEAS_TOL))
     if bad.any():
         i = int(bad.argmax())
         raise LpNumericsError(f"row {i} residual {resid[i]:.3e} out of tolerance")
-    if np.any(x < problem.lower - FEAS_TOL) or np.any(x > problem.upper + FEAS_TOL):
+    if np.any(x > problem.upper + FEAS_TOL):
         raise LpNumericsError("bound violation beyond tolerance")
 
     value = float(problem.c @ x)
-    tableau_value = -float(obj[-1]) + float(problem.c @ shift)
+    tableau_value = -float(obj[-1])
     if abs(value - tableau_value) > 1e-9 * max(1.0, abs(value)):
         raise LpNumericsError("tableau objective drifted from recomputed value")
     return LpSolution("optimal", value, x, iters_total)

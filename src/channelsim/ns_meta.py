@@ -39,10 +39,7 @@ import numpy as np
 
 from .divergences import _d_s_plus_rows, d_max_smooth
 from .lp import LpProblem, solve_lp
-from .prob import Dmc
-
-def _channel_rows(w) -> np.ndarray:
-    return w.rows if hasattr(w, "rows") else np.asarray(w, dtype=np.float64)
+from .prob import Dmc, _channel_rows
 
 
 def i_max(w) -> float:

@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MASS_TOL = 1e-12
+# Most entries a dense tensor_power matrix may hold.
+MAX_TENSOR_ENTRIES = 1 << 20
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -135,6 +137,11 @@ class Dmc:
         return Pmf(self.rows[x])
 
 
+def _channel_rows(w) -> np.ndarray:
+    """The rows of a channel, or of a raw array checked as a Dmc."""
+    return w.rows if hasattr(w, "rows") else Dmc(w).rows
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class BroadcastDmc:
     """Channel from one sender to K receivers, outputs flattened row-major."""
@@ -218,16 +225,18 @@ def entropy_bits(p) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def tensor_power(w: Dmc, n: int, max_entries: int = 1 << 20) -> Dmc:
+def tensor_power(w: Dmc, n: int) -> Dmc:
     """n-fold product channel; index order is big-endian in symbol 1.
 
-    The dense matrix has |X|^n * |Y|^n entries, guarded by max_entries.
+    The dense matrix has |X|^n * |Y|^n entries, at most
+    MAX_TENSOR_ENTRIES.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
     entries = (w.input_size ** n) * (w.output_size ** n)
-    if entries > max_entries:
-        raise ValueError(f"tensor power needs {entries} entries, cap is {max_entries}")
+    if entries > MAX_TENSOR_ENTRIES:
+        raise ValueError(f"tensor power needs {entries} entries, "
+                         f"cap is {MAX_TENSOR_ENTRIES}")
     rows = w.rows
     for _ in range(n - 1):
         rows = np.kron(rows, w.rows)

@@ -23,7 +23,6 @@ golden mod 2^64, so the samplers carry states, not counters: a live
 rejection trial steps its state by golden to its decision word and by
 2 golden to its next round, and a broadcast trial's words are a fixed
 state offset from its first. The block size changes no output.
-CHANNELSIM_THREADS is accepted for compatibility and ignored.
 
 Sampling is table-driven and makes the same float comparisons as a
 binary search. A pick reads a guide table on the top 12 bits of its word
@@ -66,6 +65,9 @@ _SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
 _BLOCK_WORDS = 4096
 # Largest round budget m of a RejectionPlan.
 MAX_ROUNDS = 1 << 20
+# Largest state space, in atoms, that the convex-split mixture and the
+# broadcast protocol's list configurations may enumerate.
+MAX_ATOMS = 1 << 20
 # Buckets of a guide table: a word's bucket is its top 12 bits, which
 # equal floor(u * 2^12) for its uniform u.
 _GUIDE_BITS = 12
@@ -408,15 +410,15 @@ class ConvexSplitReport:
 
 
 def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
-                         r: np.ndarray, m: int, n: int,
-                         cap: int = 1 << 20) -> np.ndarray:
+                         r: np.ndarray, m: int, n: int) -> np.ndarray:
     """Uniform position mixture over (X, Y_1..Y_M, Z_1..Z_N).
 
     Component (j, k) plants the correlated pair at positions (j, k) and
     fills every other slot with the reference; summing with uniform
     weights gives the tensor whose distance to the full product the
     convex split lemma controls. Each of the 1 + M + N factors takes one
-    einsum subscript letter, so M + N is at most 25.
+    einsum subscript letter, so M + N is at most 25, and the tensor holds
+    at most MAX_ATOMS entries.
     """
     letters = "abcdefghijklmnopqrstuvwxyz"
     if 1 + m + n > len(letters):
@@ -424,8 +426,9 @@ def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
                          f"{len(letters) - 1} list copies")
     kx, sy, sz = joint_xyz.shape
     atoms = kx * sy ** m * sz ** n
-    if atoms > cap:
-        raise ValueError(f"state space of {atoms} atoms exceeds cap {cap}")
+    if atoms > MAX_ATOMS:
+        raise ValueError(
+            f"state space of {atoms} atoms exceeds cap {MAX_ATOMS}")
     x_l = letters[0]
     y_ls = letters[1:1 + m]
     z_ls = letters[1 + m:1 + m + n]
@@ -448,7 +451,7 @@ def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
 
 
 def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
-                       eps_params, cap: int = 1 << 20) -> ConvexSplitReport:
+                       eps_params) -> ConvexSplitReport:
     """Exact TVD of the convex-split mixture against its certified bound.
 
     eps_params is a ConvexSplitParams (or a 6-sequence in the same order).
@@ -485,7 +488,7 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
         and math.log2(n) >= t2 - math.log2(eps_params.delta2 ** 2) - slack
         and math.log2(m) + math.log2(n)
         >= t3 - math.log2(eps_params.delta3 ** 2) - slack)
-    mixture = convex_split_mixture(cube, q.probs, r.probs, m, n, cap=cap)
+    mixture = convex_split_mixture(cube, q.probs, r.probs, m, n)
     product = p_x
     for _ in range(m):
         product = np.multiply.outer(product, q.probs)
@@ -503,19 +506,18 @@ def _string_atoms(size: int, length: int) -> np.ndarray:
     return np.indices((size,) * length, dtype=np.intp).reshape(length, -1).T
 
 
-def _check_lists(w: BroadcastDmc, m, n, cap: int) -> None:
+def _check_lists(w: BroadcastDmc, m, n) -> None:
     _check_count("list size m", m)
     _check_count("list size n", n)
     sy, sz = w.output_sizes
-    if sy ** m * sz ** n * w.input_size > cap:
+    if sy ** m * sz ** n * w.input_size > MAX_ATOMS:
         raise ValueError("state space exceeds the enumeration cap")
 
 
-def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
-                      cap: int):
+def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int):
     """Index posteriors of the broadcast protocol, one input at a time.
 
-    Checks the list sizes, the cap and the references' support before any
+    Checks the list sizes, MAX_ATOMS and the references' support before any
     work, then returns (weights, cells, posteriors). List configuration
     c = (y-string, z-string) is numbered with the z-string varying
     fastest; weights[c] is its probability q^M(y) r^N(z) and cells[c, jk]
@@ -525,7 +527,7 @@ def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     (q(y_j) r(z_k)), the full string probability factored out, and an
     all-zero row falls back to a uniform pair.
     """
-    _check_lists(w, m, n, cap)
+    _check_lists(w, m, n)
     if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
         raise ValueError("references must have full support")
     sy, sz = w.output_sizes
@@ -557,8 +559,8 @@ def _induced_row(weights: np.ndarray, cells: np.ndarray, post: np.ndarray,
                        weights=(weights[:, None] * post).reshape(-1))
 
 
-def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
-                            cap: int = 1 << 20) -> np.ndarray:
+def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
+                            n: int) -> np.ndarray:
     """Protocol-induced channel by direct per-atom enumeration.
 
     Follows the protocol definition symbol by symbol: for every shared
@@ -567,7 +569,7 @@ def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     accumulated with the string probability. Kept deliberately naive as
     the reference route; induced_channel_scatter is the fast one.
     """
-    _check_lists(w, m, n, cap)
+    _check_lists(w, m, n)
     sy, sz = w.output_sizes
     rows3 = w.rows.reshape(w.input_size, sy, sz)
     qv, rv = q.probs, r.probs
@@ -607,8 +609,8 @@ def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     return out / out.sum(axis=1, keepdims=True)
 
 
-def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
-                            cap: int = 1 << 20) -> np.ndarray:
+def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
+                            n: int) -> np.ndarray:
     """Protocol-induced channel, vectorized.
 
     Shares no intermediate algebra with the literal route: numerators are
@@ -616,7 +618,7 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     full string probability, and each input's row is one weighted count
     of the output cells, which adds in the order of a scatter-add.
     """
-    weights, cells, posteriors = _input_posteriors(w, q, r, m, n, cap)
+    weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     out = np.array([_induced_row(weights, cells, post, w.rows.shape[1])
                     for post in posteriors])
     return out / out.sum(axis=1, keepdims=True)
@@ -630,8 +632,7 @@ class BroadcastRun:
 
 
 def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
-                           stream: RngStream, trials: int,
-                           cap: int = 1 << 20) -> BroadcastRun:
+                           stream: RngStream, trials: int) -> BroadcastRun:
     """Run the two-receiver index protocol and compare against the target.
 
     Per trial, draw the shared lists (M picks from q, then N from r) and,
@@ -652,7 +653,7 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
     _check_count("trials", trials)
-    weights, cells, posteriors = _input_posteriors(w, q, r, m, n, cap)
+    weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     sy, sz = w.output_sizes
     size = sy * sz
     per_trial = m + n + w.input_size

@@ -59,11 +59,6 @@ class TestCapacityBa:
         want = asy.capacity_ba(prob.Dmc(rows=rows[:, :2])).value
         assert trace.value == pytest.approx(want, abs=1e-9)
 
-    def test_init_must_cover_support(self):
-        with pytest.raises(ValueError):
-            asy.capacity_ba(prob.Dmc.bsc(0.1),
-                            init=prob.Pmf(np.array([1.0, 0.0])))
-
     def test_final_input_is_capacity_achieving(self):
         trace = asy.capacity_ba(prob.Dmc.bsc(0.1))
         assert trace.final_input.probs == pytest.approx([0.5, 0.5],
@@ -77,7 +72,9 @@ class TestCapacityBa:
             broadcast.tilde_c_ba(_DEGRADED, (0, 1), tol=tol)
 
     def test_trace_keeps_one_float_per_step(self):
-        trace = asy.capacity_ba(prob.Dmc.bsc(0.2), init=[0.3, 0.7])
+        # A Z channel: from the uniform input the trace takes many steps.
+        trace = asy.capacity_ba(prob.Dmc(rows=[[1.0, 0.0], [0.5, 0.5]]))
+        assert len(trace.estimates) > 10
         assert all(type(e) is float for e in trace.estimates)
         assert trace.iterates == tuple(
             (t, e) for t, e in enumerate(trace.estimates, start=1))
@@ -98,14 +95,10 @@ def _ref_row_divergences(rows, ref):
     return row_terms - np.where(rows > 0.0, rows * log_ref, 0.0).sum(axis=1)
 
 
-def _ref_ba(rows, out_sizes, k, tol, init=None, max_iter=1_000_000):
+def _ref_ba(rows, out_sizes, k, tol, max_iter=1_000_000):
     rows, out_sizes = asy._drop_dead_letters(rows, out_sizes)
     kx = rows.shape[0]
-    if init is None:
-        p = np.full(kx, 1.0 / kx)
-    else:
-        p = np.array(init, dtype=np.float64)
-        p /= p.sum()
+    p = np.full(kx, 1.0 / kx)
     estimates = []
     prev = -math.inf
     log_inputs = math.log2(kx) if kx > 1 else 0.0
@@ -154,36 +147,34 @@ _DEGRADED = prob.BroadcastDmc(
     output_sizes=(2, 2))
 
 
+# The ids name the channel, the start input (None: uniform) and the tol.
 class TestSharedAscent:
-    @pytest.mark.parametrize("rows, init, tol", [
-        (prob.Dmc.bsc(0.1).rows, None, 1e-9),
-        (_dirichlet(3), None, 1e-9),
-        (_dirichlet(56), None, 1e-12),
-        (_dirichlet(56), "skewed", 1e-9),
-        (_DEAD, None, 1e-9),
-        (_DEAD, "skewed", 1e-12)])
-    def test_capacity_matches_reference_bits(self, rows, init, tol):
-        if init == "skewed":
-            init = np.arange(1.0, rows.shape[0] + 1.0)
-            init /= init.sum()
-        trace = asy.capacity_ba(prob.Dmc(rows=rows), tol=tol, init=init)
-        estimates, p = _ref_ba(rows, (rows.shape[1],), 1, tol, init)
+    @pytest.mark.parametrize("rows, tol", [
+        pytest.param(prob.Dmc.bsc(0.1).rows, 1e-9, id="rows0-None-1e-09"),
+        pytest.param(_dirichlet(3), 1e-9, id="rows1-None-1e-09"),
+        pytest.param(_dirichlet(56), 1e-12, id="rows2-None-1e-12"),
+        pytest.param(_DEAD, 1e-9, id="rows4-None-1e-09")])
+    def test_capacity_matches_reference_bits(self, rows, tol):
+        trace = asy.capacity_ba(prob.Dmc(rows=rows), tol=tol)
+        estimates, p = _ref_ba(rows, (rows.shape[1],), 1, tol)
         assert trace.estimates == tuple(estimates)
         assert np.array_equal(trace.final_input.probs, p)
 
-    def test_capacity_matches_reference_at_max_iter(self):
+    def test_capacity_matches_reference_at_max_iter(self, monkeypatch):
         rows = _dirichlet(56)
-        trace = asy.capacity_ba(prob.Dmc(rows=rows), max_iter=7)
+        monkeypatch.setattr(asy, "_TRACE_CAP", 7)
+        trace = asy.capacity_ba(prob.Dmc(rows=rows))
         estimates, p = _ref_ba(rows, (rows.shape[1],), 1, 1e-9, max_iter=7)
         assert len(trace.estimates) == 7
         assert trace.estimates == tuple(estimates)
         assert np.array_equal(trace.final_input.probs, p)
 
     @pytest.mark.parametrize("sizes, seed, dead", [
-        ((2, 2), 1, False), ((2, 3), 2, True),
-        ((2, 2, 2), 3, False), ((3, 2, 2), 4, True)])
-    @pytest.mark.parametrize("init", [None, [0.3, 0.7]])
-    def test_tilde_c_matches_reference_bits(self, sizes, seed, dead, init):
+        pytest.param((2, 2), 1, False, id="None-sizes0-1-False"),
+        pytest.param((2, 3), 2, True, id="None-sizes1-2-True"),
+        pytest.param((2, 2, 2), 3, False, id="None-sizes2-3-False"),
+        pytest.param((3, 2, 2), 4, True, id="None-sizes3-4-True")])
+    def test_tilde_c_matches_reference_bits(self, sizes, seed, dead):
         rng = np.random.default_rng(seed)
         cube = rng.dirichlet(np.ones(int(np.prod(sizes))), size=2)
         cube = cube.reshape((2,) + sizes)
@@ -193,8 +184,8 @@ class TestSharedAscent:
             cube /= cube.sum(axis=tuple(range(1, cube.ndim)), keepdims=True)
         w = prob.BroadcastDmc(rows=cube.reshape(2, -1), output_sizes=sizes)
         js = tuple(range(len(sizes)))
-        trace = broadcast.tilde_c_ba(w, js, tol=1e-9, init=init)
-        estimates, p = _ref_ba(w.rows, sizes, len(sizes), 1e-9, init)
+        trace = broadcast.tilde_c_ba(w, js, tol=1e-9)
+        estimates, p = _ref_ba(w.rows, sizes, len(sizes), 1e-9)
         assert trace.estimates == tuple(estimates)
         assert np.array_equal(trace.final_input.probs, p)
 
@@ -401,13 +392,34 @@ class TestCertifiedRegion:
             assert c - 1e-6 <= loose.constraints[js] <= c + 1e-12
 
 
-class TestDispersion:
-    @pytest.mark.parametrize("tol_cap", [math.nan, math.inf, 0.0, -1e-7])
-    def test_tol_cap_must_be_positive_and_finite(self, tol_cap):
-        # An infinite tol_cap would put every letter on the optimal face.
-        with pytest.raises(ValueError):
-            asy.dispersion(prob.Dmc.bsc(0.1), tol_cap=tol_cap)
+def _fill_grid(dim, steps):
+    """Compositions of steps into dim parts by recursion, the reference."""
+    out = []
 
+    def fill(prefix, remaining, slot):
+        if slot == dim - 1:
+            out.append(prefix + [remaining])
+            return
+        for v in range(remaining + 1):
+            fill(prefix + [v], remaining - v, slot + 1)
+
+    fill([], steps, 0)
+    return np.array(out, dtype=np.float64) / steps
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("dim, steps", [
+        (1, 4), (2, 1), (2, 20), (3, 7), (4, 5), (6, 3)])
+    def test_matches_recursive_fill(self, dim, steps):
+        assert np.array_equal(asy._simplex_grid(dim, steps),
+                              _fill_grid(dim, steps))
+
+    def test_cap_before_enumeration(self):
+        with pytest.raises(ValueError, match="exceeds the 2000000 cap"):
+            asy._simplex_grid(10, 100)
+
+
+class TestDispersion:
     def test_bsc_values(self):
         params = asy.dispersion(prob.Dmc.bsc(0.1))
         want_v = 0.1 * 0.9 * math.log2(0.9 / 0.1) ** 2

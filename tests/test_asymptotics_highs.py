@@ -1,7 +1,8 @@
 """Dispersion extremes against HiGHS on the same optimal face.
 
 The oracle runs its own Blahut-Arimoto ascent to a 1e-12 a-posteriori gap,
-takes the letters within tol_cap of the largest divergence as X*, and
+takes the letters within TOL_CAP = 1e-7 bits of the largest divergence
+(the threshold ``dispersion`` uses) as X*, and
 minimizes and maximizes the conditional information variance over
 {p >= 0 on X*, p W = q*} with scipy's HiGHS, so it shares no code with
 ``asymptotics.dispersion``. Half of the channels are two cyclic families of
@@ -93,7 +94,7 @@ def _cases():
 
 @pytest.mark.parametrize("rows,wide", _cases())
 def test_face_extremes_match_highs(rows, wide):
-    got = asy.dispersion(rows, tol_cap=TOL_CAP)
+    got = asy.dispersion(rows)
     v_min, v_max = _face_extremes(rows)
     assert got.v_min == pytest.approx(v_min, abs=1e-9)
     assert got.v_max == pytest.approx(v_max, abs=1e-9)

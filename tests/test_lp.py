@@ -12,22 +12,20 @@ from channelsim.lp import LpProblem, LpSolution, solve_lp
 def _vertex_oracle(problem: LpProblem):
     """Brute-force optimum by enumerating basic feasible points.
 
-    Turns every inequality and finite bound into a hyperplane, solves all
-    n-subsets, keeps feasible intersection points, and returns the best
-    objective. Exponential, so only for tiny instances.
+    Turns every inequality, nonnegativity and finite upper bound into a
+    hyperplane, solves all n-subsets, keeps feasible intersection points,
+    and returns the best objective. Exponential, so only for tiny
+    instances.
     """
     n = problem.num_vars
     planes = []
     for i in range(problem.num_rows):
         planes.append((problem.a[i], problem.b[i]))
     for j in range(n):
-        if np.isfinite(problem.lower[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            planes.append((e, problem.lower[j]))
+        e = np.zeros(n)
+        e[j] = 1.0
+        planes.append((e, 0.0))
         if np.isfinite(problem.upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
             planes.append((e, problem.upper[j]))
     best = np.inf
     arg = None
@@ -48,7 +46,7 @@ def _vertex_oracle(problem: LpProblem):
                 ok = False
             elif s == "=" and abs(lhs - problem.b[i]) > 1e-9:
                 ok = False
-        if ok and np.all(x >= problem.lower - 1e-9) \
+        if ok and np.all(x >= -1e-9) \
                 and np.all(x <= problem.upper + 1e-9):
             val = problem.c @ x
             if val < best - 1e-12:
@@ -203,18 +201,15 @@ def _pivot_programs():
     for _ in range(8):
         n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
         a = rng.normal(size=(m, n))
-        lower = np.where(rng.random(n) < 0.3, -rng.random(n), 0.0)
-        upper = lower + 0.5 + rng.random(n) * 2.0
-        x_feas = lower + (upper - lower) * rng.random(n)
+        upper = 0.5 + rng.random(n) * 2.0
+        x_feas = upper * rng.random(n)
         c = rng.normal(size=n)
-        # one free variable, pushed up against its finite upper bound
-        lower[0], c[0] = -np.inf, -abs(c[0])
         kinds = rng.choice(["<=", "=", ">="], size=m)
         slack = rng.random(m) * 0.5
         b = a @ x_feas + np.select([kinds == "<=", kinds == ">="],
                                    [slack, -slack], 0.0)
         programs.append(LpProblem(c=c, a=a, b=b, senses=tuple(kinds.tolist()),
-                                  lower=lower, upper=upper))
+                                  upper=upper))
     # The reduced programs at the sizes of the exact one-shot costs:
     # BSC(0.11)^3, random 8x8 and 12x12 channels, each at an eps and at
     # cost 2 (a larger cost can leave nothing to pivot), and the 16x16

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from channelsim import prob
+from channelsim import asymptotics, ns_meta, prob
 
 
 def _pmf_values(size):
@@ -38,6 +38,21 @@ class TestPmf:
         assert list(p.support()) == [0, 2]
 
 
+# Entry points that take a channel object or a raw array, with the
+# arguments after the channel.
+_RAW_ENTRIES = [
+    (ns_meta.i_max, ()),
+    (ns_meta.i_max_smooth, (0.1,)),
+    (ns_meta.ns_cost, (0.1,)),
+    (ns_meta.ns_eps_for_cost, (2,)),
+    (ns_meta.d_s_plus_channel, ([0.5, 0.5], 0.1)),
+    (ns_meta.channel_d_max_smooth, ([0.5, 0.5], 0.1)),
+    (ns_meta.smoothing_witness, ([0.5, 0.5], 0.1)),
+    (asymptotics.capacity_ba, ()),
+    (asymptotics.dispersion, ()),
+]
+
+
 class TestDmc:
     def test_bsc(self):
         w = prob.Dmc.bsc(0.1)
@@ -58,6 +73,14 @@ class TestDmc:
     def test_bsc_crossover_range(self):
         with pytest.raises(ValueError):
             prob.Dmc.bsc(-0.01)
+
+    @pytest.mark.parametrize("entry, args", _RAW_ENTRIES,
+                             ids=[f.__name__ for f, _ in _RAW_ENTRIES])
+    def test_raw_arrays_are_checked_as_channels(self, entry, args):
+        # Accepted unchecked, this array gave 0.0 bits of smoothed
+        # max-information, a cost of 1 and a capacity of 0.0845 bits.
+        with pytest.raises(ValueError, match="channel row 0 must sum to 1"):
+            entry([[0.5, 0.6], [0.3, 0.3]], *args)
 
 
 class TestTvd:

@@ -794,11 +794,11 @@ class TestConvexSplit:
         assert not rep.hypotheses_hold
 
     def test_state_space_cap(self):
+        # 2 * 2^10 * 2^10 atoms, past MAX_ATOMS; checked before allocating.
         cube = np.full((2, 2, 2), 0.125)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds cap"):
             protocols.convex_split_mixture(cube, np.array([0.5, 0.5]),
-                                           np.array([0.5, 0.5]), 4, 4,
-                                           cap=100)
+                                           np.array([0.5, 0.5]), 10, 10)
 
     def test_list_copies_limit(self):
         # One letter per factor in the einsum: 1 + m + n may not pass 26.
@@ -888,11 +888,11 @@ class TestInducedChannelRoutes:
                                               Pmf([0.5, 0.5]), 2, 2)
 
     def test_enumeration_cap(self):
+        # 2^10 * 2^10 * 2 states, past MAX_ATOMS; checked before any work.
         w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="enumeration cap"):
             protocols.induced_channel_literal(w, Pmf([0.5, 0.5]),
-                                              Pmf([0.5, 0.5]), 8, 8,
-                                              cap=1000)
+                                              Pmf([0.5, 0.5]), 10, 10)
 
 
 class TestBroadcastRun:
