@@ -46,7 +46,7 @@ class LpProblem:
 
     senses is one string per row, each '<=', '=' or '>='. Every variable
     is nonnegative; upper defaults to +inf, and a +inf entry leaves that
-    variable unbounded above.
+    variable unbounded above. Any other entry must be finite.
     """
 
     c: np.ndarray
@@ -71,6 +71,8 @@ class LpProblem:
         for name, arr in (("c", c), ("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+        if not np.all(np.isfinite(upper) | (upper == np.inf)):
+            raise ValueError("upper must be finite or +inf")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

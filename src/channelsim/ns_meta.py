@@ -344,21 +344,26 @@ def smoothing_witness(w, q, eps: float):
 # ----------------------------------------------------------------------
 # Closed forms for BSC tensor powers.
 #
-# On W = BSC(delta)^{(x) n} permutation symmetry lets the optimum be taken
-# constant on each Hamming-weight class: with w_k = (1-delta)^(n-k) delta^k
-# and C_k = binom(n, k), a string of weight k keeps overlap min(w_k, s)
-# under a flat zeta = s, so both directions depend on
+# On W = BSC(delta)^{(x) n} the flat optimum of ``_solve_reduced`` needs
+# only the Hamming-weight classes: with w_k = (1-delta)^(n-k) delta^k and
+# C_k = binom(n, k), a string of weight k has mass w_k, and w_k falls
+# with k. The cost is 2^n s* with s* the least flat level whose removed
+# mass sum_k C_k max(w_k - s, 0) is at most eps, floored at 2^-n
+# (sum zeta >= 1). That is ``d_max_smooth`` against the uniform q, whose
+# largest (p(S) - eps)/q(S) over the top-ratio suffixes S reads
 #
-#   G(s) = sum_k C_k min(w_k, s),
+#   log2 s* = max(-n, max_t [log2(P_t - eps) - log2 N_t]),
+#   P_t = sum_{k<t} C_k w_k,  N_t = sum_{k<t} C_k,
 #
-# the mass kept at level s. The cost is 2^n s* with
-#
-#   s* = max(2^-n, min{ s : G(s) >= 1 - eps }),
-#
-# the floor being sum zeta >= 1, and the deviation at integer cost c is
-# max(0, 1 - G(c 2^-n)). C_k overflows a double past n of about 1030 and
-# 2^-n underflows past 1074, so everything below works with base-2 logs
-# of C_k, w_k and s; the floor is then exactly log2 s = -n.
+# over t = 1..n+1. Class boundaries suffice: a suffix that splits class t
+# is a mediant of the boundaries t and t+1, so it never beats both. The
+# deviation at integer cost c is the removed mass at s = c 2^-n, summed
+# from its positive terms C_k w_k (1 - s/w_k). The lgamma-built classes
+# miss the total mass 1 by up to about 1.6e-12 near n = 1800, so neither
+# reads a small quantity as 1 minus a large computed sum. C_k overflows a
+# double past n of about 1030 and 2^-n underflows past 1074, so
+# everything below works with base-2 logs of C_k, w_k and s; the floor
+# is then exactly log2 s = -n.
 # ----------------------------------------------------------------------
 
 # Cells (blocklengths times weight classes) per block of the level sweep in
@@ -398,41 +403,42 @@ def _bsc_log_weights(n: int, delta: float):
 
 def _bsc_log_levels(log_c: np.ndarray, log_w: np.ndarray, n: np.ndarray,
                     eps: float) -> np.ndarray:
-    """log2 s* for s* = max(2^-n, min{s : G(s) >= 1 - eps}), one per row.
+    """log2 s* = max(-n, max_t [log2(P_t - eps) - log2 N_t]), one per row.
 
-    Rows are ``_bsc_class_logs`` of the blocklengths ``n``, given here as
-    floats. w_k falls with k, so on [w_t, w_{t-1}] the classes k < t are
-    capped at s and the rest are kept whole:
-    G(s) = s sum_{k<t} C_k + sum_{k>=t} C_k w_k. The level is the root on
-    the first such segment that reaches 1 - eps; the last segment
-    t = n + 1 always does.
+    Rows are ``_bsc_class_logs`` of the blocklengths ``n``, as floats. A
+    prefix of mass at most eps reads -inf; the cells past n repeat the
+    last prefix. From eps = 1/2 on, P_t - eps is read as
+    (1 - eps) - sum_{k>=t} C_k w_k, exact in 1 - eps and small wherever
+    the gain is positive: P_t near 1 would swamp a gain near 1 - eps.
     """
-    # whole[:, t-1] = sum_{k>=t} C_k w_k, summed from the small end; the
-    # empty cells past n add exact zeros first.
-    tail = np.cumsum(np.exp2(log_c + log_w)[:, ::-1], axis=1)[:, ::-1]
-    whole = np.zeros_like(tail)
-    whole[:, :-1] = tail[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = (np.log2((1.0 - eps) - whole)
-                 - np.logaddexp2.accumulate(log_c, axis=1))
-    on_segment = np.arange(log_c.shape[1], dtype=np.float64) >= n[:, None]
-    on_segment[:, :-1] |= log_s[:, :-1] >= log_w[:, 1:]
-    first = np.argmax(on_segment, axis=1)
-    return np.maximum(log_s[np.arange(n.size), first], -n)
+    mass = np.exp2(log_c + log_w)
+    if eps < 0.5:
+        gain = np.cumsum(mass, axis=1) - eps
+    else:
+        gain = np.full_like(mass, 1.0 - eps)
+        gain[:, :-1] -= np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+    log_gain = np.log2(gain, out=np.full_like(gain, -np.inf), where=gain > 0.0)
+    log_s = log_gain - np.logaddexp2.accumulate(log_c, axis=1)
+    return np.maximum(log_s.max(axis=1), -n)
 
 
-def _bsc_kept_mass(log_c: np.ndarray, log_w: np.ndarray, log_s: float) -> float:
-    """G(s) = sum_k C_k min(w_k, s) at s = 2^log_s."""
-    return math.fsum(np.exp2(log_c + np.minimum(log_w, log_s)))
+def _bsc_removed_mass(log_c: np.ndarray, log_w: np.ndarray,
+                      log_s: float) -> float:
+    """sum_k C_k max(w_k - s, 0) at s = 2^log_s, from positive terms only."""
+    above = log_w > log_s
+    log_wa = log_w[above]
+    return math.fsum(np.exp2(log_c[above] + log_wa)
+                     * -np.expm1((log_s - log_wa) * math.log(2.0)))
 
 
 def _bsc_profile(log_c: np.ndarray, log_w: np.ndarray, log_s: float):
     """Per-string substitute masses r_k at level s = 2^log_s.
 
-    Each string keeps min(w_k, s); the missing mass 1 - G(s) is refilled in
+    Each string keeps min(w_k, s); the removed mass
+    sum_k C_k max(w_k - s, 0) (``_bsc_removed_mass``) is refilled in
     proportion to the room s - min(w_k, s), the BSC instance of
-    ``_rebuild_rows``. Then r <= s, sum_k C_k r_k = 1 and the TVD to w is
-    1 - G(s) <= eps.
+    ``_rebuild_rows``. Then r <= s, sum_k C_k r_k = sum_k C_k w_k and the
+    TVD to w is the removed mass, at most eps.
     """
     gap = np.minimum(log_w - log_s, 0.0)
     with np.errstate(divide="ignore"):
@@ -441,7 +447,7 @@ def _bsc_profile(log_c: np.ndarray, log_w: np.ndarray, log_s: float):
     kept = np.exp2(np.minimum(log_w, log_s))
     if not np.isfinite(log_total):
         return kept
-    missing = 1.0 - _bsc_kept_mass(log_c, log_w, log_s)
+    missing = _bsc_removed_mass(log_c, log_w, log_s)
     return kept + missing * np.exp2(log_room - log_total)
 
 
@@ -533,14 +539,16 @@ def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
 def bsc_ns_eps(n: int, delta: float, c: int) -> float:
     """Minimal deviation for simulating BSC(delta)^{(x) n} at cost c.
 
-    Fixing the cost fixes the level s = c 2^-n, so the deviation is the
-    mass G misses there: max(0, 1 - G(c 2^-n)).
+    Fixing the cost fixes the flat level s = c 2^-n, so the deviation is
+    the removed mass sum_k C_k max(w_k - s, 0), summed from its positive
+    terms: it keeps its relative accuracy however small it is, and it
+    never increases with c.
     """
     _validate_bsc_args(n, delta)
     if int(c) != c or c < 2:
         raise ValueError("cost must be an integer >= 2")
     log_c, log_w = _bsc_log_weights(n, delta)
-    return max(0.0, 1.0 - _bsc_kept_mass(log_c, log_w, math.log2(c) - n))
+    return _bsc_removed_mass(log_c, log_w, math.log2(c) - n)
 
 
 def bsc_channel(n: int, delta: float) -> Dmc:

@@ -93,9 +93,6 @@ class Pmf:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs > 0.0)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Dmc:
@@ -120,11 +117,6 @@ class Dmc:
     def identity(cls, n: int) -> "Dmc":
         return cls(np.eye(n))
 
-    @classmethod
-    def normalized(cls, rows) -> "Dmc":
-        arr = np.asarray(rows, dtype=np.float64)
-        return cls(arr / arr.sum(axis=1, keepdims=True))
-
     @property
     def input_size(self) -> int:
         return int(self.rows.shape[0])
@@ -132,9 +124,6 @@ class Dmc:
     @property
     def output_size(self) -> int:
         return int(self.rows.shape[1])
-
-    def row(self, x: int) -> Pmf:
-        return Pmf(self.rows[x])
 
 
 def _channel_rows(w) -> np.ndarray:
@@ -168,9 +157,6 @@ class BroadcastDmc:
     def num_receivers(self) -> int:
         return len(self.output_sizes)
 
-    def row(self, x: int) -> Pmf:
-        return Pmf(self.rows[x])
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class JointPmf:
@@ -199,9 +185,6 @@ class JointPmf:
         drop = tuple(a for a in range(len(self.factor_sizes)) if a not in keep)
         marg = self.table().sum(axis=drop) if drop else self.table()
         return Pmf(marg.reshape(-1))
-
-    def as_pmf(self) -> Pmf:
-        return Pmf(self.probs)
 
 
 def tvd(p: Pmf, q: Pmf) -> float:

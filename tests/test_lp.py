@@ -168,6 +168,15 @@ def test_rejects_nonfinite():
                   b=np.array([1.0]), senses=("<=",))
 
 
+@pytest.mark.parametrize("bound", [np.nan, -np.inf])
+def test_rejects_bound_that_is_neither_finite_nor_plus_inf(bound):
+    # Left to drop out of the bound rows, a NaN would read as no bound
+    # and this program would solve to 'unbounded'.
+    with pytest.raises(ValueError):
+        LpProblem(c=[-1.0], a=[[0.0]], b=[1.0], senses=("<=",),
+                  upper=[bound])
+
+
 def test_shape_mismatch():
     with pytest.raises(ValueError):
         LpProblem(c=np.array([1.0, 2.0]), a=np.array([[1.0]]),

@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from channelsim import cli, lp, ns_meta, prob
 from channelsim.divergences import d_max, d_max_smooth, d_s_plus
@@ -531,8 +532,9 @@ class TestBscFastPath:
     def test_large_n_matches_mpmath(self, n):
         # C_k overflows a double from n = 1030 on; the closed forms must
         # still agree with a 40-digit evaluation. lgamma near n = 2000
-        # puts about 2e-12 of absolute error into log C_k, which moves
-        # log2 s* by up to about 5e-10 bits.
+        # puts about 2e-12 of absolute error into log C_k; neither side
+        # subtracts from the total mass 1, so log2 s* moves by about
+        # 2e-11 bits and the deviation by about 1e-12 relative.
         mpmath = pytest.importorskip("mpmath")
         delta, eps = 0.11, 0.05
         with mpmath.workdps(40):
@@ -552,15 +554,22 @@ class TestBscFastPath:
             cost = int(mpmath.floor(2 ** (n + hi - mpmath.mpf("0.3"))))
             want_eps = float(1 - g(mpmath.mpf(cost) / 2 ** n))
         got = ns_meta.bsc_ns_cost(n, delta, eps)
-        assert got.log2_cost == pytest.approx(want_log2, abs=1e-8)
+        assert got.log2_cost == pytest.approx(want_log2, abs=1e-9)
         assert got.cost is None
         assert np.all(np.isfinite(got.r)) and np.all(got.r >= 0.0)
         assert ns_meta.bsc_ns_eps(n, delta, cost) == pytest.approx(
-            want_eps, abs=1e-11)
+            want_eps, rel=1e-10)
 
     def test_eps_decreases_with_cost(self):
-        vals = [ns_meta.bsc_ns_eps(6, 0.1, c) for c in (2, 8, 32, 64)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+        # Eight costs per octave on about 50 octaves up to 2^n, where the
+        # level s = 1 lies above every w_k; no tolerance.
+        for n in (6, 300, 2000):
+            costs = sorted({max(2, (m << e) >> 3) for m in range(8, 16)
+                            for e in range(0, n + 1, max(1, n // 50))}
+                           | {2 ** n})
+            vals = [ns_meta.bsc_ns_eps(n, 0.11, c) for c in costs]
+            assert all(a >= b for a, b in zip(vals, vals[1:])), n
+            assert vals[-1] == 0.0
 
     def test_bsc_channel_helper(self):
         w = ns_meta.bsc_channel(3, 0.1)
@@ -577,27 +586,33 @@ class TestBscFastPath:
 
 
 def _reference_log2_cost(n, delta, eps):
-    """n + log2 s* by the per-blocklength water-filling over one row.
+    """n + log2 s* by the suffix maximum over one row.
 
-    The one-row form the batched sweep replaced, kept as its reference:
-    a fresh lgamma list per n, then the first segment of G that reaches
-    1 - eps.
+    The one-row form of the batched sweep, kept as its reference: a fresh
+    lgamma list per n, then the largest log2(P_t - eps) - log2 N_t over
+    the class prefixes t, floored at -n, with P_t - eps read from the
+    tail from eps = 1/2 on.
     """
     lg = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     k = np.arange(n + 1, dtype=np.float64)
     log_c = (lg[-1] - lg - lg[::-1]) / math.log(2.0)
     log_w = ((n - k) * (math.log1p(-delta) / math.log(2.0))
              + k * math.log2(delta))
-    whole = np.append(np.cumsum(np.exp2(log_c + log_w)[::-1])[::-1][1:], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = np.log2((1.0 - eps) - whole) - np.logaddexp2.accumulate(log_c)
-    on_segment = np.append(log_s[:-1] >= log_w[1:], True)
-    return n + max(float(log_s[np.argmax(on_segment)]), float(-n))
+    mass = np.exp2(log_c + log_w)
+    if eps < 0.5:
+        gain = np.cumsum(mass) - eps
+    else:
+        tail = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
+        gain = (1.0 - eps) - tail
+    kept = gain > 0.0
+    log_s = np.log2(gain[kept]) - np.logaddexp2.accumulate(log_c)[kept]
+    return n + max(float(log_s.max()), float(-n))
 
 
 class TestBscSweep:
     @pytest.mark.parametrize("delta", [1e-12, 0.01, 0.11, 0.3, 0.5])
-    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-6, 0.05, 0.3,
+                                     0.5, 0.9, 1 - 1e-9])
     def test_matches_reference_bit_for_bit(self, delta, eps):
         # 1..300 spans many blocks of growing width; 1030 and 2000 sit in
         # blocks of their own sizes, past where C_k overflows a double.
@@ -637,3 +652,101 @@ class TestBscSweep:
                                ([3], 0.1, -0.1)):
             with pytest.raises(ValueError):
                 ns_meta.bsc_ns_log2_costs(ns, delta, eps)
+
+
+def _mp_log2_costs(mpmath, n, delta, epss):
+    """n + log2 s* for each eps as the exact suffix maximum.
+
+    The largest log2(P_t - eps) - log2 N_t over the class prefixes t,
+    floored at -n, at the working precision.
+    """
+    d = mpmath.mpf(delta)
+    mass, count = mpmath.mpf(0), mpmath.mpf(0)
+    best = [mpmath.mpf(-n)] * len(epss)
+    for k in range(n + 1):
+        c = mpmath.binomial(n, k)
+        mass += c * (1 - d) ** (n - k) * d ** k
+        count += c
+        for i, eps in enumerate(epss):
+            if mass > eps:
+                best[i] = max(best[i], mpmath.log(mass - eps, 2)
+                              - mpmath.log(count, 2))
+    return [float(n + b) for b in best]
+
+
+def _mp_removed_mass(mpmath, n, delta, c):
+    """sum_k C_k max(w_k - c 2^-n, 0) at the working precision."""
+    d = mpmath.mpf(delta)
+    s = mpmath.mpf(c) / mpmath.mpf(2) ** n
+    total = mpmath.mpf(0)
+    for k in range(n + 1):
+        w = (1 - d) ** (n - k) * d ** k
+        if w > s:
+            total += mpmath.binomial(n, k) * (w - s)
+    return total
+
+
+class TestBscExactness:
+    def test_any_eps_in_open_unit_interval(self):
+        # The exact column of bsc-curve against 50 digits, from where
+        # 1 - eps rounds to 1 to where 1 - eps is only a few times the
+        # 3.8e-13 that lgamma misses of the total mass at n = 1000.
+        mpmath = pytest.importorskip("mpmath")
+        epss = [1e-300, 1e-17, 1e-16, 1e-12, 1e-9, 0.05, 0.4999, 0.5,
+                0.999999, 1 - 2 ** -40]
+        for n in (1, 40, 300, 1000):
+            with mpmath.workdps(50):
+                want = _mp_log2_costs(mpmath, n, 0.11,
+                                      [mpmath.mpf(eps) for eps in epss])
+            got = [ns_meta.bsc_ns_log2_costs([n], 0.11, eps)[0]
+                   for eps in epss]
+            assert got == pytest.approx(want, abs=1e-9), n
+
+    def test_deviation_matches_mpmath_when_exponentially_small(self):
+        # BSC(0.11) above capacity C: the deviation falls to 1e-14 and
+        # below, where 1 - G(s) would read 4.0e-13, 0.0 and 0.0.
+        mpmath = pytest.importorskip("mpmath")
+        cap = 1.0 + 0.11 * math.log2(0.11) + 0.89 * math.log2(0.89)
+        points = [(1000, math.floor(2.0 ** (1000 * (cap + 0.2)))),
+                  (4000, 2 ** math.floor(4000 * (cap + 0.1))),
+                  (4000, 2 ** math.floor(4000 * (cap + 0.2)))]
+        for n, c in points:
+            with mpmath.workdps(60):
+                want = float(_mp_removed_mass(mpmath, n, 0.11, c))
+            assert 0.0 < want < 1e-12
+            assert ns_meta.bsc_ns_eps(n, 0.11, c) == pytest.approx(
+                want, rel=1e-10, abs=0.0), n
+
+    def test_deviation_equals_kept_mass_form_where_large(self):
+        # 1 - G(s), the kept mass taken from 1, differs from the removed
+        # mass by the computed total's distance from 1 (lgamma's error,
+        # up to about 1e-13 here) and by rounding: a relative 1e-10
+        # wherever it exceeds 1e-6, or that distance where it is larger.
+        checked = 0
+        for n in (1, 5, 40, 300, 1000):
+            log_c, log_w = ns_meta._bsc_log_weights(n, 0.11)
+            shortfall = abs(1.0 - math.fsum(np.exp2(log_c + log_w)))
+            for log2_c in np.linspace(1.0, n, 200):
+                c = max(2, math.floor(2.0 ** log2_c))
+                want = 1.0 - math.fsum(np.exp2(log_c + np.minimum(
+                    log_w, math.log2(c) - n)))
+                if want > 1e-6:
+                    checked += 1
+                    got = ns_meta.bsc_ns_eps(n, 0.11, c)
+                    assert abs(got - want) <= 1e-10 * want + shortfall, (n, c)
+        assert checked > 300
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 400), delta=st.floats(0.01, 0.45),
+       log10_eps=st.floats(-16.0, math.log10(0.3)))
+def test_level_and_deviation_are_dual(n, delta, log10_eps):
+    # The level (a maximum over class prefixes) and the deviation (the
+    # removed mass at a fixed level) are two formulations of one
+    # water-filling: a cost 0.01 bits below the level misses eps, and a
+    # cost 0.01 bits above it meets eps.
+    eps = 10.0 ** log10_eps
+    level = ns_meta.bsc_ns_log2_costs([n], delta, eps)[0]
+    assume(level >= 3.0)
+    assert ns_meta.bsc_ns_eps(n, delta, math.floor(2.0 ** (level - 0.01))) > eps
+    assert ns_meta.bsc_ns_eps(n, delta, math.ceil(2.0 ** (level + 0.01))) <= eps

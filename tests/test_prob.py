@@ -33,10 +33,6 @@ class TestPmf:
         p = prob.Pmf.normalized(np.array([2.0, 6.0]))
         assert np.allclose(p.probs, [0.25, 0.75])
 
-    def test_support(self):
-        p = prob.Pmf(np.array([0.5, 0.0, 0.5]))
-        assert list(p.support()) == [0, 2]
-
 
 # Entry points that take a channel object or a raw array, with the
 # arguments after the channel.
@@ -61,10 +57,6 @@ class TestDmc:
     def test_identity(self):
         w = prob.Dmc.identity(3)
         assert np.array_equal(w.rows, np.eye(3))
-
-    def test_row_accessor(self):
-        w = prob.Dmc.bsc(0.25)
-        assert w.row(1).probs.tolist() == [0.25, 0.75]
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
@@ -186,10 +178,6 @@ class TestJointPmf:
         j = prob.JointPmf(probs=probs, factor_sizes=(2, 4))
         m = j.marginal((1,))
         assert np.allclose(m.probs, j.table().sum(axis=0))
-
-    def test_as_pmf(self):
-        j = prob.JointPmf(probs=np.full(4, 0.25), factor_sizes=(2, 2))
-        assert j.as_pmf().size == 4
 
 
 class TestJson:
