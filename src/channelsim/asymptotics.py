@@ -37,13 +37,14 @@ class BaTrace:
     t's estimate in bits, computed from the input of step t-1. It is
     monotonically nondecreasing, and the true optimum lies in [estimate,
     estimate + k * log2(num_inputs) / t] at every step. Only the input
-    of the last step is kept, as ``final_input``.
+    of the last step is kept, as ``final_input``, with the run's ``tol``.
     """
 
     estimates: tuple
     final_input: Pmf
     k: int
     num_inputs: int
+    tol: float
 
     @property
     def iterates(self) -> tuple:
@@ -311,14 +312,16 @@ _TRACE_CAP = 1_000_000
 
 
 def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int,
-             tol: float) -> BaTrace:
+             tol: float | None) -> BaTrace:
     """Run the shared ascent for capacity and the C-tilde runs.
 
     Starts from the uniform input and stops at the first step t whose
     estimate k log2 z_t rises by less than tol over step t-1's, or whose
-    a-priori bound k*log2|X|/t is below tol, or at _TRACE_CAP. The trace
-    keeps each step's estimate and the last step's input only.
+    a-priori bound k*log2|X|/t is below tol (None: 1e-9 bits for k <= 2
+    receivers, 1e-6 above), or at _TRACE_CAP. The trace keeps each step's
+    estimate, the last step's input and tol.
     """
+    tol = (1e-9 if k <= 2 else 1e-6) if tol is None else tol
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     rows, out_sizes = _drop_dead_letters(rows, out_sizes)
@@ -334,10 +337,10 @@ def _ba_core(rows: np.ndarray, out_sizes: tuple, k: int,
             break
         prev = est
     return BaTrace(estimates=tuple(estimates), final_input=Pmf(p), k=k,
-                   num_inputs=kx)
+                   num_inputs=kx, tol=tol)
 
 
-def capacity_ba(w, tol: float = 1e-9) -> BaTrace:
+def capacity_ba(w, tol: float | None = None) -> BaTrace:
     """Channel capacity by Blahut-Arimoto from the uniform input.
 
     Returns the trace; the capacity estimate is ``trace.value`` and the

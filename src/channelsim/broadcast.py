@@ -27,7 +27,7 @@ import numpy as np
 from .asymptotics import (MAX_GRID_POINTS, BaTrace, _ba_core,
                           _certified_optimum, _drop_dead_letters,
                           _simplex_grid)
-from .divergences import _spectrum, d_s_plus, var_div
+from .divergences import _check_eps, _spectrum, d_s_plus, var_div
 from .prob import BroadcastDmc, Pmf, entropy_bits, push_forward, reduce_broadcast
 
 
@@ -77,24 +77,24 @@ def tilde_c_ba(w: BroadcastDmc, subset, tol: float | None = None) -> BaTrace:
 
     Ascent rule, from the uniform input:
     p <- p * 2^(D(W_J(.|x) || prod_i p_Yi) / |J|). The default stopping
-    increment is 1e-9 bits for up to two receivers and 1e-6 for three,
-    where each iteration is noticeably heavier. The trace carries
-    the a-priori bound |J| log2|X| / t only; ``rate_region`` does not use
-    this function, and certifies each threshold a posteriori instead.
+    increment (``trace.tol``) is 1e-9 bits for up to two receivers and
+    1e-6 for more, where each iteration is noticeably heavier. The trace
+    carries the a-priori bound |J| log2|X| / t only; ``rate_region`` does
+    not use this function, and certifies each threshold a posteriori.
     """
     js = _receiver_subset(w, subset)
-    if tol is None:
-        tol = 1e-9 if len(js) <= 2 else 1e-6
     reduced = reduce_broadcast(w, js)
     return _ba_core(reduced.rows, _output_sizes(reduced), len(js), tol)
 
 
 @dataclasses.dataclass(frozen=True)
 class RateRegion:
-    """Half-space family: sum of rates over J at least constraints[J] bits."""
+    """Half-space family: sum of rates over J at least constraints[J] bits,
+    each threshold certified within ``tol`` bits."""
 
     k: int
     constraints: dict
+    tol: float
 
 
 def rate_region(w: BroadcastDmc, tol: float | None = None) -> RateRegion:
@@ -116,7 +116,7 @@ def rate_region(w: BroadcastDmc, tol: float | None = None) -> RateRegion:
                                              _output_sizes(reduced))
             p, d = _certified_optimum(rows, sizes, len(js), gap)
             constraints[frozenset(js)] = float(p @ d)
-    return RateRegion(k=w.num_receivers, constraints=constraints)
+    return RateRegion(k=w.num_receivers, constraints=constraints, tol=gap)
 
 
 def region_contains(region: RateRegion, rates) -> bool:
@@ -206,8 +206,7 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
     k = len(sizes) - 1
     if k < 1:
         raise ValueError("joint must have at least one output factor")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     if not 0.0 < delta < (1.0 - eps) / k:
         raise ValueError("delta must lie in (0, (1 - eps) / k)")
     p_x = joint.marginal((0,)).probs

@@ -243,9 +243,8 @@ def _cmd_bsc_curve(args) -> int:
 
 def _cmd_capacity(args) -> int:
     w = _read_channel(args)
-    tol = args.tol if args.tol is not None else 1e-9
-    trace = asymptotics.capacity_ba(w, tol=tol)
-    _emit_json(args, {"meta": _meta_object(tol=tol),
+    trace = asymptotics.capacity_ba(w, tol=args.tol)
+    _emit_json(args, {"meta": _meta_object(tol=trace.tol),
                       "capacity_bits": trace.value,
                       "iterations": len(trace.estimates),
                       "final_bound": trace.final_bound})
@@ -302,7 +301,7 @@ def _cmd_broadcast_region(args) -> int:
     constraints = sorted(region.constraints.items(),
                          key=lambda kv: (len(kv[0]), sorted(kv[0])))
     payload = {
-        "meta": _meta_object(tol=args.tol),
+        "meta": _meta_object(tol=region.tol),
         "num_receivers": region.k,
         # receivers are 1-based on the wire, 0-based in the library
         "constraints": [{"subset": [i + 1 for i in sorted(sub)],
@@ -317,14 +316,13 @@ def _cmd_broadcast_region(args) -> int:
 
 def _cmd_ba_trace(args) -> int:
     w = prob.channel_from_json(_read_object(args))
-    tol = args.tol
     if isinstance(w, prob.BroadcastDmc):
         subset = tuple(range(w.num_receivers))
-        trace = broadcast.tilde_c_ba(w, subset, tol=tol)
+        trace = broadcast.tilde_c_ba(w, subset, tol=args.tol)
     else:
-        trace = asymptotics.capacity_ba(w, tol=tol if tol else 1e-9)
+        trace = asymptotics.capacity_ba(w, tol=args.tol)
     rows = [(t, est, trace.bound(t)) for t, est in trace.iterates]
-    _emit_csv(args, _meta_lines(tol=tol),
+    _emit_csv(args, _meta_lines(tol=trace.tol),
               ["iteration", "estimate", "bound"], rows)
     return EXIT_OK
 

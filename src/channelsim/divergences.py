@@ -7,9 +7,9 @@ continuity fails, the functions return ``math.inf`` rather than raising,
 except ``var_div`` whose variance is undefined without a finite mean.
 The spectrum divergence D_s+ has one vectorized kernel, ``_spectrum``, for
 ``d_s_plus`` and for the channel and product-reference forms elsewhere.
-The smoothed max-divergence ``d_max_smooth`` is a closed form over the
-letters sorted by p/q (one sort, two tail sums); its linear program stays
-as the reference ``_d_max_smooth_lp``.
+The smoothed max-divergence has one closed-form kernel, ``_smooth_levels``,
+which ``ns_meta`` also runs on channel rows and on the Hamming-weight
+classes of BSC powers; ``_d_max_smooth_lp`` stays as its reference.
 
 The hypothesis-testing quantity ``beta_star`` is evaluated exactly by subset
 enumeration. A likelihood-ratio prefix is optimal only for randomized tests;
@@ -44,6 +44,11 @@ def _as_pmf_pair(p, q):
         if abs(float(vec.sum()) - 1.0) > _MASS_TOL:
             raise ValueError(f"{name} must sum to 1 within {_MASS_TOL}")
     return pa, qa
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must lie in [0, 1)")
 
 
 def kl(p, q) -> float:
@@ -83,8 +88,7 @@ def beta_star(eps: float, p, q) -> float:
     alphabets whose charged part exceeds 20 symbols are rejected.
     """
     pa, qa = _as_pmf_pair(p, q)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     free = (qa == 0.0) & (pa > 0.0)
     required = (1.0 - eps) - float(pa[free].sum())
     if required <= 1e-12:
@@ -165,6 +169,43 @@ def d_s_plus(eps: float, p, q) -> float:
     return float(_d_s_plus_rows(eps, [p], q)[0])
 
 
+def _smooth_levels(log_p, log_q, eps: float) -> np.ndarray:
+    """log2 max_t (P_t - eps) / Q_t per row, over the t with Q_t > 0.
+
+    Rows hold atoms sorted by decreasing ratio p/q (q = 0 first), as
+    base-2 logs of the p-mass (summing to 1) and of the q-mass or class
+    count; P_t and Q_t sum the first t, and P_t <= eps reads -inf. At
+    eps = 0 the value is the top atom's log-ratio, which no prefix (a
+    mediant) exceeds. From eps = 1/2 on, P_t - eps is (1 - eps) less the
+    mass after t, exact where P_t near 1 would swamp a gain near 1 - eps.
+    """
+    if eps == 0.0:
+        return log_p[:, 0] - log_q[:, 0]
+    mass = np.exp2(log_p)
+    if eps < 0.5:
+        gain = np.cumsum(mass, axis=1) - eps
+    else:
+        gain = np.full_like(mass, 1.0 - eps)
+        gain[:, :-1] -= np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+    log_q = np.logaddexp2.accumulate(log_q, axis=1)
+    ok = (gain > 0.0) & (log_q > -math.inf)
+    level = np.log2(gain, out=np.full_like(gain, -math.inf), where=ok)
+    return np.subtract(level, log_q, out=level, where=ok).max(axis=1)
+
+
+def _d_max_smooth_rows(eps: float, pa: np.ndarray, qa: np.ndarray):
+    """d_max_smooth(eps, row, qa) for each row of ``pa``, all pmfs checked."""
+    _check_eps(eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log2(pa), np.log2(qa)
+        # 0/0 letters key as NaN, which sorts last: they carry nothing
+        order = np.argsort(log_q - log_p, axis=1, kind="stable")
+    levels = _smooth_levels(np.take_along_axis(log_p, order, axis=1),
+                            log_q[order], eps)
+    outside = pa[:, qa == 0.0].sum(axis=1)
+    return np.where(outside > eps, math.inf, np.maximum(levels, 0.0))
+
+
 def d_max_smooth(eps: float, p, q) -> float:
     """Smoothed max-divergence: least log2 m over p' in the eps-ball of p.
 
@@ -173,27 +214,12 @@ def d_max_smooth(eps: float, p, q) -> float:
     lam* = min{lam : sum_y min(p_y, lam q_y) >= 1 - eps} (keep
     min(p, lam q), refill the rest where q has room). In removed mass,
     lam is feasible iff out + sum_{y in S} (p_y - lam q_y) <= eps for every
-    set S in supp(q), out being the p-mass outside supp(q); the worst S is
-    a suffix of the letters sorted by p/q, so lam* is the largest
-    (out + p(S) - eps) / q(S) over suffixes, whatever the order of tied
-    ratios. The value is +inf when out exceeds eps. ``_d_max_smooth_lp``
-    keeps the linear program as the reference.
+    S in supp(q), out being the p-mass outside supp(q); the worst S are
+    the top-ratio sets, so lam* is the largest (out + p(S) - eps) / q(S)
+    over those (``_smooth_levels``), and +inf when out exceeds eps.
     """
     pa, qa = _as_pmf_pair(p, q)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    on = qa > 0.0
-    outside = float(pa[~on].sum())
-    if outside > eps:
-        return math.inf
-    ratio = pa[on] / qa[on]
-    order = np.argsort(ratio, kind="stable")
-    # Tail sums from the top, so that a small suffix is no difference of
-    # totals; suffix k holds the letters from sorted position k on.
-    p_tail = np.cumsum(pa[on][order][::-1])
-    q_tail = np.cumsum(qa[on][order][::-1])
-    lam = float((((outside - eps) + p_tail) / q_tail).max())
-    return math.log2(max(lam, 1.0))
+    return float(_d_max_smooth_rows(eps, pa[None], qa)[0])
 
 
 def _d_max_smooth_lp(eps: float, p, q) -> float:
@@ -205,8 +231,7 @@ def _d_max_smooth_lp(eps: float, p, q) -> float:
     +inf when the program is infeasible.
     """
     pa, qa = _as_pmf_pair(p, q)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     n = pa.size
     # Variables: p' (n), mu (n), m.
     nv = 2 * n + 1

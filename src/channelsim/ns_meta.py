@@ -19,10 +19,10 @@ On a symmetric channel, one whose rows are permutations of one another and
 whose columns are too (Cover and Thomas, section 7.2), a flat zeta is
 optimal and both directions are closed forms of row 0 alone, with no LP
 (see ``_solve_reduced``). For BSC tensor powers, the symmetric channels of
-this kind that grow with n, the flat level reduces further to the
-Hamming-weight classes, computed in the log domain, so any blocklength is
-cheap; see ``bsc_ns_cost`` and, for many blocklengths at once,
-``bsc_ns_log2_costs``.
+this kind that grow with n, the same smoothed max-divergence kernel reads
+the flat level off the Hamming-weight classes in the log domain, so any
+blocklength is cheap; see ``bsc_ns_cost`` and, for many blocklengths at
+once, ``bsc_ns_log2_costs``.
 
 Witness conventions: witnesses are renormalized row-wise before being
 returned, and reported reference weights zeta are M - s from the LP, whose
@@ -37,7 +37,8 @@ import math
 
 import numpy as np
 
-from .divergences import _d_s_plus_rows, d_max_smooth
+from .divergences import (_as_pmf_pair, _check_eps, _d_max_smooth_rows,
+                          _d_s_plus_rows, _smooth_levels, d_max_smooth)
 from .lp import LpProblem, solve_lp
 from .prob import Dmc, _channel_rows
 
@@ -242,8 +243,7 @@ def i_max_smooth(w, eps: float) -> SmoothImax:
     The substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
+    _check_eps(eps)
     value, w_tilde, zeta = _solve_reduced(rows, "max-information", eps=eps)
     return SmoothImax(value=value, w_tilde=w_tilde, zeta=zeta)
 
@@ -302,10 +302,11 @@ def channel_d_max_smooth(w, q, eps: float) -> float:
 
     Both the constraint (worst row TVD) and the objective (worst row
     max-divergence) decouple across rows, so the program splits into one
-    smoothed max-divergence per row.
+    smoothed max-divergence per row, all read from one kernel call.
     """
     rows = _channel_rows(w)
-    return max(d_max_smooth(eps, row, q) for row in rows)
+    _, qa = _as_pmf_pair(rows[0], q)
+    return float(_d_max_smooth_rows(eps, rows, qa).max())
 
 
 def smoothing_witness(w, q, eps: float):
@@ -349,21 +350,21 @@ def smoothing_witness(w, q, eps: float):
 # C_k = binom(n, k), a string of weight k has mass w_k, and w_k falls
 # with k. The cost is 2^n s* with s* the least flat level whose removed
 # mass sum_k C_k max(w_k - s, 0) is at most eps, floored at 2^-n
-# (sum zeta >= 1). That is ``d_max_smooth`` against the uniform q, whose
-# largest (p(S) - eps)/q(S) over the top-ratio suffixes S reads
+# (sum zeta >= 1). That is ``d_max_smooth`` against the uniform q, read
+# by its kernel on class atoms (log2 C_k w_k, log2 C_k) sorted by w_k:
 #
 #   log2 s* = max(-n, max_t [log2(P_t - eps) - log2 N_t]),
 #   P_t = sum_{k<t} C_k w_k,  N_t = sum_{k<t} C_k,
 #
-# over t = 1..n+1. Class boundaries suffice: a suffix that splits class t
-# is a mediant of the boundaries t and t+1, so it never beats both. The
+# over t = 1..n+1, log2 w_0 at eps = 0. Class boundaries suffice: a set
+# that splits class t is a mediant of the boundaries t and t+1. The
 # deviation at integer cost c is the removed mass at s = c 2^-n, summed
 # from its positive terms C_k w_k (1 - s/w_k). The lgamma-built classes
 # miss the total mass 1 by up to about 1.6e-12 near n = 1800, so neither
-# reads a small quantity as 1 minus a large computed sum. C_k overflows a
-# double past n of about 1030 and 2^-n underflows past 1074, so
-# everything below works with base-2 logs of C_k, w_k and s; the floor
-# is then exactly log2 s = -n.
+# reads a small quantity as 1 minus a large computed sum (1 - eps is
+# exact). C_k overflows a double past n of about 1030 and 2^-n underflows
+# past 1074, so everything below works with base-2 logs of C_k, w_k and
+# s; the floor is then exactly log2 s = -n.
 # ----------------------------------------------------------------------
 
 # Cells (blocklengths times weight classes) per block of the level sweep in
@@ -399,27 +400,6 @@ def _bsc_log_weights(n: int, delta: float):
     """log2 C_k and log2 w_k for the weight classes k = 0..n."""
     log_c, log_w = _bsc_class_logs(_lgamma_table(n), np.array([n]), delta)
     return log_c[0], log_w[0]
-
-
-def _bsc_log_levels(log_c: np.ndarray, log_w: np.ndarray, n: np.ndarray,
-                    eps: float) -> np.ndarray:
-    """log2 s* = max(-n, max_t [log2(P_t - eps) - log2 N_t]), one per row.
-
-    Rows are ``_bsc_class_logs`` of the blocklengths ``n``, as floats. A
-    prefix of mass at most eps reads -inf; the cells past n repeat the
-    last prefix. From eps = 1/2 on, P_t - eps is read as
-    (1 - eps) - sum_{k>=t} C_k w_k, exact in 1 - eps and small wherever
-    the gain is positive: P_t near 1 would swamp a gain near 1 - eps.
-    """
-    mass = np.exp2(log_c + log_w)
-    if eps < 0.5:
-        gain = np.cumsum(mass, axis=1) - eps
-    else:
-        gain = np.full_like(mass, 1.0 - eps)
-        gain[:, :-1] -= np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
-    log_gain = np.log2(gain, out=np.full_like(gain, -np.inf), where=gain > 0.0)
-    log_s = log_gain - np.logaddexp2.accumulate(log_c, axis=1)
-    return np.maximum(log_s.max(axis=1), -n)
 
 
 def _bsc_removed_mass(log_c: np.ndarray, log_w: np.ndarray,
@@ -478,11 +458,6 @@ def _validate_bsc_args(n: int, delta: float) -> None:
         raise ValueError("crossover must lie in (0, 0.5]")
 
 
-def _validate_eps(eps: float) -> None:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-
-
 def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
     """log2 of the no-signaling cost of BSC(delta)^{(x) n} for each n in ns.
 
@@ -495,7 +470,7 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
     ns = list(ns)
     for n in ns:
         _validate_bsc_args(n, delta)
-    _validate_eps(eps)
+    _check_eps(eps)
     if any(a > b for a, b in zip(ns, ns[1:])):
         raise ValueError("blocklengths must be in ascending order")
     # The blocklengths twice: integers to index lg, and floats for the
@@ -514,7 +489,8 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
                                   _LEVEL_CELLS // (ns[stop - 1] + 1)))
         log_c, log_w = _bsc_class_logs(lg, ns[start:stop], delta)
         block = floats[start:stop]
-        out[start:stop] = block + _bsc_log_levels(log_c, log_w, block, eps)
+        levels = _smooth_levels(log_c + log_w, log_c, eps)
+        out[start:stop] = block + np.maximum(levels, -block)
         start = stop
     return out
 
@@ -522,10 +498,10 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
 def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
     """No-signaling cost of BSC(delta)^{(x) n}: log2 cost = n + log2 s*."""
     _validate_bsc_args(n, delta)
-    _validate_eps(eps)
+    _check_eps(eps)
     log_c, log_w = _bsc_log_weights(n, delta)
-    log_s = float(_bsc_log_levels(log_c[None], log_w[None],
-                                  np.array([float(n)]), eps)[0])
+    log_s = max(float(_smooth_levels((log_c + log_w)[None], log_c[None],
+                                     eps)[0]), float(-n))
     log2_cost = n + log_s
     return BscNsCost(
         n=n, delta=delta, eps=eps,

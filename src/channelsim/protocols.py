@@ -106,12 +106,11 @@ class RngStream:
     key = _splitmix(seed): the standard splitmix64 sequence from state
     key, so nearby seeds give unrelated streams and any word is computed
     without the ones before it. ``counter`` is the number of words drawn;
-    ``spawn`` derives an independent child stream from (seed, index).
+    the runs address words by counter or carry states from ``state_at``.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
-        self.key = _splitmix(self.seed)
+        self.key = _splitmix(int(seed) & _MASK64)
         self.counter = 0
 
     def state_at(self, counter: int) -> int:
@@ -136,25 +135,6 @@ class RngStream:
         index += np.uint64(self.counter & _MASK64)
         self.counter += count
         return self.words_at(index)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` words as doubles in [0, 1) with 53 bits."""
-        return _to_uniform(self.words(count))
-
-    def next_uint64(self) -> int:
-        return int(self.words(1)[0])
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return float(self.uniforms(1)[0])
-
-    def pick(self, cumulative) -> int:
-        """Index sample given an inclusive cumulative mass sequence."""
-        return int(_pick(np.asarray(cumulative), self.uniform()))
-
-    def spawn(self, index: int) -> "RngStream":
-        child = _splitmix(self.seed ^ ((index + 1) * _GOLDEN & _MASK64))
-        return RngStream(child)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:

@@ -145,6 +145,24 @@ def check_flat_ns(seed):
     return True, "4 random circulant channels"
 
 
+def check_bsc_classes(seed):
+    """BSC classes against the dense letters, the smoothed max-divergence
+    kernel's two kinds of atom, and for n <= 3 against the LP."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        delta = float(rng.uniform(0.02, 0.5))
+        w = ns_meta.bsc_channel(n, delta)
+        for eps in (0.0, *rng.uniform([0.0, 0.5], [0.5, 0.95])):
+            got = ns_meta.bsc_ns_cost(n, delta, eps).log2_cost
+            wants = [ns_meta.i_max_smooth(w, eps).value]
+            if n <= 3:
+                wants.append(ns_meta._solve_reduced_lp(w.rows, "imax",
+                                                       eps=eps)[0])
+            if any(abs(got - want) > 1e-9 for want in wants):
+                return False, f"classes {got} vs routes {wants} at n={n}"
+    return True, "n <= 6 against the dense route, n <= 3 against the LP"
+
+
 def check_capacity(_seed):
     """Iterative capacity against two closed forms."""
     got = asymptotics.capacity_ba(prob.Dmc.bsc(0.1)).value
@@ -321,6 +339,7 @@ _CHECKS = (
     ("smooth-dmax-bound", check_smooth_dmax_vs_beta),
     ("ns-cost-ceiling", check_ns_cost),
     ("ns-flat-vs-lp", check_flat_ns),
+    ("bsc-classes-vs-dense", check_bsc_classes),
     ("capacity-closed-forms", check_capacity),
     ("normal-quantile", check_quantile),
     ("cs-cc-bracket", check_bracket),

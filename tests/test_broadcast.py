@@ -190,7 +190,8 @@ class TestRateRegion:
         def low(w, tol=None):
             reg = real(w, tol)
             return broadcast.RateRegion(k=reg.k, constraints={
-                js: c - 1e-9 for js, c in reg.constraints.items()})
+                js: c - 1e-9 for js, c in reg.constraints.items()},
+                tol=reg.tol)
         monkeypatch.setattr(broadcast, "rate_region", low)
         ok, detail = selfcheck.check_region(0)
         assert not ok and "constraint" in detail

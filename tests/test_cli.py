@@ -418,6 +418,33 @@ class TestCsvOutputs:
         last = out.splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(0.237419, abs=1e-4)
 
+    def test_headers_name_the_tol_used(self, capsys, tmp_path, bsc_file,
+                                       degraded_file):
+        # Without --tol each header names the default the run used: the
+        # trace's stopping increment (1e-6 from three receivers on) and
+        # the region's certified gap; with --tol, the value given.
+        rows = np.random.default_rng(3).dirichlet(np.ones(8), size=2)
+        three = _write(tmp_path / "three.json",
+                       {"input_size": 2, "output_sizes": [2, 2, 2],
+                        "rows": rows.tolist()})
+        for path, flags, want in ((bsc_file, [], "1e-09"),
+                                  (degraded_file, [], "1e-09"),
+                                  (three, [], "1e-06"),
+                                  (three, ["--tol", "1e-05"], "1e-05")):
+            code, out, _ = _run(capsys, ["ba-trace", "--channel", path]
+                                + flags)
+            assert code == 0
+            assert f"# tol: {want}" in out.splitlines(), (path, flags)
+        for command, path, flags, want in (
+                ("broadcast-region", degraded_file, [], 1e-12),
+                ("broadcast-region", degraded_file, ["--tol", "1e-10"],
+                 1e-10),
+                ("capacity", bsc_file, [], 1e-9)):
+            code, out, _ = _run(capsys, [command, "--channel", path]
+                                + flags)
+            assert code == 0
+            assert json.loads(out)["meta"]["tol"] == want, (command, flags)
+
     def test_second_order_csv_band_header(self, capsys, bsc_file):
         code, out, _ = _run(capsys, ["second-order", "--channel", bsc_file,
                                      "--eps", "0.05", "--n", "100",

@@ -323,6 +323,8 @@ class TestDmaxSmooth:
         # reference can fail outright. The oracle works on the exact values
         # of the double inputs: lam* is the least breakpoint or segment
         # root at which the removed mass out + sum (p - lam q)_+ is <= eps.
+        # From eps = 1/2 on, the closed form reads p(S) - eps from the
+        # mass outside S, so those eps check that reading too.
         from fractions import Fraction
 
         rng = np.random.default_rng(101)
@@ -330,28 +332,30 @@ class TestDmaxSmooth:
             n = int(rng.integers(2, 20))
             p = rng.dirichlet(np.full(n, 0.3))
             q = rng.dirichlet(np.full(n, 0.3))
-            eps = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
             pf = [Fraction(v) for v in p]
             qf = [Fraction(v) for v in q]
-            ef = Fraction(eps)
             out = sum((a for a, b in zip(pf, qf) if b == 0), Fraction(0))
 
             def removed(lam):
                 return out + sum((max(a - lam * b, 0) for a, b in
                                   zip(pf, qf) if b > 0), Fraction(0))
 
-            cands = [a / b for a, b in zip(pf, qf) if b > 0]
-            cands += [(out + sum(a for a, b in zip(pf, qf) if b > 0
-                                 and a >= r * b) - ef)
-                      / sum(b for a, b in zip(pf, qf) if b > 0 and a >= r * b)
-                      for r in cands]
-            feasible = [c for c in cands if c >= 0 and removed(c) <= ef]
-            got = dv.d_max_smooth(eps, p, q)
-            if out > ef:
-                assert got == math.inf
-            else:
-                want = math.log2(max(min(feasible), 1))
-                assert got == pytest.approx(want, abs=1e-12)
+            ratios = [a / b for a, b in zip(pf, qf) if b > 0]
+            for eps in (float(rng.choice([0.0, rng.uniform(0.0, 0.5)])),
+                        0.5, 0.75, 0.999999, 1.0 - 2.0 ** -40):
+                ef = Fraction(eps)
+                cands = ratios + [
+                    (out + sum(a for a, b in zip(pf, qf) if b > 0
+                               and a >= r * b) - ef)
+                    / sum(b for a, b in zip(pf, qf) if b > 0 and a >= r * b)
+                    for r in ratios]
+                feasible = [c for c in cands if c >= 0 and removed(c) <= ef]
+                got = dv.d_max_smooth(eps, p, q)
+                if out > ef:
+                    assert got == math.inf
+                else:
+                    want = math.log2(max(min(feasible), 1))
+                    assert got == pytest.approx(want, abs=1e-12)
 
     def test_closed_form_keeps_exactly_one_minus_eps(self):
         # Above zero bits the optimum sits where the kept mass

@@ -1,5 +1,6 @@
 """Meta-converse LPs: exact values, witnesses, and the BSC fast paths."""
 
+import dataclasses
 import importlib.util
 import math
 import pathlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from channelsim import cli, lp, ns_meta, prob
+from channelsim import cli, lp, ns_meta, prob, selfcheck
 from channelsim.divergences import d_max, d_max_smooth, d_s_plus
 from channelsim.lp import LpProblem, solve_lp
 
@@ -591,13 +592,18 @@ def _reference_log2_cost(n, delta, eps):
     The one-row form of the batched sweep, kept as its reference: a fresh
     lgamma list per n, then the largest log2(P_t - eps) - log2 N_t over
     the class prefixes t, floored at -n, with P_t - eps read from the
-    tail from eps = 1/2 on.
+    tail from eps = 1/2 on. At eps = 0 that maximum is the top class's
+    log2 w_0, read directly: the prefix masses of BSC(1/2)^n lose their
+    bits below 2^-1022 and would put up to 0.73 bits of noise on an
+    exact 0.
     """
     lg = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
     k = np.arange(n + 1, dtype=np.float64)
     log_c = (lg[-1] - lg - lg[::-1]) / math.log(2.0)
     log_w = ((n - k) * (math.log1p(-delta) / math.log(2.0))
              + k * math.log2(delta))
+    if eps == 0.0:
+        return n + max(float(log_w[0]), float(-n))
     mass = np.exp2(log_c + log_w)
     if eps < 0.5:
         gain = np.cumsum(mass) - eps
@@ -701,6 +707,31 @@ class TestBscExactness:
             got = [ns_meta.bsc_ns_log2_costs([n], 0.11, eps)[0]
                    for eps in epss]
             assert got == pytest.approx(want, abs=1e-9), n
+
+    def test_eps_zero_is_the_top_class_ratio(self):
+        # At eps = 0 the cost is plain D_max, 2^n w_0. The useless
+        # BSC(1/2)^n costs exactly one message even where its class masses
+        # are subnormal (the prefix maximum read up to 0.73 bits there),
+        # and w_0 is read in the log domain where 2^-n w_0 underflows.
+        costs = ns_meta.bsc_ns_log2_costs(range(900, 2001, 50), 0.5, 0.0)
+        assert costs.tolist() == [0.0] * 23
+        for delta in (0.11, 0.3, 0.45):
+            for n in (1, 40, 300, 1030, 2000):
+                got = ns_meta.bsc_ns_cost(n, delta, 0.0).log2_cost
+                assert got == pytest.approx(
+                    n * (1.0 + math.log2(1.0 - delta)), rel=1e-14, abs=0.0)
+
+    def test_selfcheck_sees_a_class_level_off(self, monkeypatch):
+        assert selfcheck.check_bsc_classes(0)[0]
+        real = ns_meta.bsc_ns_cost
+
+        def high(n, delta, eps):
+            got = real(n, delta, eps)
+            return dataclasses.replace(got, log2_cost=got.log2_cost + 1e-8)
+
+        monkeypatch.setattr(ns_meta, "bsc_ns_cost", high)
+        ok, detail = selfcheck.check_bsc_classes(0)
+        assert not ok and "classes" in detail
 
     def test_deviation_matches_mpmath_when_exponentially_small(self):
         # BSC(0.11) above capacity C: the deviation falls to 1e-14 and

@@ -159,10 +159,6 @@ class TestRngStream:
         joined = np.concatenate([a.words(5), a.words(1), a.words(11)])
         assert np.array_equal(joined, b.words(17))
         assert a.counter == b.counter == 17
-        c = protocols.RngStream(6)
-        assert [c.next_uint64() for _ in range(3)] == joined[:3].tolist()
-        assert c.uniform() == _uniform(joined[3])
-        assert c.uniforms(13).tolist() == [_uniform(w) for w in joined[4:]]
 
     def test_words_at_known_answers(self):
         s = protocols.RngStream(2025)
@@ -188,11 +184,8 @@ class TestRngStream:
         s.words(5)
         with pytest.raises(ValueError):
             s.words(-3)
-        with pytest.raises(ValueError):
-            s.uniforms(-1)
         assert s.counter == 5
         assert s.words(0).size == 0
-        assert s.uniforms(0).size == 0
         assert s.counter == 5
         assert s.words(2).tolist() == [_exact_word(s.key, 5),
                                        _exact_word(s.key, 6)]
@@ -200,66 +193,48 @@ class TestRngStream:
     def test_reproducible_from_seed(self):
         a = protocols.RngStream(1234)
         b = protocols.RngStream(1234)
-        assert [a.next_uint64() for _ in range(20)] == \
-            [b.next_uint64() for _ in range(20)]
-        assert a.uniform() == b.uniform()
+        assert a.words(20).tolist() == b.words(20).tolist()
+        assert a.words(1).tolist() == b.words(1).tolist()
 
     def test_nearby_seeds_decorrelate(self):
         a = protocols.RngStream(7)
         b = protocols.RngStream(8)
-        assert [a.next_uint64() for _ in range(4)] != \
-            [b.next_uint64() for _ in range(4)]
+        assert a.words(4).tolist() != b.words(4).tolist()
 
     def test_seed_wraps_at_64_bits(self):
         a = protocols.RngStream(5)
         b = protocols.RngStream((1 << 64) + 5)
-        assert a.next_uint64() == b.next_uint64()
+        assert a.words(1).tolist() == b.words(1).tolist()
 
     def test_counter_tracks_draws(self):
         s = protocols.RngStream(0)
-        s.next_uint64()
-        s.uniform()
-        s.pick([0.5, 1.0])
+        s.words(1)
+        s.words(2)
         assert s.counter == 3
 
     def test_uniform_range(self):
         s = protocols.RngStream(99)
-        draws = [s.uniform() for _ in range(2000)]
-        assert all(0.0 <= u < 1.0 for u in draws)
-        assert 0.4 < sum(draws) / len(draws) < 0.6
+        draws = protocols._to_uniform(s.words(2000))
+        assert np.all((draws >= 0.0) & (draws < 1.0))
+        assert 0.4 < draws.mean() < 0.6
 
     def test_pick_frequencies(self):
         s = protocols.RngStream(3)
         cum = np.array([0.25, 0.5, 1.0])
-        counts = np.zeros(3)
-        for _ in range(20000):
-            counts[s.pick(cum)] += 1
+        picks = protocols._pick(cum, protocols._to_uniform(s.words(20000)))
+        counts = np.bincount(picks, minlength=3)
         assert counts / 20000 == pytest.approx([0.25, 0.25, 0.5], abs=0.02)
 
     def test_pick_clamps_rounded_cumulative(self):
         s = protocols.RngStream(11)
         cum = np.array([0.3, 1.0 - 1e-13])
-        for _ in range(1000):
-            assert s.pick(cum) in (0, 1)
+        picks = protocols._pick(cum, protocols._to_uniform(s.words(1000)))
+        assert set(picks.tolist()) <= {0, 1}
 
     def test_pick_clamps_past_last_entry(self):
         cum = np.array([0.3, 1.0 - 1e-13])
         got = protocols._pick(cum, np.array([0.0, 0.3, 0.5, 1.0 - 1e-14]))
         assert got.tolist() == [0, 1, 1, 1]
-
-    def test_spawn_is_positional_not_stateful(self):
-        parent = protocols.RngStream(42)
-        before = parent.spawn(3)
-        parent.next_uint64()
-        after = parent.spawn(3)
-        assert [before.next_uint64() for _ in range(5)] == \
-            [after.next_uint64() for _ in range(5)]
-
-    def test_spawn_children_distinct(self):
-        parent = protocols.RngStream(42)
-        seqs = {tuple(parent.spawn(i).next_uint64() for _ in range(3))
-                for i in range(8)}
-        assert len(seqs) == 8
 
 
 class TestGuidedPick:
