@@ -285,7 +285,7 @@ def _certified_optimum(rows: np.ndarray, out_sizes: tuple, k: int,
     steps with a gap still above ``gap``.
     """
     if not 0.0 < gap < math.inf:
-        raise ValueError(f"gap must be positive and finite, got {gap}")
+        raise ValueError(f"tolerance must be positive and finite, got {gap}")
     kx = rows.shape[0]
     divergences = _divergence_map(rows, out_sizes)
     marginals = _marginal_rows(rows, out_sizes)

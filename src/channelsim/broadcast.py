@@ -41,25 +41,12 @@ class MultipartiteMi:
     h_joint: float
 
 
-def _receiver_subset(w: BroadcastDmc, subset) -> tuple:
-    js = tuple(sorted(set(int(i) for i in subset)))
-    if not js:
-        raise ValueError("receiver subset must be nonempty")
-    if js[0] < 0 or js[-1] >= w.num_receivers:
-        raise ValueError("receiver index out of range")
-    return js
-
-
 def multipartite_mi(p: Pmf, w: BroadcastDmc, subset) -> MultipartiteMi:
     """Multipartite mutual information between the input and receivers in subset."""
-    js = _receiver_subset(w, subset)
-    if p.size != w.input_size:
-        raise ValueError("input pmf size does not match the channel")
-    reduced = reduce_broadcast(w, js)
-    joint = push_forward(p, reduced)
+    joint = push_forward(p, reduce_broadcast(w, subset))
     h_in = entropy_bits(p)
     h_rec = tuple(entropy_bits(joint.marginal((axis,)))
-                  for axis in range(1, len(js) + 1))
+                  for axis in range(1, len(joint.factor_sizes)))
     h_joint = entropy_bits(joint.probs)
     return MultipartiteMi(value=h_in + sum(h_rec) - h_joint,
                           h_input=h_in, h_receivers=h_rec, h_joint=h_joint)
@@ -82,9 +69,9 @@ def tilde_c_ba(w: BroadcastDmc, subset, tol: float | None = None) -> BaTrace:
     carries the a-priori bound |J| log2|X| / t only; ``rate_region`` does
     not use this function, and certifies each threshold a posteriori.
     """
-    js = _receiver_subset(w, subset)
-    reduced = reduce_broadcast(w, js)
-    return _ba_core(reduced.rows, _output_sizes(reduced), len(js), tol)
+    reduced = reduce_broadcast(w, subset)
+    sizes = _output_sizes(reduced)
+    return _ba_core(reduced.rows, sizes, len(sizes), tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,8 +144,6 @@ def common_dispersion(p: Pmf, w: BroadcastDmc) -> float:
     skipped; on the support the reference product is automatically positive
     wherever the row is.
     """
-    if p.size != w.input_size:
-        raise ValueError("input pmf size does not match the channel")
     joint = push_forward(p, w)
     refs = []
     for axis in range(1, w.num_receivers + 1):

@@ -2,9 +2,11 @@
 
 Everything is measured in bits. Functions take raw mass vectors (anything
 ``np.asarray`` accepts) so that joint distributions can be passed flattened;
-wrap ``Pmf.probs`` at call sites. Where a quantity diverges because absolute
-continuity fails, the functions return ``math.inf`` rather than raising,
-except ``var_div`` whose variance is undefined without a finite mean.
+wrap ``Pmf.probs`` at call sites. Each must pass Pmf's one mass rule
+(``prob._check_mass``: finite, nonnegative, sum 1 within 1e-12). Where a
+quantity diverges because absolute continuity fails, the functions return
+``math.inf`` rather than raising, except ``var_div`` whose variance is
+undefined without a finite mean.
 The spectrum divergence D_s+ has one vectorized kernel, ``_spectrum``, for
 ``d_s_plus`` and for the channel and product-reference forms elsewhere.
 The smoothed max-divergence has one closed-form kernel, ``_smooth_levels``,
@@ -26,8 +28,7 @@ import math
 import numpy as np
 
 from .lp import LpProblem, solve_lp
-
-_MASS_TOL = 1e-9
+from .prob import _check_mass
 
 # Effective support cap for beta_star's subset enumeration (2^20 subset sums).
 _ENUM_LIMIT = 20
@@ -38,11 +39,8 @@ def _as_pmf_pair(p, q):
     qa = np.asarray(q, dtype=np.float64).reshape(-1)
     if pa.size != qa.size or pa.size == 0:
         raise ValueError("distributions must share a nonempty alphabet")
-    for name, vec in (("p", pa), ("q", qa)):
-        if np.any(vec < 0.0) or not np.all(np.isfinite(vec)):
-            raise ValueError(f"{name} must be finite and nonnegative")
-        if abs(float(vec.sum()) - 1.0) > _MASS_TOL:
-            raise ValueError(f"{name} must sum to 1 within {_MASS_TOL}")
+    _check_mass(pa, "p")
+    _check_mass(qa, "q")
     return pa, qa
 
 
@@ -118,7 +116,7 @@ def d_h(eps: float, p, q) -> float:
     beta = beta_star(eps, p, q)
     if beta <= 0.0:
         return math.inf
-    return -math.log2(beta)
+    return 0.0 - math.log2(beta)  # +0.0, not -0.0, at beta = 1
 
 
 def _spectrum(mass, log_ratio, eps: float) -> np.ndarray:
@@ -146,14 +144,12 @@ def _spectrum(mass, log_ratio, eps: float) -> np.ndarray:
     return np.where(ms.sum(axis=1) < eps, 0.0, out)
 
 
-def _d_s_plus_rows(eps: float, rows, q) -> np.ndarray:
-    """D_s+^eps(row || q) for each row, every pair checked as by d_s_plus."""
-    pairs = [_as_pmf_pair(row, q) for row in rows]
+def _d_s_plus_rows(eps: float, pa: np.ndarray, qa: np.ndarray) -> np.ndarray:
+    """D_s+^eps(row || qa) for each row of ``pa``, all pmfs checked."""
     if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    pa = np.array([p for p, _ in pairs])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log2(pa / pairs[0][1])
+        log_ratio = np.log2(pa / qa)
     # 0/0 atoms carry no mass and never exceed a threshold
     log_ratio[np.isnan(log_ratio)] = -math.inf
     return _spectrum(pa, log_ratio, eps)
@@ -166,7 +162,8 @@ def d_s_plus(eps: float, p, q) -> float:
     It is +inf at eps = 0 or once the p-mass outside supp(q) reaches eps,
     and 0 for eps above p's whole mass.
     """
-    return float(_d_s_plus_rows(eps, [p], q)[0])
+    pa, qa = _as_pmf_pair(p, q)
+    return float(_d_s_plus_rows(eps, pa[None], qa)[0])
 
 
 def _smooth_levels(log_p, log_q, eps: float) -> np.ndarray:

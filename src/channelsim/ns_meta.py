@@ -294,7 +294,9 @@ def d_s_plus_channel(w, q, eps: float) -> float:
     per-input coefficients given by the rows, so the supremum over the
     simplex is attained at a point mass and a row maximum suffices.
     """
-    return float(_d_s_plus_rows(eps, _channel_rows(w), q).max())
+    rows = _channel_rows(w)
+    _, qa = _as_pmf_pair(rows[0], q)
+    return float(_d_s_plus_rows(eps, rows, qa).max())
 
 
 def channel_d_max_smooth(w, q, eps: float) -> float:
@@ -324,22 +326,16 @@ def smoothing_witness(w, q, eps: float):
     Returns (hat_rows, a, eps_x vector).
     """
     rows = _channel_rows(w)
-    qa = np.asarray(q, dtype=np.float64)
-    a = d_s_plus_channel(rows, qa, eps)
+    _, qa = _as_pmf_pair(rows[0], q)
+    a = float(_d_s_plus_rows(eps, rows, qa).max())
     if math.isinf(a):
         raise ValueError("spectrum threshold is infinite, no witness exists")
-    hat = np.zeros_like(rows)
-    eps_x = np.zeros(rows.shape[0])
-    for x in range(rows.shape[0]):
-        row = rows[x]
-        keep = np.zeros(row.size, dtype=bool)
-        pos = (row > 0.0) & (qa > 0.0)
-        keep[pos] = np.log2(row[pos] / qa[pos]) <= a
-        keep[(row > 0.0) & (qa == 0.0)] = False
-        keep[row == 0.0] = True
-        eps_x[x] = float(row[~keep].sum())
-        hat[x] = row * keep + eps_x[x] * qa
-    return hat, a, eps_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # mass outside supp(q) reads +inf and is clipped; a zero entry
+        # adds nothing kept or clipped, so its NaN at q = 0 is harmless
+        keep = np.log2(rows / qa) <= a
+    eps_x = np.where(keep, 0.0, rows).sum(axis=1)
+    return rows * keep + eps_x[:, None] * qa, a, eps_x
 
 
 # ----------------------------------------------------------------------

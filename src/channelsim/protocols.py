@@ -228,8 +228,6 @@ class RejectionPlan:
         if m > MAX_ROUNDS:
             raise ValueError(f"round budget m must be at most {MAX_ROUNDS}, "
                              f"got {m}")
-        if p.size != q.size:
-            raise ValueError("target and reference sizes differ")
         div = d_max(p.probs, q.probs)
         if math.isinf(div):
             raise ValueError("target is not absolutely continuous with "

@@ -74,6 +74,15 @@ class TestExitCodes:
                                      "--n", "1"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("out", ["no/such/dir/x.json", "."])
+    def test_unwritable_out_is_config_error(self, capsys, bsc_file,
+                                            tmp_path, out):
+        code, stdout, err = _run(capsys, ["capacity", "--channel", bsc_file,
+                                          "--out", str(tmp_path / out)])
+        assert code == cli.EXIT_CONFIG
+        assert stdout == "" and "Traceback" not in err
+        assert err.startswith("channelsim: error: cannot write")
+
     def test_numeric_failure_maps_to_two(self, capsys, bsc_file,
                                          monkeypatch):
         def boom(*args, **kwargs):
@@ -108,7 +117,7 @@ class TestExitCodes:
         code, out, err = _run(capsys, [command, "--channel", path,
                                        f"--tol={tol}"])
         assert code == cli.EXIT_CONFIG
-        assert "--tol" in err and out == ""
+        assert "tolerance must be positive and finite" in err and out == ""
 
     def test_reject_sim_rejects_trial_range(self, capsys, tmp_path):
         inst = _write(tmp_path / "inst.json",
@@ -190,7 +199,7 @@ class TestExitCodes:
                                        "--channel", pair_file,
                                        "--eps", "nan"])
         assert code == cli.EXIT_CONFIG
-        assert err.startswith("channelsim: error: --eps must lie in")
+        assert err.startswith("channelsim: error: eps must be nonnegative")
         assert "Traceback" not in err and out == ""
 
     def test_main_builds_the_parser_once(self, capsys, monkeypatch,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from channelsim import cli
+from channelsim import asymptotics, broadcast, cli, divergences, ns_meta, prob
 
 # The flags each subcommand reads, besides --out.
 FLAGS = {
@@ -296,3 +296,94 @@ def test_mutated_files(fuzz_dir, argv, valid, fields, data):
         assert (code, out) == (cli.EXIT_OK, want), err
     else:
         _assert_config_error(code, out, err)
+
+
+_W = prob.Dmc(CHANNEL["rows"])
+_P, _Q = np.array(PAIR["p"]), np.array(PAIR["q"])
+
+
+def _bsc_curve(delta, eps, ns=(1, 2, 3)):
+    ns_meta.bsc_ns_log2_costs(ns, delta, eps)
+    params = asymptotics.dispersion(prob.Dmc.bsc(delta))
+    asymptotics.second_order_simulation(params, ns, eps)
+    asymptotics.second_order_coding(params, ns, eps)
+
+
+def _second_order(eps, ns=(100,)):
+    params = asymptotics.dispersion(_W)
+    asymptotics.second_order_simulation(params, ns, eps)
+    asymptotics.second_order_coding(params, ns, eps)
+
+
+# Each ranged flag: the command line up to the flag, the file it reads,
+# the flag, the library calls the command makes with the value, and the
+# values the library accepts.
+RANGED = {
+    "dh": (["divergence", "dh"], PAIR, "eps",
+           lambda v: divergences.d_h(v, _P, _Q), {"0", "0.5"}),
+    "dsplus": (["divergence", "dsplus"], PAIR, "eps",
+               lambda v: divergences.d_s_plus(v, _P, _Q),
+               {"0", "0.5", "1", "1.5", "inf"}),
+    "dmax-smooth": (["divergence", "dmax-smooth"], PAIR, "eps",
+                    lambda v: divergences.d_max_smooth(v, _P, _Q),
+                    {"0", "0.5"}),
+    "imax": (["imax"], CHANNEL, "eps",
+             lambda v: ns_meta.i_max_smooth(_W, v), {"0", "0.5"}),
+    "ns-cost": (["ns-cost"], CHANNEL, "eps",
+                lambda v: ns_meta.ns_cost(_W, v), {"0", "0.5"}),
+    "bsc-curve-delta": (["bsc-curve", "--eps", "0.1", "--n", "1..3"], None,
+                        "delta", lambda v: _bsc_curve(v, 0.1), {"0.5"}),
+    "bsc-curve-eps": (["bsc-curve", "--delta", "0.1", "--n", "1..3"], None,
+                      "eps", lambda v: _bsc_curve(0.1, v), {"0.5"}),
+    "second-order": (["second-order", "--n", "100"], CHANNEL, "eps",
+                     _second_order, {"0.5"}),
+    "capacity": (["capacity"], CHANNEL, "tol",
+                 lambda v: asymptotics.capacity_ba(_W, tol=v),
+                 {"0.5", "1", "1.5"}),
+    "ba-trace": (["ba-trace"], BROADCAST, "tol",
+                 lambda v: broadcast.tilde_c_ba(
+                     prob.channel_from_json(BROADCAST), (0, 1), tol=v),
+                 {"0.5", "1", "1.5"}),
+    "broadcast-region": (["broadcast-region"], BROADCAST, "tol",
+                         lambda v: broadcast.rate_region(
+                             prob.channel_from_json(BROADCAST), tol=v),
+                         {"0.5", "1", "1.5"}),
+}
+RANGED_VALUES = ("-1", "0", "0.5", "1", "1.5", "nan", "inf")
+
+
+def _differential(tmp_path, head, payload, flag, call, value, parsed):
+    argv = head + [f"--{flag}={value}"]
+    if payload is not None:
+        argv += ["--channel", _write(tmp_path / "in.json", payload)]
+    try:
+        call(parsed)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None
+    code, out, err = _main(argv)
+    if message is None:
+        assert code == cli.EXIT_OK, err
+    else:
+        _assert_config_error(code, out, err, f"channelsim: error: {message}")
+    return message is None
+
+
+@pytest.mark.parametrize("value", RANGED_VALUES)
+@pytest.mark.parametrize("case", sorted(RANGED))
+def test_ranged_flags_follow_the_library(tmp_path, case, value):
+    # The command line accepts a value exactly when the library does, and
+    # otherwise exits 1 with the library's message.
+    head, payload, flag, call, documented = RANGED[case]
+    accepted = _differential(tmp_path, head, payload, flag, call, value,
+                             float(value))
+    assert accepted == (value in documented)
+
+
+@pytest.mark.parametrize("cost", ["-1", "0", "1", "2", "3"])
+def test_ns_eps_cost_follows_the_library(tmp_path, cost):
+    accepted = _differential(tmp_path, ["ns-eps"], CHANNEL, "n",
+                             lambda c: ns_meta.ns_eps_for_cost(_W, c),
+                             cost, int(cost))
+    assert accepted == (int(cost) >= 2)

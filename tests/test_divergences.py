@@ -42,6 +42,21 @@ def _beta_oracle(eps, p, q):
     return best
 
 
+@pytest.mark.parametrize("call", [
+    dv.kl, dv.var_div, dv.d_max,
+    lambda p, q: dv.d_h(0.1, p, q),
+    lambda p, q: dv.d_s_plus(0.1, p, q),
+    lambda p, q: dv.d_max_smooth(0.1, p, q)],
+    ids=["kl", "var_div", "d_max", "d_h", "d_s_plus", "d_max_smooth"])
+def test_mass_rule_is_the_pmf_rule(call):
+    # Pmf's 1e-12: a mass off by 1e-10 fails for either argument
+    good, off = np.array([0.5, 0.5]), np.array([0.5, 0.5 + 1e-10])
+    call(good, good)
+    for p, q in ((off, good), (good, off)):
+        with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+            call(p, q)
+
+
 class TestKl:
     def test_closed_form(self):
         p = np.array([0.5, 0.5])
@@ -162,6 +177,12 @@ class TestDh:
         p = np.array([0.25, 0.75])
         # against itself, beta is the cheapest atom sum reaching 1 - eps
         assert dv.d_h(0.3, p, p) == pytest.approx(-math.log2(0.75))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_beta_one_reads_plus_zero(self, eps):
+        p = np.array([0.5, 0.5])
+        value = dv.d_h(eps, p, p)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestDsPlus:

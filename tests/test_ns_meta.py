@@ -424,7 +424,47 @@ class TestChannelDivergences:
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _witness_by_rows(rows, qa, a):
+    """smoothing_witness's hat and eps_x, built one row at a time."""
+    hat, eps_x = np.zeros_like(rows), np.zeros(rows.shape[0])
+    for x, row in enumerate(rows):
+        keep = np.zeros(row.size, dtype=bool)
+        pos = (row > 0.0) & (qa > 0.0)
+        keep[pos] = np.log2(row[pos] / qa[pos]) <= a
+        keep[row == 0.0] = True
+        eps_x[x] = row[~keep].sum()
+        hat[x] = row * keep + eps_x[x] * qa
+    return hat, eps_x
+
+
 class TestSmoothingWitness:
+    def test_matches_the_row_loop(self):
+        # Same kept sets; the clipped sums add zeros in place of the kept
+        # letters, so they may differ in order only, by m ulps of 1 at most.
+        rng = np.random.default_rng(53)
+        built = 0
+        for _ in range(200):
+            m = int(rng.integers(2, 24))
+            rows = rng.random((int(rng.integers(1, 6)), m))
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[:, 0] += 0.1
+            rows /= rows.sum(axis=1, keepdims=True)
+            q = rng.random(m)
+            q[rng.random(m) < 0.1] = 0.0
+            q[0] += 0.1
+            q /= q.sum()
+            try:
+                hat, a, eps_x = ns_meta.smoothing_witness(
+                    rows, q, float(rng.uniform(0.05, 0.9)))
+            except ValueError:  # mass outside supp(q) reaches eps
+                continue
+            built += 1
+            want_hat, want_eps = _witness_by_rows(rows, q, a)
+            tol = m * np.finfo(np.float64).eps
+            assert np.abs(eps_x - want_eps).max() <= tol
+            assert np.abs(hat - want_hat).max() <= tol
+        assert built >= 150
+
     def test_invariants(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
