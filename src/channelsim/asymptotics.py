@@ -23,7 +23,7 @@ import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf, _channel_rows
+from .prob import Pmf, _channel_rows, _check_count
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -497,18 +497,15 @@ def _expansion(params: SecondOrderParams, n, eps: float, level: float,
                sign: float):
     """n C + sqrt(n v) sign Phi^-1(eps), with v = v_min below level 1/2 and
     v_max from it, for one blocklength or an array solving Phi^-1 once."""
-    # Python floats and math.sqrt per n: the first np.sqrt, or comparison
-    # with np.any, pages in 64-128 KiB of numpy code that peak RSS shows.
-    ns = np.asarray(n, dtype=np.float64)
-    values = ns.ravel().tolist()
-    if any(k < 1 for k in values):
-        raise ValueError("blocklength must be at least 1")
+    ns = np.asarray(n)
+    for k in ns.ravel().tolist():
+        _check_count("blocklength", k)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie strictly in (0, 1)")
     v = params.v_min if level < 0.5 else params.v_max
     quantile = sign * inv_normal_cdf(eps)
-    value = np.array([k * params.capacity + math.sqrt(k * v) * quantile
-                      for k in values]).reshape(ns.shape)
+    ns = ns.astype(np.float64)
+    value = ns * params.capacity + np.sqrt(ns * v) * quantile
     return value if value.ndim else float(value)
 
 
@@ -560,8 +557,7 @@ def moderate_deviation_rates(params: SecondOrderParams, n: int,
     eps_n pair is (C + sqrt(2 v_max) a_n, C - sqrt(2 v_min) a_n); the
     complement pair swaps roles. Default sequence a_n = n^(-1/3).
     """
-    if n < 1:
-        raise ValueError("blocklength must be at least 1")
+    _check_count("blocklength", n)
     if a_n is None:
         a_n = float(n) ** (-1.0 / 3.0)
     if not 0.0 < a_n < math.inf:

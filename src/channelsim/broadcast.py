@@ -194,6 +194,9 @@ def ds_product_lower_bound(joint, eps: float, delta: float,
     _check_eps(eps)
     if not 0.0 < delta < (1.0 - eps) / k:
         raise ValueError("delta must lie in (0, (1 - eps) / k)")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, "
+                         f"got {resolution!r}")
     p_x = joint.marginal((0,)).probs
     marginals = [joint.marginal((axis,)).probs for axis in range(1, k + 1)]
     ref = p_x

@@ -40,7 +40,7 @@ import numpy as np
 from .divergences import (_as_pmf_pair, _check_eps, _d_max_smooth_rows,
                           _d_s_plus_rows, _smooth_levels, d_max_smooth)
 from .lp import LpProblem, solve_lp
-from .prob import Dmc, _channel_rows
+from .prob import Dmc, _channel_rows, _check_count
 
 
 def i_max(w) -> float:
@@ -280,9 +280,8 @@ def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     with no LP.
     """
     rows = _channel_rows(w)
-    if int(c) != c or c < 2:
-        raise ValueError("cost must be an integer >= 2")
-    value, w_tilde, zeta = _solve_reduced(rows, "deviation", cost=int(c))
+    c = _check_count("cost", c, least=2)
+    value, w_tilde, zeta = _solve_reduced(rows, "deviation", cost=c)
     return NsEpsResult(eps=float(max(value, 0.0)), w_tilde=w_tilde,
                        zeta=zeta)
 
@@ -370,7 +369,7 @@ _LEVEL_CELLS = 1 << 13
 
 def _lgamma_table(n_max: int) -> np.ndarray:
     """ln j! for j = 0..n_max."""
-    return np.array([math.lgamma(j + 1.0) for j in range(int(n_max) + 1)])
+    return np.array([math.lgamma(j + 1.0) for j in range(n_max + 1)])
 
 
 def _bsc_class_logs(lg: np.ndarray, ns: np.ndarray, delta: float):
@@ -384,12 +383,9 @@ def _bsc_class_logs(lg: np.ndarray, ns: np.ndarray, delta: float):
     n = ns[:, None]
     k = np.arange(ns.max() + 1)
     log_c = np.where(k <= n, lg[n] - lg[k] - lg[n - k], -np.inf)
-    # n and k as floats by lookup, not by an integer-to-float cast, whose
-    # code pages would outweigh a short sweep's own memory.
-    kf = np.arange(k.size, dtype=np.float64)
     return (log_c / math.log(2.0),
-            (kf[n] - kf) * (math.log1p(-delta) / math.log(2.0))
-            + kf * math.log2(delta))
+            (n - k) * (math.log1p(-delta) / math.log(2.0))
+            + k * math.log2(delta))
 
 
 def _bsc_log_weights(n: int, delta: float):
@@ -447,9 +443,7 @@ class BscNsCost:
     r: np.ndarray
 
 
-def _validate_bsc_args(n: int, delta: float) -> None:
-    if int(n) != n or n < 1:
-        raise ValueError("blocklength must be a positive integer")
+def _check_crossover(delta: float) -> None:
     if not 0.0 < delta <= 0.5:
         raise ValueError("crossover must lie in (0, 0.5]")
 
@@ -463,15 +457,11 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
     are found for blocks of rows of at most ``_LEVEL_CELLS`` cells
     (blocklengths times weight classes).
     """
-    ns = list(ns)
-    for n in ns:
-        _validate_bsc_args(n, delta)
+    ns = [_check_count("blocklength", n) for n in ns]
+    _check_crossover(delta)
     _check_eps(eps)
     if any(a > b for a, b in zip(ns, ns[1:])):
         raise ValueError("blocklengths must be in ascending order")
-    # The blocklengths twice: integers to index lg, and floats for the
-    # arithmetic, built from the list and not cast (see _bsc_class_logs).
-    floats = np.array(ns, dtype=np.float64)
     ns = np.array(ns, dtype=np.int64)
     lg = _lgamma_table(ns[-1]) if ns.size else None
     out = np.empty(ns.size)
@@ -484,7 +474,7 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
         stop = start + max(1, min(stop - start,
                                   _LEVEL_CELLS // (ns[stop - 1] + 1)))
         log_c, log_w = _bsc_class_logs(lg, ns[start:stop], delta)
-        block = floats[start:stop]
+        block = ns[start:stop]
         levels = _smooth_levels(log_c + log_w, log_c, eps)
         out[start:stop] = block + np.maximum(levels, -block)
         start = stop
@@ -493,7 +483,8 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
 
 def bsc_ns_cost(n: int, delta: float, eps: float) -> BscNsCost:
     """No-signaling cost of BSC(delta)^{(x) n}: log2 cost = n + log2 s*."""
-    _validate_bsc_args(n, delta)
+    n = _check_count("blocklength", n)
+    _check_crossover(delta)
     _check_eps(eps)
     log_c, log_w = _bsc_log_weights(n, delta)
     log_s = max(float(_smooth_levels((log_c + log_w)[None], log_c[None],
@@ -516,9 +507,9 @@ def bsc_ns_eps(n: int, delta: float, c: int) -> float:
     terms: it keeps its relative accuracy however small it is, and it
     never increases with c.
     """
-    _validate_bsc_args(n, delta)
-    if int(c) != c or c < 2:
-        raise ValueError("cost must be an integer >= 2")
+    n = _check_count("blocklength", n)
+    _check_crossover(delta)
+    c = _check_count("cost", c, least=2)
     log_c, log_w = _bsc_log_weights(n, delta)
     return _bsc_removed_mass(log_c, log_w, math.log2(c) - n)
 

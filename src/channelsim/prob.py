@@ -11,13 +11,17 @@ Conventions used everywhere:
 
 Mass bookkeeping is validated to 1e-12; constructors never renormalize
 silently, use the ``normalized`` classmethods when the input is a weight
-vector rather than an exact pmf.
+vector rather than an exact pmf. Every count (a size, blocklength, cost,
+list size, trial count or index) is an integer, not a bool, of at least 1
+unless its function says otherwise, checked by ``_check_count``: ``2.0``,
+``"2"`` and ``True`` are rejected, never truncated.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +35,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+def _check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as a Python int, if it is an integer (not a bool) of at
+    least ``least``; otherwise a ValueError naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return int(value)
 
 
 def _check_mass(vec: np.ndarray, what: str) -> None:
@@ -72,12 +86,12 @@ class Pmf:
 
     @classmethod
     def uniform(cls, n: int) -> "Pmf":
-        return cls(np.full(n, 1.0 / n))
+        return cls(np.full(_check_count("size", n), 1.0 / n))
 
     @classmethod
     def point(cls, n: int, i: int) -> "Pmf":
-        probs = np.zeros(n)
-        probs[i] = 1.0
+        probs = np.zeros(_check_count("size", n))
+        probs[_check_count("index", i, least=0)] = 1.0
         return cls(probs)
 
     @classmethod
@@ -115,7 +129,7 @@ class Dmc:
 
     @classmethod
     def identity(cls, n: int) -> "Dmc":
-        return cls(np.eye(n))
+        return cls(np.eye(_check_count("size", n)))
 
     @property
     def input_size(self) -> int:
@@ -139,9 +153,9 @@ class BroadcastDmc:
     output_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(m) for m in self.output_sizes)
-        if not sizes or any(m < 1 for m in sizes):
-            raise ValueError("output sizes must be positive")
+        sizes = tuple(_check_count("output size", m) for m in self.output_sizes)
+        if not sizes:
+            raise ValueError("output sizes must be nonempty")
         arr = _freeze(self.rows)
         if arr.ndim != 2 or arr.shape[1] != math.prod(sizes):
             raise ValueError("row width must equal the product of output sizes")
@@ -166,7 +180,7 @@ class JointPmf:
     factor_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(m) for m in self.factor_sizes)
+        sizes = tuple(_check_count("factor size", m) for m in self.factor_sizes)
         arr = _freeze(np.ravel(self.probs))
         if math.prod(sizes) != arr.size:
             raise ValueError("factor sizes do not match table size")
@@ -179,8 +193,9 @@ class JointPmf:
 
     def marginal(self, axes) -> Pmf:
         """Marginal over the given axis or axes, kept in original order."""
-        keep = sorted({axes} if isinstance(axes, int) else set(axes))
-        if not keep or any(a < 0 or a >= len(self.factor_sizes) for a in keep):
+        axes = axes if isinstance(axes, Iterable) else (axes,)
+        keep = sorted({_check_count("axis", a, least=0) for a in axes})
+        if not keep or keep[-1] >= len(self.factor_sizes):
             raise ValueError("axes out of range")
         drop = tuple(a for a in range(len(self.factor_sizes)) if a not in keep)
         marg = self.table().sum(axis=drop) if drop else self.table()
@@ -214,8 +229,7 @@ def tensor_power(w: Dmc, n: int) -> Dmc:
     The dense matrix has |X|^n * |Y|^n entries, at most
     MAX_TENSOR_ENTRIES.
     """
-    if n < 1:
-        raise ValueError("power must be >= 1")
+    n = _check_count("power", n)
     entries = (w.input_size ** n) * (w.output_size ** n)
     if entries > MAX_TENSOR_ENTRIES:
         raise ValueError(f"tensor power needs {entries} entries, "
@@ -249,8 +263,8 @@ def reduce_broadcast(w: BroadcastDmc, keep: Iterable[int]):
     Receivers are kept in their original order regardless of the order
     given. Returns a Dmc for a single receiver, else a BroadcastDmc.
     """
-    keep_sorted = sorted(set(int(i) for i in keep))
-    if not keep_sorted or any(i < 0 or i >= w.num_receivers for i in keep_sorted):
+    keep_sorted = sorted({_check_count("receiver", i, least=0) for i in keep})
+    if not keep_sorted or keep_sorted[-1] >= w.num_receivers:
         raise ValueError("receiver subset out of range")
     shaped = w.rows.reshape((w.input_size,) + w.output_sizes)
     drop = tuple(1 + i for i in range(w.num_receivers) if i not in keep_sorted)
@@ -263,20 +277,15 @@ def reduce_broadcast(w: BroadcastDmc, keep: Iterable[int]):
 
 def count_field(obj: dict, key: str) -> int:
     """The JSON integer >= 1 under ``key``; booleans and floats fail."""
-    value = obj.get(key)
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key!r} must be an integer >= 1, got {value!r}")
-    return value
+    return _check_count(repr(key), obj.get(key))
 
 
 def counts_field(obj: dict, key: str) -> tuple:
     """The nonempty list of JSON integers >= 1 under ``key``."""
     value = obj.get(key)
-    if not (isinstance(value, list) and value
-            and all(type(v) is int and v >= 1 for v in value)):
-        raise ValueError(
-            f"{key!r} must be a nonempty list of integers >= 1, got {value!r}")
-    return tuple(value)
+    if not (isinstance(value, list) and value):
+        raise ValueError(f"{key!r} must be a nonempty list, got {value!r}")
+    return tuple(_check_count(f"each of {key!r}", v) for v in value)
 
 
 def numbers_field(obj: dict, key: str, ndim: int = 1) -> np.ndarray:

@@ -40,14 +40,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from .divergences import d_max, d_s_plus
 from .ns_meta import i_max_smooth
-from .prob import BroadcastDmc, Pmf, channel_tvd, tvd
+from .prob import BroadcastDmc, Pmf, _check_count, channel_tvd, tvd
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -129,8 +128,7 @@ class RngStream:
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array."""
-        if count < 0:
-            raise ValueError(f"word count must be nonnegative, got {count}")
+        count = _check_count("word count", count, least=0)
         index = np.arange(count, dtype=np.uint64)
         index += np.uint64(self.counter & _MASK64)
         self.counter += count
@@ -199,12 +197,6 @@ def _guided_pick(cumulative: np.ndarray, guide: _Guide,
     return idx
 
 
-def _check_count(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class RejectionPlan:
     """Accept-reject sampler description for target p against reference q.
@@ -224,7 +216,7 @@ class RejectionPlan:
 
     @classmethod
     def build(cls, p: Pmf, q: Pmf, m: int) -> "RejectionPlan":
-        _check_count("round budget", m)
+        m = _check_count("round budget", m)
         if m > MAX_ROUNDS:
             raise ValueError(f"round budget m must be at most {MAX_ROUNDS}, "
                              f"got {m}")
@@ -238,7 +230,7 @@ class RejectionPlan:
                 q.probs > 0.0, q.probs, 1.0), 0.0)
         if np.any(ratio > 1.0 + 1e-12):
             raise ValueError("acceptance ratio exceeds 1 beyond rounding")
-        return cls(p=p, q=q, m=int(m), lam=lam,
+        return cls(p=p, q=q, m=m, lam=lam,
                    accept=np.minimum(ratio, 1.0))
 
 
@@ -287,7 +279,7 @@ def rejection_sample_run(plan: RejectionPlan, stream: RngStream,
     that is u <= accept exactly since both sides are multiples of 2^-53.
     accept_counts[j-1] counts round-j accepts.
     """
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
     cum = np.cumsum(plan.q.probs)
     guide = _guide_table(cum)
     top = np.floor(plan.accept * 2.0 ** 53).astype(np.uint64)
@@ -398,6 +390,7 @@ def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
     einsum subscript letter, so M + N is at most 25, and the tensor holds
     at most MAX_ATOMS entries.
     """
+    m, n = _check_count("list size m", m), _check_count("list size n", n)
     letters = "abcdefghijklmnopqrstuvwxyz"
     if 1 + m + n > len(letters):
         raise ValueError(f"m + n = {m + n} exceeds the limit of "
@@ -438,6 +431,7 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
     lemma's gates, in which case tvd <= bound is guaranteed. A violated
     hypothesis is reported, not raised.
     """
+    m, n = _check_count("list size m", m), _check_count("list size n", n)
     if not isinstance(eps_params, ConvexSplitParams):
         eps_params = ConvexSplitParams(*eps_params)
     sizes = tuple(joint.factor_sizes)
@@ -484,28 +478,32 @@ def _string_atoms(size: int, length: int) -> np.ndarray:
     return np.indices((size,) * length, dtype=np.intp).reshape(length, -1).T
 
 
-def _check_lists(w: BroadcastDmc, m, n) -> None:
-    _check_count("list size m", m)
-    _check_count("list size n", n)
+def _check_lists(w: BroadcastDmc, q: Pmf, r: Pmf, m, n) -> tuple:
+    """The list sizes as ints, once they, the references' sizes and the
+    state space are checked."""
+    m, n = _check_count("list size m", m), _check_count("list size n", n)
+    if (q.size, r.size) != w.output_sizes:
+        raise ValueError("reference sizes do not match the receivers' "
+                         "alphabets")
     sy, sz = w.output_sizes
     if sy ** m * sz ** n * w.input_size > MAX_ATOMS:
         raise ValueError("state space exceeds the enumeration cap")
+    return m, n
 
 
 def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int):
     """Index posteriors of the broadcast protocol, one input at a time.
 
-    Checks the list sizes, MAX_ATOMS and the references' support before any
-    work, then returns (weights, cells, posteriors). List configuration
-    c = (y-string, z-string) is numbered with the z-string varying
-    fastest; weights[c] is its probability q^M(y) r^N(z) and cells[c, jk]
-    the flat output cell y_j * sz + z_k of index pair (j, k), row-major.
-    posteriors yields, for each input x in turn, the (configs, MN) array
-    of index posteriors given x. Numerators are W(y_j, z_k | x) /
-    (q(y_j) r(z_k)), the full string probability factored out, and an
-    all-zero row falls back to a uniform pair.
+    Takes list sizes from ``_check_lists`` and checks the references'
+    support before any work, then returns (weights, cells, posteriors).
+    List configuration c = (y-string, z-string) is numbered with the
+    z-string varying fastest; weights[c] is its probability
+    q^M(y) r^N(z) and cells[c, jk] the flat output cell y_j * sz + z_k of
+    index pair (j, k), row-major. posteriors yields, for each input x in
+    turn, the (configs, MN) array of index posteriors given x. Numerators
+    are W(y_j, z_k | x) / (q(y_j) r(z_k)), the full string probability
+    factored out, and an all-zero row falls back to a uniform pair.
     """
-    _check_lists(w, m, n)
     if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
         raise ValueError("references must have full support")
     sy, sz = w.output_sizes
@@ -547,7 +545,7 @@ def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
     accumulated with the string probability. Kept deliberately naive as
     the reference route; induced_channel_scatter is the fast one.
     """
-    _check_lists(w, m, n)
+    m, n = _check_lists(w, q, r, m, n)
     sy, sz = w.output_sizes
     rows3 = w.rows.reshape(w.input_size, sy, sz)
     qv, rv = q.probs, r.probs
@@ -596,6 +594,7 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
     full string probability, and each input's row is one weighted count
     of the output cells, which adds in the order of a scatter-add.
     """
+    m, n = _check_lists(w, q, r, m, n)
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     out = np.array([_induced_row(weights, cells, post, w.rows.shape[1])
                     for post in posteriors])
@@ -630,7 +629,8 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
-    _check_count("trials", trials)
+    trials = _check_count("trials", trials)
+    m, n = _check_lists(w, q, r, m, n)
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     sy, sz = w.output_sizes
     size = sy * sz

@@ -321,6 +321,16 @@ class TestDsProductBound:
         with pytest.raises(ValueError):
             broadcast.ds_product_lower_bound(flat, 0.1, 0.05)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        # 0 once divided by zero, nan failed in numpy and -1 silently
+        # took the coarsest grid.
+        joint = _random_joint(np.random.default_rng(31), (2, 2, 2),
+                              floor=0.05)
+        with pytest.raises(ValueError, match="resolution"):
+            broadcast.ds_product_lower_bound(joint, 0.1, 0.05,
+                                             resolution=resolution)
+
 
 class TestThreeReceivers:
     def test_chain_thresholds(self):

@@ -868,6 +868,21 @@ class TestInducedChannelRoutes:
             protocols.induced_channel_literal(w, Pmf([0.5, 0.5]),
                                               Pmf([0.5, 0.5]), 10, 10)
 
+    @pytest.mark.parametrize("q_size, r_size", [(3, 2), (1, 2), (2, 3),
+                                                (2, 1)])
+    def test_references_must_match_the_receivers(self, q_size, r_size):
+        # A 3-letter q once gave a channel built from its first two
+        # entries; a 1-letter one an IndexError.
+        w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
+        q, r = Pmf.uniform(q_size), Pmf.uniform(r_size)
+        for call in (protocols.induced_channel_literal,
+                     protocols.induced_channel_scatter):
+            with pytest.raises(ValueError, match="reference sizes"):
+                call(w, q, r, 2, 2)
+        with pytest.raises(ValueError, match="reference sizes"):
+            protocols.broadcast_protocol_run(w, q, r, 2, 2,
+                                             protocols.RngStream(0), 10)
+
 
 class TestBroadcastRun:
     def test_reproducible_and_consistent(self):
