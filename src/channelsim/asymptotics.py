@@ -16,14 +16,13 @@ into the returned numbers; callers that serialize results attach a
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf, _channel_rows, _check_count
+from .prob import Pmf, _channel_rows, _check_count, _compositions
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -55,14 +54,16 @@ class BaTrace:
     def value(self) -> float:
         return self.estimates[-1]
 
-    def bound(self, step: int | None = None) -> float:
-        if step is None:
-            step = len(self.estimates)
+    def bound(self, step: int) -> float:
+        step = _check_count("step", step)
+        if step > len(self.estimates):
+            raise ValueError(f"step must be at most {len(self.estimates)}, "
+                             f"got {step}")
         return self.k * math.log2(self.num_inputs) / step
 
     @property
     def final_bound(self) -> float:
-        return self.bound()
+        return self.bound(len(self.estimates))
 
 
 def _drop_dead_letters(rows: np.ndarray, out_sizes: tuple):
@@ -375,24 +376,13 @@ MAX_GRID_POINTS = 2_000_000
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All compositions of ``steps`` into ``dim`` parts, scaled to the simplex.
-
-    Stars and bars: the dim - 1 dividers among steps + dim - 1 slots,
-    taken in lexicographic order, cut the stars into the parts, so the
-    rows come in lexicographic order too.
-    """
+    """prob._compositions(dim, steps), scaled to the simplex."""
     count = math.comb(steps + dim - 1, dim - 1)
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"grid of {count} points exceeds the {MAX_GRID_POINTS} cap; "
             "coarsen the resolution")
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(steps + dim - 1), dim - 1)),
-        dtype=np.int64, count=count * (dim - 1)).reshape(count, dim - 1)
-    edges = np.hstack([np.full((count, 1), -1), cuts,
-                       np.full((count, 1), steps + dim - 1)])
-    return (np.diff(edges, axis=1) - 1) / steps
+    return _compositions(dim, steps) / steps
 
 
 # dispersion certifies its input to Blahut's gap max_x D(W_x || pW) - I(p)

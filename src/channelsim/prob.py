@@ -20,6 +20,7 @@ unless its function says otherwise, checked by ``_check_count``: ``2.0``,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 from typing import Iterable, Sequence
@@ -45,6 +46,22 @@ def _check_count(name: str, value, least: int = 1) -> int:
         rule = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def _compositions(dim: int, total: int) -> np.ndarray:
+    """All compositions of ``total`` into ``dim`` parts (the types of
+    strings of ``total`` letters), as integer rows in lexicographic order.
+
+    Stars and bars: the dim - 1 dividers among total + dim - 1 slots, in
+    lexicographic order, cut the stars into the parts."""
+    count = math.comb(total + dim - 1, dim - 1)
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(total + dim - 1), dim - 1)),
+        dtype=np.int64, count=count * (dim - 1)).reshape(count, dim - 1)
+    edges = np.hstack([np.full((count, 1), -1), cuts,
+                       np.full((count, 1), total + dim - 1)])
+    return np.diff(edges, axis=1) - 1
 
 
 def _check_mass(vec: np.ndarray, what: str) -> None:
@@ -90,8 +107,11 @@ class Pmf:
 
     @classmethod
     def point(cls, n: int, i: int) -> "Pmf":
-        probs = np.zeros(_check_count("size", n))
-        probs[_check_count("index", i, least=0)] = 1.0
+        n, i = _check_count("size", n), _check_count("index", i, least=0)
+        if i >= n:
+            raise ValueError(f"index must be below the size {n}, got {i}")
+        probs = np.zeros(n)
+        probs[i] = 1.0
         return cls(probs)
 
     @classmethod

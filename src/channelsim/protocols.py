@@ -5,12 +5,12 @@ pmf and a round budget into an approximate sampler for a target pmf, with
 the residual error known in closed form. The sender-side achievability
 construction sizes the message alphabet needed to simulate a channel
 within a TVD budget. The two-receiver broadcast protocol distributes
-correlated indices into shared reference lists; its induced channel is
-computed exactly by two independent routes (a literal per-atom enumeration
-and a vectorized one) so one can certify the other. The vectorized route
-and the Monte Carlo run share one kernel, which computes the index
-posteriors of every list configuration for one input at a time, so their
-memory is bounded by one input's table.
+correlated indices into shared reference lists. Its induced channel and
+the convex-split TVD depend on the lists only through their types, so
+both are exact sums over list-type pairs with multinomial weights. The
+scatter, an independent route for the channel, shares with the Monte
+Carlo run one kernel that computes the index posteriors of every list
+string for one input at a time.
 
 Every Monte Carlo path draws from RngStream, a counter-based splitmix64
 stream, so runs are bit-reproducible from the seed alone. A trial owns a
@@ -38,7 +38,6 @@ input's cumulative posteriors, computed once per input.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from typing import NamedTuple
 
@@ -46,7 +45,8 @@ import numpy as np
 
 from .divergences import d_max, d_s_plus
 from .ns_meta import i_max_smooth
-from .prob import BroadcastDmc, Pmf, _check_count, channel_tvd, tvd
+from .prob import (BroadcastDmc, Pmf, _check_count, _compositions,
+                   channel_tvd, tvd)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -64,8 +64,8 @@ _SHIFTS = np.uint64(30), np.uint64(27), np.uint64(31)
 _BLOCK_WORDS = 4096
 # Largest round budget m of a RejectionPlan.
 MAX_ROUNDS = 1 << 20
-# Largest state space, in atoms, that the convex-split mixture and the
-# broadcast protocol's list configurations may enumerate.
+# Largest state space a route may enumerate: |X| times the list strings of
+# the broadcast run and scatter, or times the list-type pairs of the type sums.
 MAX_ATOMS = 1 << 20
 # Buckets of a guide table: a word's bucket is its top 12 bits, which
 # equal floor(u * 2^12) for its uniform u.
@@ -101,15 +101,15 @@ def _mix(z: np.ndarray, scratch: np.ndarray, out=None) -> np.ndarray:
 class RngStream:
     """Counter-based splitmix64 stream.
 
-    Word i (0-based) is mix(key + (i + 1) * golden) mod 2^64 with
-    key = _splitmix(seed): the standard splitmix64 sequence from state
-    key, so nearby seeds give unrelated streams and any word is computed
-    without the ones before it. ``counter`` is the number of words drawn;
-    the runs address words by counter or carry states from ``state_at``.
+    Word i (0-based) is mix(key + (i + 1) * golden) mod 2^64 with key =
+    _splitmix(seed mod 2^64), seed a count >= 0: the splitmix64 sequence
+    from state key, so nearby seeds give unrelated streams and any word is
+    computed without the ones before it. ``counter`` counts the words
+    drawn; the runs address words by counter or carry ``state_at`` states.
     """
 
     def __init__(self, seed: int):
-        self.key = _splitmix(int(seed) & _MASK64)
+        self.key = _splitmix(_check_count("seed", seed, least=0) & _MASK64)
         self.counter = 0
 
     def state_at(self, counter: int) -> int:
@@ -379,46 +379,41 @@ class ConvexSplitReport:
     thresholds: tuple
 
 
-def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,
-                         r: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Uniform position mixture over (X, Y_1..Y_M, Z_1..Z_N).
+def _type_count(size: int, length: int) -> int:
+    """Number of types of strings of the given length over size letters."""
+    return math.comb(length + size - 1, size - 1)
 
-    Component (j, k) plants the correlated pair at positions (j, k) and
-    fills every other slot with the reference; summing with uniform
-    weights gives the tensor whose distance to the full product the
-    convex split lemma controls. Each of the 1 + M + N factors takes one
-    einsum subscript letter, so M + N is at most 25, and the tensor holds
-    at most MAX_ATOMS entries.
+
+def _check_states(inputs: int, sizes, m: int, n: int, lists) -> None:
+    """Cap |X| lists(sy, m) lists(sz, n), with lists pow or _type_count."""
+    if inputs * lists(sizes[0], m) * lists(sizes[1], n) > MAX_ATOMS:
+        raise ValueError(f"state space exceeds the enumeration cap "
+                         f"{MAX_ATOMS}")
+
+
+def _type_masses(probs: np.ndarray, length: int):
+    """(types, mass, planted) for ``length`` draws from ``probs``.
+
+    types are prob._compositions' rows; mass[T] = multinomial(T) probs^T,
+    in the log domain; planted[T, a] is the mass of T - e_a in length - 1
+    draws: mass[T] T(a) / (length probs(a)) where probs(a) > 0, so both
+    share their rounding, and from the other letters where probs(a) = 0.
     """
-    m, n = _check_count("list size m", m), _check_count("list size n", n)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 1 + m + n > len(letters):
-        raise ValueError(f"m + n = {m + n} exceeds the limit of "
-                         f"{len(letters) - 1} list copies")
-    kx, sy, sz = joint_xyz.shape
-    atoms = kx * sy ** m * sz ** n
-    if atoms > MAX_ATOMS:
-        raise ValueError(
-            f"state space of {atoms} atoms exceeds cap {MAX_ATOMS}")
-    x_l = letters[0]
-    y_ls = letters[1:1 + m]
-    z_ls = letters[1 + m:1 + m + n]
-    out_sub = x_l + y_ls + z_ls
-    total = np.zeros((kx,) + (sy,) * m + (sz,) * n)
-    for j in range(m):
-        for k in range(n):
-            operands = [joint_xyz]
-            subs = [x_l + y_ls[j] + z_ls[k]]
-            for i in range(m):
-                if i != j:
-                    operands.append(q)
-                    subs.append(y_ls[i])
-            for ell in range(n):
-                if ell != k:
-                    operands.append(r)
-                    subs.append(z_ls[ell])
-            total += np.einsum(",".join(subs) + "->" + out_sub, *operands)
-    return total / (m * n)
+    types = _compositions(probs.size, length)
+    log_fact = np.fromiter(map(math.lgamma, (types + 1.0).ravel().tolist()),
+                           np.float64, types.size).reshape(types.shape)
+    coef = math.lgamma(length + 1.0) - log_fact.sum(axis=1)
+    log_q = np.log(probs, out=np.full(probs.size, -np.inf), where=probs > 0)
+    logs = np.multiply(types, log_q, out=np.zeros(types.shape),
+                       where=types > 0)
+    mass = np.exp(coef + logs.sum(axis=1))
+    planted = np.divide(mass[:, None] * types, length * probs,
+                        out=np.zeros(types.shape), where=probs > 0.0)
+    for a in np.flatnonzero(probs == 0.0):
+        once = types[:, a] == 1
+        rest = np.delete(logs[once], a, axis=1).sum(axis=1)
+        planted[once, a] = np.exp(coef[once] + rest) / length
+    return types, mass, planted
 
 
 def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
@@ -430,6 +425,10 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
     hypotheses_hold records whether (M, N) and the parameters satisfy the
     lemma's gates, in which case tvd <= bound is guaranteed. A violated
     hypothesis is reported, not raised.
+
+    The mixture (the joint planted at a uniform index pair of the lists)
+    and the product are constant on each list-type pair, so the TVD is 1/2
+    sum_{x, T_y, T_z} |planted_y cube[x] planted_z^T - p_x mass_y mass_z|.
     """
     m, n = _check_count("list size m", m), _check_count("list size n", n)
     if not isinstance(eps_params, ConvexSplitParams):
@@ -439,15 +438,14 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
         raise ValueError("joint must have factors (X, Y, Z)")
     if q.size != sizes[1] or r.size != sizes[2]:
         raise ValueError("reference sizes do not match the joint factors")
+    _check_states(sizes[0], sizes[1:], m, n, _type_count)
     cube = joint.probs.reshape(sizes)
     p_x = cube.sum(axis=(1, 2))
-    p_xy = cube.sum(axis=2)
-    p_xz = cube.sum(axis=1)
-    t1 = d_s_plus(eps_params.eps1, p_xy.reshape(-1),
+    t1 = d_s_plus(eps_params.eps1, cube.sum(axis=2).reshape(-1),
                   np.outer(p_x, q.probs).reshape(-1))
-    t2 = d_s_plus(eps_params.eps2, p_xz.reshape(-1),
+    t2 = d_s_plus(eps_params.eps2, cube.sum(axis=1).reshape(-1),
                   np.outer(p_x, r.probs).reshape(-1))
-    ref3 = np.einsum("a,b,c->abc", p_x, q.probs, r.probs)
+    ref3 = np.multiply.outer(np.outer(p_x, q.probs), r.probs)
     t3 = d_s_plus(eps_params.eps3, cube.reshape(-1), ref3.reshape(-1))
     params_ok = (
         all(0.0 < v < 1.0 for v in (eps_params.eps1, eps_params.eps2,
@@ -460,13 +458,12 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
         and math.log2(n) >= t2 - math.log2(eps_params.delta2 ** 2) - slack
         and math.log2(m) + math.log2(n)
         >= t3 - math.log2(eps_params.delta3 ** 2) - slack)
-    mixture = convex_split_mixture(cube, q.probs, r.probs, m, n)
-    product = p_x
-    for _ in range(m):
-        product = np.multiply.outer(product, q.probs)
-    for _ in range(n):
-        product = np.multiply.outer(product, r.probs)
-    exact = 0.5 * float(np.abs(mixture - product).sum())
+    _, mass_y, planted_y = _type_masses(q.probs, m)
+    _, mass_z, planted_z = _type_masses(r.probs, n)
+    product = np.outer(mass_y, mass_z)
+    exact = 0.5 * sum(
+        float(np.abs(planted_y @ cube_x @ planted_z.T - px * product).sum())
+        for px, cube_x in zip(p_x, cube))
     return ConvexSplitReport(tvd=exact, bound=eps_params.bound,
                              hypotheses_hold=bool(params_ok and sizes_ok),
                              thresholds=(t1, t2, t3))
@@ -474,28 +471,27 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
 
 def _string_atoms(size: int, length: int) -> np.ndarray:
     """All strings of the given length as digit rows, shape (size^len, len)."""
-    # np.indices counts in the order of itertools.product: last digit fastest.
+    # np.indices counts in lexicographic order: last digit fastest.
     return np.indices((size,) * length, dtype=np.intp).reshape(length, -1).T
 
 
-def _check_lists(w: BroadcastDmc, q: Pmf, r: Pmf, m, n) -> tuple:
-    """The list sizes as ints, once they, the references' sizes and the
-    state space are checked."""
+def _check_lists(w: BroadcastDmc, q: Pmf, r: Pmf, m, n, lists) -> tuple:
+    """The list sizes as ints, once they and the references pass."""
     m, n = _check_count("list size m", m), _check_count("list size n", n)
     if (q.size, r.size) != w.output_sizes:
         raise ValueError("reference sizes do not match the receivers' "
                          "alphabets")
-    sy, sz = w.output_sizes
-    if sy ** m * sz ** n * w.input_size > MAX_ATOMS:
-        raise ValueError("state space exceeds the enumeration cap")
+    if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
+        raise ValueError("references must have full support")
+    _check_states(w.input_size, w.output_sizes, m, n, lists)
     return m, n
 
 
 def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int):
     """Index posteriors of the broadcast protocol, one input at a time.
 
-    Takes list sizes from ``_check_lists`` and checks the references'
-    support before any work, then returns (weights, cells, posteriors).
+    Takes references and list sizes checked by ``_check_lists`` and
+    returns (weights, cells, posteriors).
     List configuration c = (y-string, z-string) is numbered with the
     z-string varying fastest; weights[c] is its probability
     q^M(y) r^N(z) and cells[c, jk] the flat output cell y_j * sz + z_k of
@@ -504,8 +500,6 @@ def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int):
     are W(y_j, z_k | x) / (q(y_j) r(z_k)), the full string probability
     factored out, and an all-zero row falls back to a uniform pair.
     """
-    if np.any(q.probs <= 0.0) or np.any(r.probs <= 0.0):
-        raise ValueError("references must have full support")
     sy, sz = w.output_sizes
     y_atoms, z_atoms = _string_atoms(sy, m), _string_atoms(sz, n)
     weights = (np.prod(q.probs[y_atoms], axis=1)[:, None]
@@ -535,53 +529,28 @@ def _induced_row(weights: np.ndarray, cells: np.ndarray, post: np.ndarray,
                        weights=(weights[:, None] * post).reshape(-1))
 
 
-def induced_channel_literal(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
-                            n: int) -> np.ndarray:
-    """Protocol-induced channel by direct per-atom enumeration.
+def induced_channel_types(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
+                          n: int) -> np.ndarray:
+    """Protocol-induced channel as a sum over list types.
 
-    Follows the protocol definition symbol by symbol: for every shared
-    string pair, the index posterior is assembled from the literal
-    products prod_{i != j} q(y_i) prod_{l != k} r(z_l), normalized, and
-    accumulated with the string probability. Kept deliberately naive as
-    the reference route; induced_channel_scatter is the fast one.
+    With f = W(., .|x) / (q r), lists of types (T_y, T_z) send input x to
+    (a, b) with probability T_y(a) T_z(b) f(a, b) / S, S = T_y^T f T_z, or
+    T_y(a) T_z(b) / MN when S = 0. As mass[T] T(a) = L q(a) planted[T, a],
+    x's row is MN W(a, b|x) (P_y^T R P_z)(a, b) + q(a) r(b) (P_y^T Z
+    P_z)(a, b) with R = 1/S where S > 0 and Z the indicator of S = 0. It
+    shares no kernel with the scatter, so each certifies the other.
     """
-    m, n = _check_lists(w, q, r, m, n)
+    m, n = _check_lists(w, q, r, m, n, _type_count)
     sy, sz = w.output_sizes
-    rows3 = w.rows.reshape(w.input_size, sy, sz)
-    qv, rv = q.probs, r.probs
-    out = np.zeros((w.input_size, sy * sz))
-    for x in range(w.input_size):
-        wx = rows3[x]
-        for ys in itertools.product(range(sy), repeat=m):
-            for zs in itertools.product(range(sz), repeat=n):
-                weight = 1.0
-                for y in ys:
-                    weight *= qv[y]
-                for z in zs:
-                    weight *= rv[z]
-                if weight == 0.0:
-                    continue
-                nums = np.empty((m, n))
-                for j in range(m):
-                    for k in range(n):
-                        term = wx[ys[j], zs[k]]
-                        for i in range(m):
-                            if i != j:
-                                term *= qv[ys[i]]
-                        for ell in range(n):
-                            if ell != k:
-                                term *= rv[zs[ell]]
-                        nums[j, k] = term
-                denom = nums.sum()
-                if denom <= 0.0:
-                    post = np.full((m, n), 1.0 / (m * n))
-                else:
-                    post = nums / denom
-                for j in range(m):
-                    for k in range(n):
-                        out[x, ys[j] * sz + zs[k]] += weight * post[j, k]
-    # Each row sums to the total string mass, exactly 1 in exact
-    # arithmetic; divide out the float drift so strict pmf checks pass.
+    types_y, _, planted_y = _type_masses(q.probs, m)
+    types_z, _, planted_z = _type_masses(r.probs, n)
+    ref = np.outer(q.probs, r.probs)
+    out = np.empty((w.input_size, sy * sz))
+    for x, wx in enumerate(w.rows.reshape(w.input_size, sy, sz)):
+        total = types_y @ (wx / ref) @ types_z.T
+        inv = np.divide(1.0, total, out=np.zeros(total.shape), where=total > 0)
+        out[x] = (m * n * wx * (planted_y.T @ inv @ planted_z)
+                  + ref * (planted_y.T @ (total == 0) @ planted_z)).reshape(-1)
     return out / out.sum(axis=1, keepdims=True)
 
 
@@ -589,12 +558,13 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
                             n: int) -> np.ndarray:
     """Protocol-induced channel, vectorized.
 
-    Shares no intermediate algebra with the literal route: numerators are
-    reduced to W(y_j, z_k | x) / (q(y_j) r(z_k)) after factoring out the
-    full string probability, and each input's row is one weighted count
-    of the output cells, which adds in the order of a scatter-add.
+    Enumerates every list configuration: numerators are W(y_j, z_k | x) /
+    (q(y_j) r(z_k)) after factoring out the full string probability, and
+    each input's row is one weighted count of the output cells, which adds
+    in the order of a scatter-add. induced_channel_types is the
+    independent route.
     """
-    m, n = _check_lists(w, q, r, m, n)
+    m, n = _check_lists(w, q, r, m, n, pow)
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     out = np.array([_induced_row(weights, cells, post, w.rows.shape[1])
                     for post in posteriors])
@@ -630,7 +600,7 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
     trials = _check_count("trials", trials)
-    m, n = _check_lists(w, q, r, m, n)
+    m, n = _check_lists(w, q, r, m, n, pow)
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
     sy, sz = w.output_sizes
     size = sy * sz

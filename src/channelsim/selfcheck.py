@@ -242,7 +242,7 @@ def check_convex_split(seed):
 
 
 def check_broadcast_routes(seed):
-    """Literal and vectorized induced-channel computations coincide."""
+    """Type-sum and scatter induced-channel computations coincide."""
     rng = np.random.default_rng(seed)
     for trial in range(4):
         mn = 2 + trial % 2
@@ -250,14 +250,14 @@ def check_broadcast_routes(seed):
             rows=_random_channel(rng, 2, 4).rows, output_sizes=(2, 2))
         q = prob.Pmf(_random_pmf(rng, 2, floor=0.2))
         r = prob.Pmf(_random_pmf(rng, 2, floor=0.2))
-        a = protocols.induced_channel_literal(w, q, r, mn, mn)
+        a = protocols.induced_channel_types(w, q, r, mn, mn)
         b = protocols.induced_channel_scatter(w, q, r, mn, mn)
         gap = prob.channel_tvd(
             prob.BroadcastDmc(rows=a, output_sizes=(2, 2)),
             prob.BroadcastDmc(rows=b, output_sizes=(2, 2)))
         if gap > 1e-12:
             return False, f"routes disagree by {gap}"
-    return True, "4 instances, both routes"
+    return True, "4 instances, types against scatter"
 
 
 def _two_input_threshold(cube):

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import reference_protocols as ref
 
 from channelsim import asymptotics as asy
 from channelsim import broadcast, divergences as dv, ns_meta, prob, protocols
@@ -79,6 +80,29 @@ def _near_product_split(rng, copies):
     joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 2, 2))
     return protocols.convex_split_check(joint, prob.Pmf(qv), prob.Pmf(rv),
                                         copies, copies, pars)
+
+
+def _lemma_sized_split(rng, delta):
+    """A correlated (X, Y, Z) joint, checked at the smallest M, N the
+    lemma's gates accept with every eps_i = 0.05 and delta_i = delta.
+
+    The references are the joint's Y and Z marginals. M and N meet the
+    pair gates log2 M >= t_1 - log2 delta^2 (and t_2 for N) and grow
+    together until the joint gate holds: a hundred copies or more at
+    delta = 0.1, four hundred or more at 0.05.
+    """
+    cube = 0.7 * rng.dirichlet(np.ones(8)).reshape(2, 2, 2) + 0.3 / 8
+    qv, rv = cube.sum(axis=(0, 2)), cube.sum(axis=(0, 1))
+    joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 2, 2))
+    pars = protocols.ConvexSplitParams(0.05, 0.05, 0.05, delta, delta, delta)
+    t1, t2, t3 = protocols.convex_split_check(
+        joint, prob.Pmf(qv), prob.Pmf(rv), 1, 1, pars).thresholds
+    floor = -math.log2(delta ** 2)
+    m, n = math.ceil(2.0 ** (t1 + floor)), math.ceil(2.0 ** (t2 + floor))
+    while math.log2(m) + math.log2(n) < t3 + floor:
+        m, n = m + 1, n + 1
+    return protocols.convex_split_check(joint, prob.Pmf(qv), prob.Pmf(rv),
+                                        m, n, pars), m, n
 
 
 def test_gate_01_capacity_closed_forms(capsys):
@@ -347,12 +371,22 @@ def test_gate_08_convex_split_protocol(capsys):
                 run = protocols.broadcast_protocol_run(
                     w, q, r, copies, copies,
                     protocols.RngStream(17), trials=64)
-                mixture = protocols.induced_channel_literal(
+                mixture = ref.induced_channel_literal(
                     w, q, r, copies, copies)
                 gap = prob.channel_tvd(
                     run.exact,
                     prob.BroadcastDmc(rows=mixture, output_sizes=(2, 2)))
                 assert gap <= 1e-12
+
+        # Correlated joints at the list sizes the lemma asks for, past
+        # any string enumeration.
+        rng = np.random.default_rng(97)
+        for case in range(20):
+            report, m, n = _lemma_sized_split(rng, (0.1, 0.05)[case % 2])
+            assert min(m, n) >= 100
+            assert report.hypotheses_hold
+            assert report.bound < 1.0
+            assert 0.0 < report.tvd <= report.bound
 
     _gate(capsys, "gate 08 convex split protocol", body)
 

@@ -49,8 +49,25 @@ class TestCapacityBa:
 
     def test_bound_formula(self):
         trace = asy.capacity_ba(prob.Dmc.bsc(0.2))
+        for t, _ in trace.iterates:
+            assert trace.bound(t) == pytest.approx(math.log2(2) / t)
+        # A run of ten steps or more, so step 10 is read as before.
+        trace = asy.capacity_ba(prob.Dmc(rows=[[0.7, 0.2, 0.1],
+                                               [0.1, 0.3, 0.6]]), tol=1e-12)
         assert trace.bound(10) == pytest.approx(math.log2(2) / 10)
         assert trace.final_bound == trace.bound(len(trace.iterates))
+
+    def test_bound_takes_a_step_of_the_run(self):
+        # bound(-1) once returned a negative width and bound(0) raised
+        # ZeroDivisionError; a step past the run has no estimate.
+        trace = asy.capacity_ba(prob.Dmc.bsc(0.1))
+        last = len(trace.estimates)
+        for step in (0, -1, 2.5, True, last + 1):
+            with pytest.raises(ValueError, match="step must be"):
+                trace.bound(step)
+        with pytest.raises(TypeError):
+            trace.bound()
+        assert trace.bound(np.int64(last)) == trace.final_bound
 
     def test_zero_column_dropped(self):
         # a dead output letter must not poison the reference distribution

@@ -165,23 +165,29 @@ class TestExitCodes:
         assert repr(key) in err and out == ""
 
     def test_convex_split_list_copies_limit(self, capsys, tmp_path):
-        # A one-letter Y factor keeps m = 26 copies inside the state cap.
+        # The einsum mixture once stopped at m + n = 25; the type sum runs
+        # past it, and a type-pair count over MAX_ATOMS exits 1.
         cube = np.einsum("a,b,c->abc", [0.4, 0.6], [1.0], [0.55, 0.45])
         payload = {"joint": cube.reshape(-1).tolist(),
                    "factor_sizes": [2, 1, 2],
                    "q": [1.0], "r": [0.55, 0.45], "m": 26, "n": 1,
                    "eps_params": [0.05, 0.05, 0.05, 0.1, 0.1, 0.1]}
+        for m, n in ((26, 1), (24, 1), (13, 13), (200, 300)):
+            payload["m"], payload["n"] = m, n
+            inst = _write(tmp_path / "cs.json", payload)
+            code, out, _ = _run(capsys, ["convex-split-check",
+                                         "--channel", inst])
+            assert code == 0
+            assert json.loads(out)["tvd_exact"] <= 1e-14
+        payload.update(
+            joint=np.full(8, 0.125).tolist(), factor_sizes=[2, 2, 2],
+            q=[0.5, 0.5], r=[0.5, 0.5], m=2000, n=2000)
         inst = _write(tmp_path / "cs.json", payload)
         code, out, err = _run(capsys, ["convex-split-check",
                                        "--channel", inst])
         assert code == cli.EXIT_CONFIG
-        assert "25" in err and out == ""
+        assert "enumeration cap" in err and out == ""
         assert "Traceback" not in err
-        payload["m"] = 24
-        inst = _write(tmp_path / "cs.json", payload)
-        code, out, _ = _run(capsys, ["convex-split-check", "--channel", inst])
-        assert code == 0
-        assert json.loads(out)["tvd_exact"] <= 1e-14
 
     @pytest.mark.parametrize("argv", [
         ["reject-sim", "--n", "10"],

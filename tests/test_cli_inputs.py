@@ -152,12 +152,16 @@ class TestFlagTable:
         assert payload["seed"] == 0 and payload["meta"]["seed"] == 0
 
 
-def _load_workloads():
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+def _load_bench(name):
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_workloads():
+    return _load_bench("workloads")
 
 
 @pytest.mark.parametrize("workload", ["oneshot", "asymptotic-mc"])
@@ -170,6 +174,23 @@ def test_benchmark_jobs_parse(tmp_path, workload, seed):
     assert argvs
     for argv in argvs:
         parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("workload", ["oneshot", "asymptotic-mc"])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_benchmark_pass_has_no_failed_job(tmp_path, workload, seed):
+    # One pass through the benchmark worker's own job runner: a job that
+    # exits nonzero or raises would count toward the benchmark's failed
+    # share, so it fails here first.
+    worker = _load_bench("worker")
+    workdir = str(tmp_path)
+    jobs = [worker._resolve(job, workdir) for job in
+            _load_workloads().make_jobs(workload, seed, workdir)]
+    _, results = worker.run_pass(jobs, workdir)
+    outputs = worker.outputs(jobs, results)
+    assert [job["id"] for job, (_, failed) in zip(jobs, outputs)
+            if failed] == []
+    assert all(data for data, _ in outputs)
 
 
 class TestFileFields:

@@ -11,6 +11,7 @@ import re
 
 import numpy as np
 import pytest
+import reference_protocols as ref
 
 from channelsim import asymptotics, ns_meta, prob, protocols
 from channelsim.prob import BroadcastDmc, Dmc, JointPmf, Pmf
@@ -24,6 +25,7 @@ PARAMS = asymptotics.SecondOrderParams(
 CUBE = np.einsum("a,b,c->abc", [0.4, 0.6], [0.3, 0.7], [0.55, 0.45])
 JOINT = JointPmf(CUBE.reshape(-1), (2, 2, 2))
 SPLIT = (0.05, 0.05, 0.05, 0.1, 0.1, 0.1)
+TRACE = asymptotics.capacity_ba(BSC)
 
 
 def _plan():
@@ -66,6 +68,8 @@ SITES = {
     "moderate_deviation_rates": (
         "blocklength", 1,
         lambda v: asymptotics.moderate_deviation_rates(PARAMS, v)),
+    "BaTrace.bound": ("step", 1, lambda v: TRACE.bound(v)),
+    "RngStream": ("seed", 0, lambda v: protocols.RngStream(v)),
     "RngStream.words": ("word count", 0,
                         lambda v: protocols.RngStream(1).words(v)),
     "RejectionPlan.build": (
@@ -75,13 +79,14 @@ SITES = {
         "trials", 1,
         lambda v: protocols.rejection_sample_run(
             _plan(), protocols.RngStream(1), v)),
+    # The string-enumeration references in the tests keep the rule.
     "convex_split_mixture.m": (
         "list size m", 1,
-        lambda v: protocols.convex_split_mixture(
+        lambda v: ref.convex_split_mixture(
             CUBE, HALF.probs, HALF.probs, v, 1)),
     "convex_split_mixture.n": (
         "list size n", 1,
-        lambda v: protocols.convex_split_mixture(
+        lambda v: ref.convex_split_mixture(
             CUBE, HALF.probs, HALF.probs, 1, v)),
     "convex_split_check.m": (
         "list size m", 1,
@@ -93,7 +98,13 @@ SITES = {
                                                SPLIT)),
     "induced_channel_literal.m": (
         "list size m", 1,
-        lambda v: protocols.induced_channel_literal(PAIR, HALF, HALF, v, 1)),
+        lambda v: ref.induced_channel_literal(PAIR, HALF, HALF, v, 1)),
+    "induced_channel_types.m": (
+        "list size m", 1,
+        lambda v: protocols.induced_channel_types(PAIR, HALF, HALF, v, 1)),
+    "induced_channel_types.n": (
+        "list size n", 1,
+        lambda v: protocols.induced_channel_types(PAIR, HALF, HALF, 1, v)),
     "induced_channel_scatter.n": (
         "list size n", 1,
         lambda v: protocols.induced_channel_scatter(PAIR, HALF, HALF, 1, v)),

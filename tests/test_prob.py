@@ -21,6 +21,14 @@ class TestPmf:
         p = prob.Pmf.point(3, 1)
         assert p.probs.tolist() == [0.0, 1.0, 0.0]
 
+    def test_point_index_must_be_below_the_size(self):
+        # Index 5 of 3 letters once raised numpy's IndexError.
+        for i in (3, 5):
+            with pytest.raises(ValueError, match=f"index must be below the "
+                                                 f"size 3, got {i}"):
+                prob.Pmf.point(3, i)
+        assert prob.Pmf.point(3, 2).probs.tolist() == [0.0, 0.0, 1.0]
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             prob.Pmf(np.array([0.5, -0.1, 0.6]))

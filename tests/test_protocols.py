@@ -5,8 +5,10 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+import reference_protocols as ref
 
 from channelsim import prob, protocols
 from channelsim.asymptotics import _simplex_grid
@@ -205,6 +207,14 @@ class TestRngStream:
         a = protocols.RngStream(5)
         b = protocols.RngStream((1 << 64) + 5)
         assert a.words(1).tolist() == b.words(1).tolist()
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, -1, "2", None])
+    def test_seed_must_be_a_count(self, seed):
+        # 2.5 once drew seed 2's words.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            protocols.RngStream(seed)
+        assert (protocols.RngStream(np.int64(2)).words(3).tolist()
+                == protocols.RngStream(2).words(3).tolist())
 
     def test_counter_tracks_draws(self):
         s = protocols.RngStream(0)
@@ -703,7 +713,7 @@ class TestConvexSplit:
         qv = _random_pmf(rng, 2, floor=0.2)
         rv = _random_pmf(rng, 2, floor=0.2)
         m, n = 3, 2
-        mix = protocols.convex_split_mixture(cube, qv, rv, m, n)
+        mix = ref.convex_split_mixture(cube, qv, rv, m, n)
         assert mix.sum() == pytest.approx(1.0, abs=1e-12)
         x_marg = mix.sum(axis=tuple(range(1, 1 + m + n)))
         assert x_marg == pytest.approx(cube.sum(axis=(1, 2)), abs=1e-12)
@@ -768,24 +778,105 @@ class TestConvexSplit:
         assert not rep.hypotheses_hold
 
     def test_state_space_cap(self):
-        # 2 * 2^10 * 2^10 atoms, past MAX_ATOMS; checked before allocating.
-        cube = np.full((2, 2, 2), 0.125)
-        with pytest.raises(ValueError, match="exceeds cap"):
-            protocols.convex_split_mixture(cube, np.array([0.5, 0.5]),
-                                           np.array([0.5, 0.5]), 10, 10)
+        # 2 * 2001 * 2001 type pairs, past MAX_ATOMS; checked before any
+        # type is enumerated. 2 * 725 * 725 is the first count past it.
+        joint = prob.JointPmf(probs=np.full(8, 0.125), factor_sizes=(2, 2, 2))
+        half = Pmf([0.5, 0.5])
+        pars = (0.05, 0.05, 0.05, 0.1, 0.1, 0.1)
+        for m, n in ((2000, 2000), (724, 724), (1, 600000)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="enumeration cap"):
+                    protocols.convex_split_check(joint, half, half, m, n,
+                                                 pars)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
+        rep = protocols.convex_split_check(joint, half, half, 723, 723, pars)
+        assert rep.tvd <= 1e-14
 
     def test_list_copies_limit(self):
-        # One letter per factor in the einsum: 1 + m + n may not pass 26.
+        # The einsum mixture took one letter per list copy and stopped at
+        # m + n = 25; the type sum has no such limit.
         cube = np.einsum("a,b,c->abc", [0.4, 0.6], [1.0], [0.55, 0.45])
         joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 1, 2))
         pars = (0.05, 0.05, 0.05, 0.1, 0.1, 0.1)
-        for m, n in ((26, 1), (1, 25), (13, 13)):
-            with pytest.raises(ValueError, match="limit of 25"):
-                protocols.convex_split_check(joint, Pmf([1.0]),
-                                             Pmf([0.55, 0.45]), m, n, pars)
-        rep = protocols.convex_split_check(joint, Pmf([1.0]),
-                                           Pmf([0.55, 0.45]), 24, 1, pars)
-        assert rep.tvd <= 1e-14
+        for m, n in ((26, 1), (1, 25), (13, 13), (24, 1), (300, 400)):
+            rep = protocols.convex_split_check(joint, Pmf([1.0]),
+                                               Pmf([0.55, 0.45]), m, n, pars)
+            assert rep.tvd <= 1e-14
+        with pytest.raises(ValueError, match="limit of 25"):
+            ref.convex_split_mixture(cube, np.array([1.0]),
+                                     np.array([0.55, 0.45]), 13, 13)
+
+    def test_matches_the_einsum_mixture(self):
+        # Up to the reference's 25 copies and MAX_ATOMS atoms, on random
+        # joints, with a reference letter of mass 0 in every third case.
+        rng = np.random.default_rng(61)
+        shapes = ((2, 2, 2), (1, 3, 2), (3, 2, 3), (2, 1, 3), (2, 3, 3))
+        sizes = ((1, 1), (2, 3), (4, 4), (3, 1), (6, 5), (12, 12), (1, 20))
+        for case in range(40):
+            kx, sy, sz = shapes[case % len(shapes)]
+            m, n = sizes[case % len(sizes)]
+            if kx * sy ** m * sz ** n > protocols.MAX_ATOMS:
+                m, n = min(m, 3), min(n, 3)
+            cube = rng.random((kx, sy, sz)) ** 3
+            cube /= cube.sum()
+            qv = _random_pmf(rng, sy, floor=0.05)
+            rv = _random_pmf(rng, sz, floor=0.05)
+            if case % 3 == 0 and sy > 1:
+                qv[0] = 0.0
+                qv /= qv.sum()
+            joint = prob.JointPmf(probs=cube.reshape(-1),
+                                  factor_sizes=(kx, sy, sz))
+            rep = protocols.convex_split_check(joint, Pmf(qv), Pmf(rv), m, n,
+                                               (0.1,) * 6)
+            want = ref.convex_split_tvd(cube, qv, rv, m, n)
+            assert abs(rep.tvd - want) <= 1e-12, (case, rep.tvd, want)
+
+    def test_large_lists_match_a_40_digit_type_sum(self):
+        # A correlated joint at M = N = 200, where the strings number
+        # 2^401; the reference sums the binomial types in mpmath.
+        cube = np.array([[[0.30, 0.05], [0.05, 0.10]],
+                         [[0.08, 0.12], [0.10, 0.20]]])
+        qv, rv = cube.sum(axis=(0, 2)), cube.sum(axis=(0, 1))
+        m = n = 200
+        joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 2, 2))
+        rep = protocols.convex_split_check(joint, Pmf(qv), Pmf(rv), m, n,
+                                           (0.05,) * 6)
+        with mpmath.workdps(40):
+            c = [[[mpmath.mpf(float(v)) for v in row] for row in plane]
+                 for plane in cube]
+
+            def side(probs, length):
+                """Binomial type masses and planted masses, by first-letter
+                count k."""
+                a, b = (mpmath.mpf(float(v)) for v in probs)
+                mass = [mpmath.binomial(length, k) * a ** k
+                        * b ** (length - k) for k in range(length + 1)]
+                planted = [
+                    (mpmath.binomial(length - 1, k - 1) * a ** (k - 1)
+                     * b ** (length - k) if k > 0 else 0,
+                     mpmath.binomial(length - 1, k) * a ** k
+                     * b ** (length - 1 - k) if k < length else 0)
+                    for k in range(length + 1)]
+                return mass, planted
+
+            mass_y, planted_y = side(qv, m)
+            mass_z, planted_z = side(rv, n)
+            total = mpmath.mpf(0)
+            for plane in c:
+                p_x = sum(sum(row) for row in plane)
+                v0, v1 = ([row[0] * pz[0] + row[1] * pz[1]
+                           for pz in planted_z] for row in plane)
+                for my, (y0, y1) in zip(mass_y, planted_y):
+                    total += mpmath.fsum(
+                        abs(y0 * v0[k] + y1 * v1[k] - p_x * my * mass_z[k])
+                        for k in range(n + 1))
+            want = float(total / 2)
+        assert abs(rep.tvd - want) <= 1e-13
+        assert 0.0 < rep.tvd < 0.05
 
     def test_validates_shapes(self):
         joint = prob.JointPmf(probs=np.full(4, 0.25), factor_sizes=(2, 2))
@@ -820,9 +911,80 @@ class TestInducedChannelRoutes:
                              output_sizes=(2, 2))
             q = Pmf(_random_pmf(rng, 2, floor=0.2))
             r = Pmf(_random_pmf(rng, 2, floor=0.2))
-            a = protocols.induced_channel_literal(w, q, r, m, n)
+            a = ref.induced_channel_literal(w, q, r, m, n)
             b = protocols.induced_channel_scatter(w, q, r, m, n)
+            c = protocols.induced_channel_types(w, q, r, m, n)
             assert np.abs(a - b).max() <= 1e-12
+            assert np.abs(a - c).max() <= 1e-12
+
+    def test_type_route_matches_both_enumerations(self):
+        # 48 seeded instances up to 3 x (3, 3) at M, N <= 3; every third
+        # has sparse rows, whose posteriors often take the all-zero
+        # fallback, and every fourth a point-mass row.
+        rng = np.random.default_rng(33)
+        fallbacks = 0
+        for case in range(48):
+            kx, sy, sz = (int(v) for v in rng.integers(1, 4, 3))
+            m, n = (int(v) for v in rng.integers(1, 4, 2))
+            rows = rng.random((kx, sy * sz)) + 0.02
+            if case % 3 == 0:
+                rows[rng.random(rows.shape) < 0.6] = 0.0
+                rows[rows.sum(axis=1) == 0.0, -1] = 1.0
+            if case % 4 == 0:
+                rows[0] = np.eye(sy * sz)[-1]
+            w = BroadcastDmc(rows=rows / rows.sum(axis=1, keepdims=True),
+                             output_sizes=(sy, sz))
+            q = Pmf(_random_pmf(rng, sy, floor=0.05))
+            r = Pmf(_random_pmf(rng, sz, floor=0.05))
+            got = protocols.induced_channel_types(w, q, r, m, n)
+            for want in (ref.induced_channel_literal(w, q, r, m, n),
+                         protocols.induced_channel_scatter(w, q, r, m, n)):
+                assert np.abs(got - want).max() <= 1e-12, case
+            # Lists holding only a and only b, which have positive mass,
+            # take the fallback wherever W(a, b | x) = 0.
+            fallbacks += bool(np.any(w.rows == 0.0))
+        assert fallbacks >= 16
+
+    def test_type_route_reaches_large_lists(self):
+        # 16 inputs at M = N = 8: 2^16 list strings per input for the
+        # scatter, 81 type pairs here. The type route matches a 40-digit
+        # type sum; the scatter's weighted count of 2^16 strings drifts
+        # by about 3e-12. M = N = 200, past any string enumeration, still
+        # gives a stochastic channel.
+        rng = np.random.default_rng(34)
+        rows = rng.random((16, 4)) + 0.05
+        w = BroadcastDmc(rows=rows / rows.sum(axis=1, keepdims=True),
+                         output_sizes=(2, 2))
+        q, r = Pmf([0.6, 0.4]), Pmf([0.45, 0.55])
+        m = n = 8
+        got = protocols.induced_channel_types(w, q, r, m, n)
+        want = np.empty_like(got)
+        with mpmath.workdps(40):
+            qm, rm = ([mpmath.mpf(float(v)) for v in p.probs] for p in (q, r))
+            pairs = [((ky, m - ky), (kz, n - kz),
+                      mpmath.binomial(m, ky) * qm[0] ** ky
+                      * qm[1] ** (m - ky) * mpmath.binomial(n, kz)
+                      * rm[0] ** kz * rm[1] ** (n - kz))
+                     for ky in range(m + 1) for kz in range(n + 1)]
+            for x, row in enumerate(w.rows):
+                f = [[mpmath.mpf(float(row[2 * a + b])) / (qm[a] * rm[b])
+                      for b in range(2)] for a in range(2)]
+                out = [0] * 4
+                for ty, tz, mass in pairs:
+                    terms = [ty[a] * tz[b] * f[a][b]
+                             for a in range(2) for b in range(2)]
+                    total = sum(terms)
+                    out = [o + mass * t / total for o, t in zip(out, terms)]
+                want[x] = [float(v) for v in out]
+        assert np.abs(got - want).max() <= 1e-14
+        scatter = protocols.induced_channel_scatter(w, q, r, m, n)
+        assert np.abs(got - scatter).max() <= 1e-11
+        big = protocols.induced_channel_types(w, q, r, 200, 200)
+        assert np.all(big >= 0.0)
+        assert big.sum(axis=1) == pytest.approx(np.ones(16), abs=1e-12)
+        # More list entries track the target better here.
+        assert (channel_tvd(BroadcastDmc(rows=big, output_sizes=(2, 2)), w)
+                < channel_tvd(BroadcastDmc(rows=got, output_sizes=(2, 2)), w))
 
     def test_routes_agree_on_degenerate_posteriors(self):
         # A point-mass row zeroes every numerator whenever the drawn lists
@@ -831,9 +993,11 @@ class TestInducedChannelRoutes:
                                [0.25, 0.25, 0.25, 0.25]], output_sizes=(2, 2))
         q = Pmf([0.5, 0.5])
         r = Pmf([0.5, 0.5])
-        a = protocols.induced_channel_literal(w, q, r, 2, 2)
+        a = ref.induced_channel_literal(w, q, r, 2, 2)
         b = protocols.induced_channel_scatter(w, q, r, 2, 2)
+        c = protocols.induced_channel_types(w, q, r, 2, 2)
         assert np.abs(a - b).max() <= 1e-12
+        assert np.abs(a - c).max() <= 1e-12
 
     def test_rows_are_stochastic(self):
         rng = np.random.default_rng(19)
@@ -857,16 +1021,30 @@ class TestInducedChannelRoutes:
     def test_scatter_requires_full_support(self):
         w = BroadcastDmc(rows=[[0.5, 0.5, 0.0, 0.0],
                                [0.0, 0.0, 0.5, 0.5]], output_sizes=(2, 2))
-        with pytest.raises(ValueError):
-            protocols.induced_channel_scatter(w, Pmf([1.0, 0.0]),
-                                              Pmf([0.5, 0.5]), 2, 2)
+        for call in (protocols.induced_channel_scatter,
+                     protocols.induced_channel_types):
+            with pytest.raises(ValueError, match="full support"):
+                call(w, Pmf([1.0, 0.0]), Pmf([0.5, 0.5]), 2, 2)
 
     def test_enumeration_cap(self):
-        # 2^10 * 2^10 * 2 states, past MAX_ATOMS; checked before any work.
+        # The string routes stop at 2^10 * 2^10 * 2 states, the type route
+        # at 2 * 2001 * 2001 type pairs; both past MAX_ATOMS and checked
+        # before any work.
         w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
+        half = Pmf([0.5, 0.5])
+        for call, size in ((protocols.induced_channel_scatter, 10),
+                           (protocols.induced_channel_types, 2000)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="enumeration cap"):
+                    call(w, half, half, size, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16
         with pytest.raises(ValueError, match="enumeration cap"):
-            protocols.induced_channel_literal(w, Pmf([0.5, 0.5]),
-                                              Pmf([0.5, 0.5]), 10, 10)
+            protocols.broadcast_protocol_run(w, half, half, 10, 10,
+                                             protocols.RngStream(0), 10)
 
     @pytest.mark.parametrize("q_size, r_size", [(3, 2), (1, 2), (2, 3),
                                                 (2, 1)])
@@ -875,7 +1053,7 @@ class TestInducedChannelRoutes:
         # entries; a 1-letter one an IndexError.
         w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
         q, r = Pmf.uniform(q_size), Pmf.uniform(r_size)
-        for call in (protocols.induced_channel_literal,
+        for call in (protocols.induced_channel_types,
                      protocols.induced_channel_scatter):
             with pytest.raises(ValueError, match="reference sizes"):
                 call(w, q, r, 2, 2)
@@ -977,7 +1155,7 @@ class TestBroadcastRun:
         with pytest.raises(ValueError):
             protocols.induced_channel_scatter(w, half, half, m, n)
         with pytest.raises(ValueError):
-            protocols.induced_channel_literal(w, half, half, m, n)
+            protocols.induced_channel_types(w, half, half, m, n)
 
     def test_memory_bounded_by_one_input(self):
         # The run holds one input's posteriors at a time, like the scatter,
