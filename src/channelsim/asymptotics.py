@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf, _channel_rows, _check_count, _compositions
+from .prob import Pmf, _channel_rows, _check_count
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -371,20 +371,6 @@ class SecondOrderParams:
     tol_cap: float
 
 
-# Most points a simplex grid, or a product of them, may hold.
-MAX_GRID_POINTS = 2_000_000
-
-
-def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """prob._compositions(dim, steps), scaled to the simplex."""
-    count = math.comb(steps + dim - 1, dim - 1)
-    if count > MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid of {count} points exceeds the {MAX_GRID_POINTS} cap; "
-            "coarsen the resolution")
-    return _compositions(dim, steps) / steps
-
-
 # dispersion certifies its input to Blahut's gap max_x D(W_x || pW) - I(p)
 # <= _ASCENT_GAP. The gap must sit far below the face threshold _TOL_CAP:
 # stopped at a gap of 5e-8, an ascent can leave a face letter out of X*
@@ -483,6 +469,12 @@ def inv_normal_cdf(eps: float) -> float:
             return x
 
 
+def _check_open_eps(eps: float) -> None:
+    """The expansions' range for eps: strictly inside (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie strictly in (0, 1)")
+
+
 def _expansion(params: SecondOrderParams, n, eps: float, level: float,
                sign: float):
     """n C + sqrt(n v) sign Phi^-1(eps), with v = v_min below level 1/2 and
@@ -490,8 +482,7 @@ def _expansion(params: SecondOrderParams, n, eps: float, level: float,
     ns = np.asarray(n)
     for k in ns.ravel().tolist():
         _check_count("blocklength", k)
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly in (0, 1)")
+    _check_open_eps(eps)
     v = params.v_min if level < 0.5 else params.v_max
     quantile = sign * inv_normal_cdf(eps)
     ns = ns.astype(np.float64)

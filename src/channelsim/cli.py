@@ -219,6 +219,8 @@ def _cmd_bsc_curve(args) -> int:
     _need(eps=args.eps, delta=args.delta)
     if not args.n:
         raise _ConfigError("--n LO..HI is required")
+    # the expansions' eps rule answers before the sweep and the ascent run
+    asymptotics._check_open_eps(args.eps)
     # the closed form's crossover rule, (0, 0.5], answers before Dmc.bsc's
     costs = ns_meta.bsc_ns_log2_costs(args.n, args.delta, args.eps).tolist()
     params = asymptotics.dispersion(prob.Dmc.bsc(args.delta))
@@ -259,6 +261,7 @@ def _cmd_second_order(args) -> int:
     _need(eps=args.eps)
     if not args.n:
         raise _ConfigError("--n INT or LO..HI is required")
+    asymptotics._check_open_eps(args.eps)
     params = asymptotics.dispersion(w)
     rows = list(zip(args.n,
                     *_second_order_columns(params, args.n, args.eps)))

@@ -8,7 +8,7 @@ quantity diverges because absolute continuity fails, the functions return
 ``math.inf`` rather than raising, except ``var_div`` whose variance is
 undefined without a finite mean.
 The spectrum divergence D_s+ has one vectorized kernel, ``_spectrum``, for
-``d_s_plus`` and for the channel and product-reference forms elsewhere.
+``d_s_plus`` and for its channel form ``ns_meta.d_s_plus_channel``.
 The smoothed max-divergence has one closed-form kernel, ``_smooth_levels``,
 which ``ns_meta`` also runs on channel rows and on the Hamming-weight
 classes of BSC powers; ``_d_max_smooth_lp`` stays as its reference.

@@ -23,7 +23,7 @@ import dataclasses
 import itertools
 import math
 import numbers
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -208,19 +208,6 @@ class JointPmf:
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "factor_sizes", sizes)
 
-    def table(self) -> np.ndarray:
-        return self.probs.reshape(self.factor_sizes)
-
-    def marginal(self, axes) -> Pmf:
-        """Marginal over the given axis or axes, kept in original order."""
-        axes = axes if isinstance(axes, Iterable) else (axes,)
-        keep = sorted({_check_count("axis", a, least=0) for a in axes})
-        if not keep or keep[-1] >= len(self.factor_sizes):
-            raise ValueError("axes out of range")
-        drop = tuple(a for a in range(len(self.factor_sizes)) if a not in keep)
-        marg = self.table().sum(axis=drop) if drop else self.table()
-        return Pmf(marg.reshape(-1))
-
 
 def tvd(p: Pmf, q: Pmf) -> float:
     """Total variation distance (1/2) * sum |p - q|."""
@@ -234,13 +221,6 @@ def channel_tvd(w, v) -> float:
     if w.rows.shape != v.rows.shape:
         raise ValueError("channel shapes differ")
     return 0.5 * float(np.abs(w.rows - v.rows).sum(axis=1).max())
-
-
-def entropy_bits(p) -> float:
-    """Shannon entropy in bits; accepts a Pmf or a raw mass vector."""
-    vec = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=np.float64)
-    pos = vec[vec > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
 
 
 def tensor_power(w: Dmc, n: int) -> Dmc:
@@ -258,23 +238,6 @@ def tensor_power(w: Dmc, n: int) -> Dmc:
     for _ in range(n - 1):
         rows = np.kron(rows, w.rows)
     return Dmc(rows)
-
-
-def push_forward(p: Pmf, w) -> JointPmf:
-    """Joint law p(x) W(y|x) of input and output(s)."""
-    if p.size != w.input_size:
-        raise ValueError("input alphabet mismatch")
-    joint = p.probs[:, None] * w.rows
-    sizes = (p.size,) + (tuple(w.output_sizes) if isinstance(w, BroadcastDmc)
-                         else (w.output_size,))
-    return JointPmf(joint.reshape(-1), sizes)
-
-
-def output_marginal(p: Pmf, w) -> Pmf:
-    """Output law of w under input p; for broadcast channels the joint output."""
-    if p.size != w.input_size:
-        raise ValueError("input alphabet mismatch")
-    return Pmf(p.probs @ w.rows)
 
 
 def reduce_broadcast(w: BroadcastDmc, keep: Iterable[int]):

@@ -384,8 +384,17 @@ def _type_count(size: int, length: int) -> int:
     return math.comb(length + size - 1, size - 1)
 
 
+def _string_count(size: int, length: int) -> int:
+    """size^length, with MAX_ATOMS + 1 standing in for it from length 21
+    on, where any size above 1 passes the cap: no huge power is built."""
+    if size > 1 and length >= MAX_ATOMS.bit_length():
+        return MAX_ATOMS + 1
+    return size ** length
+
+
 def _check_states(inputs: int, sizes, m: int, n: int, lists) -> None:
-    """Cap |X| lists(sy, m) lists(sz, n), with lists pow or _type_count."""
+    """Cap |X| lists(sy, m) lists(sz, n), with lists _string_count or
+    _type_count."""
     if inputs * lists(sizes[0], m) * lists(sizes[1], n) > MAX_ATOMS:
         raise ValueError(f"state space exceeds the enumeration cap "
                          f"{MAX_ATOMS}")
@@ -522,13 +531,6 @@ def _input_posteriors(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int):
     return weights, cells, posteriors()
 
 
-def _induced_row(weights: np.ndarray, cells: np.ndarray, post: np.ndarray,
-                 size: int) -> np.ndarray:
-    """One input's induced-channel row, unnormalized, added in cell order."""
-    return np.bincount(cells.reshape(-1), minlength=size,
-                       weights=(weights[:, None] * post).reshape(-1))
-
-
 def induced_channel_types(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
                           n: int) -> np.ndarray:
     """Protocol-induced channel as a sum over list types.
@@ -564,9 +566,10 @@ def induced_channel_scatter(w: BroadcastDmc, q: Pmf, r: Pmf, m: int,
     in the order of a scatter-add. induced_channel_types is the
     independent route.
     """
-    m, n = _check_lists(w, q, r, m, n, pow)
+    m, n = _check_lists(w, q, r, m, n, _string_count)
     weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
-    out = np.array([_induced_row(weights, cells, post, w.rows.shape[1])
+    out = np.array([np.bincount(cells.reshape(-1), minlength=w.rows.shape[1],
+                                weights=(weights[:, None] * post).reshape(-1))
                     for post in posteriors])
     return out / out.sum(axis=1, keepdims=True)
 
@@ -589,19 +592,19 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
     The list picks go through guide tables and leave each trial's
     configuration index, the only per-trial array kept. Inputs then run
     one at a time: the posteriors of x given every configuration
-    (sy^M sz^N MN doubles) give x's row of the exact induced channel and,
-    cumulated, a row lookup for each trial's index pair, so memory is
-    bounded by one input's table. Blocks of trials bound the rest and
-    change no output. worst_tvd measures the exact channel against w. A
-    posterior can degenerate to all-zero numerators when a sparse row
-    misses every drawn list entry; the protocol then falls back to a
-    uniform index pair, matching the exact computation.
+    (sy^M sz^N MN doubles), cumulated, give a row lookup for each trial's
+    index pair, so memory is bounded by one input's table. Blocks of
+    trials bound the rest and change no output. exact is the induced
+    channel by list types (induced_channel_types); worst_tvd measures it
+    against w. A posterior can degenerate to all-zero numerators when a
+    sparse row misses every drawn list entry; the protocol then falls
+    back to a uniform index pair, matching the exact computation.
     """
     if w.num_receivers != 2:
         raise ValueError("protocol is defined for exactly 2 receivers")
     trials = _check_count("trials", trials)
-    m, n = _check_lists(w, q, r, m, n, pow)
-    weights, cells, posteriors = _input_posteriors(w, q, r, m, n)
+    m, n = _check_lists(w, q, r, m, n, _string_count)
+    _, cells, posteriors = _input_posteriors(w, q, r, m, n)
     sy, sz = w.output_sizes
     size = sy * sz
     per_trial = m + n + w.input_size
@@ -627,11 +630,9 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
         zs = _guided_pick(cum_r, guide_r, words[:, m:])
         config[start:start + step] = np.ravel_multi_index(
             (*ys.T, *zs.T), (sy,) * m + (sz,) * n)
-    exact = np.empty((w.input_size, size))
     counts = np.zeros((w.input_size, size), dtype=np.int64)
     state, scratch = np.empty((2, ramp.size), dtype=np.uint64)
     for x, post in enumerate(posteriors):
-        exact[x] = _induced_row(weights, cells, post, size)
         # Last entry above 1: the first entry above a uniform u is the
         # count of entries <= u, clamped to the last pair.
         cum = np.cumsum(post, axis=1, out=post)
@@ -650,8 +651,8 @@ def broadcast_protocol_run(w: BroadcastDmc, q: Pmf, r: Pmf, m: int, n: int,
             counts[x] += np.bincount(
                 cells.take(rows * (m * n) + pair, mode="clip"),
                 minlength=size)
-    exact /= exact.sum(axis=1, keepdims=True)
     empirical = BroadcastDmc(rows=counts / trials, output_sizes=(sy, sz))
-    exact_dmc = BroadcastDmc(rows=exact, output_sizes=(sy, sz))
+    exact_dmc = BroadcastDmc(rows=induced_channel_types(w, q, r, m, n),
+                             output_sizes=(sy, sz))
     return BroadcastRun(empirical=empirical, exact=exact_dmc,
                         worst_tvd=channel_tvd(exact_dmc, w))

@@ -428,12 +428,8 @@ class TestSimplexGrid:
     @pytest.mark.parametrize("dim, steps", [
         (1, 4), (2, 1), (2, 20), (3, 7), (4, 5), (6, 3)])
     def test_matches_recursive_fill(self, dim, steps):
-        assert np.array_equal(asy._simplex_grid(dim, steps),
+        assert np.array_equal(prob._compositions(dim, steps) / steps,
                               _fill_grid(dim, steps))
-
-    def test_cap_before_enumeration(self):
-        with pytest.raises(ValueError, match="exceeds the 2000000 cap"):
-            asy._simplex_grid(10, 100)
 
 
 class TestDispersion:

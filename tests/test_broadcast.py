@@ -1,4 +1,4 @@
-"""Broadcast regions: thresholds, corners, membership, and the product bound."""
+"""Broadcast regions: thresholds, corners and membership."""
 
 import math
 
@@ -48,62 +48,6 @@ Z_PAIR = prob.BroadcastDmc(
                    [0.3, 0.7]).reshape(2, 4),
     output_sizes=(2, 2))
 C_Z_PAIR = math.log2(1.25)
-
-
-def _random_joint(rng, sizes, floor=0.0):
-    flat = rng.random(int(np.prod(sizes))) + floor
-    return prob.JointPmf(probs=flat / flat.sum(), factor_sizes=sizes)
-
-
-class TestMultipartiteMi:
-    def test_single_receiver_is_mutual_information(self):
-        w = prob.BroadcastDmc(rows=[[0.9, 0.1], [0.1, 0.9]], output_sizes=(2,))
-        got = broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), w, (0,))
-        assert got.value == pytest.approx(1.0 - _h2(0.1), abs=1e-12)
-
-    def test_identity_pair(self):
-        w = prob.BroadcastDmc(rows=[[1.0, 0.0, 0.0, 0.0],
-                                    [0.0, 0.0, 0.0, 1.0]], output_sizes=(2, 2))
-        got = broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), w, (0, 1))
-        assert got.value == pytest.approx(2.0, abs=1e-12)
-        assert got.h_input == pytest.approx(1.0)
-        assert got.h_receivers == pytest.approx((1.0, 1.0))
-        assert got.h_joint == pytest.approx(1.0)
-
-    def test_counts_receiver_correlation_without_input_dependence(self):
-        # Y = Z but both independent of X: the multipartite value is the
-        # one bit the receivers share, not the zero bits X contributes.
-        w = prob.BroadcastDmc(rows=[[0.5, 0.0, 0.0, 0.5],
-                                    [0.5, 0.0, 0.0, 0.5]], output_sizes=(2, 2))
-        got = broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), w, (0, 1))
-        assert got.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_independent_factor_drops_out(self):
-        rows = np.zeros((2, 4))
-        bsc = np.array([[0.8, 0.2], [0.2, 0.8]])
-        q = np.array([0.3, 0.7])
-        for x in range(2):
-            for y in range(2):
-                for z in range(2):
-                    rows[x, 2 * y + z] = bsc[x, y] * q[z]
-        w = prob.BroadcastDmc(rows=rows, output_sizes=(2, 2))
-        got = broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), w, (0, 1))
-        assert got.value == pytest.approx(1.0 - _h2(0.2), abs=1e-12)
-
-    def test_fully_random_outputs_zero(self):
-        w = prob.BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
-        got = broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), w, (0, 1))
-        assert abs(got.value) <= 1e-12
-
-    def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            broadcast.multipartite_mi(prob.Pmf([0.2, 0.3, 0.5]), DEGRADED, (0,))
-        with pytest.raises(ValueError):
-            broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), DEGRADED, ())
-        with pytest.raises(ValueError):
-            broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), DEGRADED, (2,))
-        with pytest.raises(ValueError):
-            broadcast.multipartite_mi(prob.Pmf([0.5, 0.5]), DEGRADED, (-1,))
 
 
 class TestTildeC:
@@ -235,101 +179,6 @@ class TestCorners:
         reg = broadcast.rate_region(_bsc_chain(3))
         with pytest.raises(ValueError):
             broadcast.region_corners_k2(reg)
-
-
-class TestCommonDispersion:
-    def test_degraded_frozen_value(self):
-        got = broadcast.common_dispersion(prob.Pmf([0.4, 0.6]), DEGRADED)
-        assert got == pytest.approx(0.6131473162577876, abs=1e-9)
-
-    def test_matches_direct_variance_sum(self):
-        p = prob.Pmf([0.4, 0.6])
-        joint = prob.push_forward(p, DEGRADED)
-        ref = np.outer(joint.marginal((1,)).probs,
-                       joint.marginal((2,)).probs).reshape(-1)
-        total = 0.0
-        for x in range(2):
-            row = DEGRADED.rows[x]
-            logs = np.log2(row / ref)
-            mean = float((row * logs).sum())
-            total += p.probs[x] * float((row * (logs - mean) ** 2).sum())
-        got = broadcast.common_dispersion(p, DEGRADED)
-        assert got == pytest.approx(total, abs=1e-12)
-
-    def test_perfectly_correlated_receivers_have_zero_variance(self):
-        w = prob.BroadcastDmc(rows=[[1.0, 0.0, 0.0, 0.0],
-                                    [0.0, 0.0, 0.0, 1.0]], output_sizes=(2, 2))
-        got = broadcast.common_dispersion(prob.Pmf([0.5, 0.5]), w)
-        assert abs(got) <= 1e-12
-
-    def test_skips_zero_probability_inputs(self):
-        w = prob.BroadcastDmc(rows=[[0.5, 0.5, 0.0, 0.0],
-                                    [0.0, 0.0, 0.5, 0.5]], output_sizes=(2, 2))
-        got = broadcast.common_dispersion(prob.Pmf([1.0, 0.0]), w)
-        assert abs(got) <= 1e-12
-
-    def test_validates_input_size(self):
-        with pytest.raises(ValueError):
-            broadcast.common_dispersion(prob.Pmf([1.0, 0.0, 0.0]), DEGRADED)
-
-
-class TestDsProductBound:
-    def test_holds_on_random_joints(self):
-        rng = np.random.default_rng(17)
-        for _ in range(6):
-            joint = _random_joint(rng, (2, 2, 2), floor=0.02)
-            eps = float(rng.choice([0.01, 0.2]))
-            lhs, rhs = broadcast.ds_product_lower_bound(
-                joint, eps, 0.05, resolution=0.05)
-            assert lhs >= rhs - 1e-9
-
-    def test_holds_with_null_atoms(self):
-        flat = np.array([0.3, 0.0, 0.2, 0.0, 0.1, 0.0, 0.4, 0.0])
-        joint = prob.JointPmf(probs=flat, factor_sizes=(2, 2, 2))
-        lhs, rhs = broadcast.ds_product_lower_bound(joint, 0.1, 0.05,
-                                                    resolution=0.05)
-        assert lhs >= rhs - 1e-9
-
-    def test_single_output_factor(self):
-        rng = np.random.default_rng(23)
-        joint = _random_joint(rng, (2, 3), floor=0.05)
-        lhs, rhs = broadcast.ds_product_lower_bound(joint, 0.1, 0.2)
-        assert lhs >= rhs - 1e-9
-        assert math.isfinite(lhs)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(29)
-        joint = _random_joint(rng, (2, 2, 2), floor=0.05)
-        first = broadcast.ds_product_lower_bound(joint, 0.1, 0.05,
-                                                 resolution=0.1)
-        second = broadcast.ds_product_lower_bound(joint, 0.1, 0.05,
-                                                  resolution=0.1)
-        assert first == second
-
-    def test_validates_arguments(self):
-        rng = np.random.default_rng(31)
-        joint = _random_joint(rng, (2, 2, 2), floor=0.05)
-        with pytest.raises(ValueError):
-            broadcast.ds_product_lower_bound(joint, 1.0, 0.05)
-        with pytest.raises(ValueError):
-            broadcast.ds_product_lower_bound(joint, -0.1, 0.05)
-        with pytest.raises(ValueError):
-            broadcast.ds_product_lower_bound(joint, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            broadcast.ds_product_lower_bound(joint, 0.1, 0.45)
-        flat = prob.JointPmf(probs=np.full(4, 0.25), factor_sizes=(4,))
-        with pytest.raises(ValueError):
-            broadcast.ds_product_lower_bound(flat, 0.1, 0.05)
-
-    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
-    def test_resolution_must_be_positive_and_finite(self, resolution):
-        # 0 once divided by zero, nan failed in numpy and -1 silently
-        # took the coarsest grid.
-        joint = _random_joint(np.random.default_rng(31), (2, 2, 2),
-                              floor=0.05)
-        with pytest.raises(ValueError, match="resolution"):
-            broadcast.ds_product_lower_bound(joint, 0.1, 0.05,
-                                             resolution=resolution)
 
 
 class TestThreeReceivers:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from channelsim import cli, divergences, ns_meta, prob, protocols
+from channelsim import (asymptotics, cli, divergences, ns_meta, prob,
+                        protocols)
 
 
 def _write(path, payload):
@@ -207,6 +208,22 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("channelsim: error: eps must be nonnegative")
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("eps", ["0", "1", "-0.5", "nan"])
+    def test_eps_is_checked_before_any_work(self, capsys, monkeypatch,
+                                            bsc_file, eps):
+        # The expansions' eps rule answers before the sweep and the ascent.
+        def ran(*args):
+            raise AssertionError("work ran before the eps check")
+        monkeypatch.setattr(ns_meta, "bsc_ns_log2_costs", ran)
+        monkeypatch.setattr(asymptotics, "dispersion", ran)
+        for argv in (["bsc-curve", "--delta", "0.1", "--n", "1..2000"],
+                     ["second-order", "--channel", bsc_file, "--n", "100"]):
+            code, out, err = _run(capsys, argv + [f"--eps={eps}"])
+            assert code == cli.EXIT_CONFIG
+            assert err == ("channelsim: error: eps must lie strictly in "
+                           "(0, 1)\n")
+            assert out == ""
 
     def test_main_builds_the_parser_once(self, capsys, monkeypatch,
                                          pair_file):

@@ -324,6 +324,7 @@ _P, _Q = np.array(PAIR["p"]), np.array(PAIR["q"])
 
 
 def _bsc_curve(delta, eps, ns=(1, 2, 3)):
+    asymptotics._check_open_eps(eps)
     ns_meta.bsc_ns_log2_costs(ns, delta, eps)
     params = asymptotics.dispersion(prob.Dmc.bsc(delta))
     asymptotics.second_order_simulation(params, ns, eps)
@@ -331,6 +332,7 @@ def _bsc_curve(delta, eps, ns=(1, 2, 3)):
 
 
 def _second_order(eps, ns=(100,)):
+    asymptotics._check_open_eps(eps)
     params = asymptotics.dispersion(_W)
     asymptotics.second_order_simulation(params, ns, eps)
     asymptotics.second_order_coding(params, ns, eps)

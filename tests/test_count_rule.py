@@ -38,8 +38,6 @@ SITES = {
     "Pmf.point.n": ("size", 1, lambda v: Pmf.point(v, 0)),
     "Pmf.point.i": ("index", 0, lambda v: Pmf.point(3, v)),
     "Dmc.identity": ("size", 1, lambda v: Dmc.identity(v)),
-    "JointPmf.marginal": ("axis", 0, lambda v: JOINT.marginal(v)),
-    "JointPmf.marginal.list": ("axis", 0, lambda v: JOINT.marginal([v, 1])),
     "tensor_power": ("power", 1, lambda v: prob.tensor_power(BSC, v)),
     "BroadcastDmc": ("output size", 1,
                      lambda v: BroadcastDmc(np.full((1, 2), 0.5), (v, 2))),

@@ -114,19 +114,6 @@ class TestTvd:
         assert prob.channel_tvd(a, b) == pytest.approx(0.2)
 
 
-class TestEntropy:
-    def test_uniform(self):
-        assert prob.entropy_bits(prob.Pmf.uniform(8)) == pytest.approx(3.0)
-
-    def test_point_mass(self):
-        assert prob.entropy_bits(prob.Pmf.point(4, 0)) == 0.0
-
-    def test_binary_closed_form(self):
-        p = prob.Pmf(np.array([0.11, 0.89]))
-        want = -(0.11 * np.log2(0.11) + 0.89 * np.log2(0.89))
-        assert prob.entropy_bits(p) == pytest.approx(want)
-
-
 class TestTransforms:
     def test_tensor_power_shape(self):
         w = prob.Dmc.bsc(0.1)
@@ -144,23 +131,6 @@ class TestTransforms:
         with pytest.raises(ValueError):
             prob.tensor_power(prob.Dmc.bsc(0.1), 25)
 
-    def test_push_forward_marginals(self):
-        rng = np.random.default_rng(3)
-        rows = rng.random((2, 6))
-        rows /= rows.sum(axis=1, keepdims=True)
-        w = prob.BroadcastDmc(rows=rows, output_sizes=(2, 3))
-        p = prob.Pmf(np.array([0.3, 0.7]))
-        joint = prob.push_forward(p, w)
-        assert joint.factor_sizes == (2, 2, 3)
-        assert np.allclose(joint.marginal((0,)).probs, p.probs)
-        direct = p.probs @ rows
-        assert np.allclose(joint.marginal((1, 2)).probs, direct)
-
-    def test_output_marginal(self):
-        w = prob.Dmc.bsc(0.2)
-        out = prob.output_marginal(prob.Pmf(np.array([1.0, 0.0])), w)
-        assert np.allclose(out.probs, [0.8, 0.2])
-
     def test_reduce_broadcast_single(self):
         rows = np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]])
         w = prob.BroadcastDmc(rows=rows, output_sizes=(2, 2))
@@ -173,19 +143,6 @@ class TestTransforms:
         w = prob.BroadcastDmc(rows=rows, output_sizes=(2, 2))
         w_z = prob.reduce_broadcast(w, (1,))
         assert np.allclose(w_z.rows, [[1.0, 0.0], [0.5, 0.5]])
-
-
-class TestJointPmf:
-    def test_table_shape(self):
-        j = prob.JointPmf(probs=np.full(8, 0.125), factor_sizes=(2, 2, 2))
-        assert j.table().shape == (2, 2, 2)
-
-    def test_marginal_axes(self):
-        probs = np.arange(1, 9, dtype=np.float64)
-        probs /= probs.sum()
-        j = prob.JointPmf(probs=probs, factor_sizes=(2, 4))
-        m = j.marginal((1,))
-        assert np.allclose(m.probs, j.table().sum(axis=0))
 
 
 class TestJson:

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -11,7 +12,6 @@ import pytest
 import reference_protocols as ref
 
 from channelsim import prob, protocols
-from channelsim.asymptotics import _simplex_grid
 from channelsim.divergences import d_max, d_s_plus
 from channelsim.ns_meta import i_max_smooth
 from channelsim.prob import BroadcastDmc, Pmf, channel_tvd, tvd
@@ -555,7 +555,7 @@ class TestVectorizedMatchesScalar:
             counts = _scalar_broadcast(w, q, r, m, n, scalar, trials)
             assert np.array_equal(run.empirical.rows, counts / trials)
             assert np.array_equal(run.exact.rows,
-                                  protocols.induced_channel_scatter(
+                                  protocols.induced_channel_types(
                                       w, q, r, m, n))
             assert stream.counter == scalar.counter
             assert stream.counter == base + trials * (m + n + w.input_size)
@@ -1046,6 +1046,30 @@ class TestInducedChannelRoutes:
             protocols.broadcast_protocol_run(w, half, half, 10, 10,
                                              protocols.RngStream(0), 10)
 
+    def test_string_cap_builds_no_huge_count(self):
+        # 3^(10^7) as an exact integer took seconds to build and compare.
+        w = BroadcastDmc(rows=np.full((2, 9), 1 / 9), output_sizes=(3, 3))
+        third = Pmf(np.full(3, 1 / 3))
+        for call in (protocols.induced_channel_scatter,
+                     lambda *args: protocols.broadcast_protocol_run(
+                         *args, protocols.RngStream(0), 10)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="enumeration cap"):
+                call(w, third, third, 10 ** 7, 10 ** 7)
+            assert time.perf_counter() - start < 0.01
+
+    def test_string_cap_boundary(self):
+        # 16 * 2^8 * 2^8 is exactly MAX_ATOMS; a size-1 list counts once.
+        count = protocols._string_count
+        protocols._check_states(16, (2, 2), 8, 8, count)
+        protocols._check_states(1, (2, 1), 20, 10 ** 7, count)
+        for inputs, sizes, m, n in ((17, (2, 2), 8, 8), (16, (2, 2), 8, 9),
+                                    (16, (2, 2), 9, 8), (1, (2, 1), 21, 1),
+                                    (1, (3, 1), 13, 1)):
+            with pytest.raises(ValueError, match="enumeration cap"):
+                protocols._check_states(inputs, sizes, m, n, count)
+        assert [count(3, k) for k in (0, 1, 20)] == [1, 3, 3 ** 20]
+
     @pytest.mark.parametrize("q_size, r_size", [(3, 2), (1, 2), (2, 3),
                                                 (2, 1)])
     def test_references_must_match_the_receivers(self, q_size, r_size):
@@ -1195,7 +1219,7 @@ class TestBroadcastRun:
         eps = channel_tvd(BroadcastDmc(rows=exact, output_sizes=(2, 2)), w)
         assert eps <= 0.01
         delta = 0.1
-        grid = _simplex_grid(2, 20)
+        grid = prob._compositions(2, 20) / 20
         for subset, size in (((0,), m), ((1,), n)):
             reduced = prob.reduce_broadcast(w, subset).rows
             grid_min = min(
