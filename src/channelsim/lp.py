@@ -4,11 +4,11 @@ Small self-contained solver for the linear programs of the meta-converse
 (``ns_meta``) and of the dispersion faces (``asymptotics``); the
 smoothed max-divergence has a closed form and keeps its program only as
 a reference. Design choices, deliberately boring: a dense tableau,
-nonnegative variables (no lower bounds, no free variables) with upper
-bounds as explicit rows, Bland's smallest-index entering rule with ratio
-ties broken by the smallest basic variable index, equality rows handled
-through phase-1 artificial variables. Identical input therefore produces
-an identical pivot sequence and bit-identical output.
+nonnegative variables with no other bounds (a program states any cap as
+a row), Bland's smallest-index entering rule with ratio ties broken by
+the smallest basic variable index, equality rows handled through phase-1
+artificial variables. Identical input therefore produces an identical
+pivot sequence and bit-identical output.
 
 At these sizes a pivot costs its numpy calls more than its arithmetic,
 so each step does as few as it can without changing a single result:
@@ -42,18 +42,16 @@ class LpNumericsError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LpProblem:
-    """minimize c.x  subject to  A x (<=, =, >=) b  and  0 <= x <= upper.
+    """minimize c.x  subject to  A x (<=, =, >=) b  and  x >= 0.
 
     senses is one string per row, each '<=', '=' or '>='. Every variable
-    is nonnegative; upper defaults to +inf, and a +inf entry leaves that
-    variable unbounded above. Any other entry must be finite.
+    is nonnegative and has no other bound; a cap x_j <= u is a '<=' row.
     """
 
     c: np.ndarray
     a: np.ndarray
     b: np.ndarray
     senses: tuple
-    upper: np.ndarray = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64)
@@ -64,20 +62,13 @@ class LpProblem:
             raise ValueError("constraint matrix shape mismatch")
         if len(senses) != b.size or any(s not in ("<=", "=", ">=") for s in senses):
             raise ValueError("senses must be '<=', '=' or '>=' per row")
-        upper = (np.full(c.size, np.inf) if self.upper is None
-                 else np.asarray(self.upper, dtype=np.float64))
-        if upper.size != c.size:
-            raise ValueError("bound vector size mismatch")
         for name, arr in (("c", c), ("a", a), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        if not np.all(np.isfinite(upper) | (upper == np.inf)):
-            raise ValueError("upper must be finite or +inf")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "senses", senses)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def num_vars(self) -> int:
@@ -153,14 +144,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     n = problem.num_vars
 
-    # ---- one '<=' row per finite upper bound
-    capped = np.flatnonzero(np.isfinite(problem.upper))
-    A = np.vstack([problem.a, np.arange(n) == capped[:, None]])
-    b = np.concatenate([problem.b, problem.upper[capped]])
-    senses = np.array(problem.senses + ("<=",) * capped.size)
-    # Which way each original row may miss its bound, for the final check.
-    may_exceed = senses[:problem.num_rows] != ">="
-    may_fall = senses[:problem.num_rows] != "<="
+    A = problem.a.copy()
+    b = problem.b.copy()
+    senses = np.array(problem.senses)
+    # Which way each row may miss its bound, for the final check.
+    may_exceed = senses != ">="
+    may_fall = senses != "<="
     rows_total = b.size
     neg = b < 0.0
     A[neg] *= -1.0
@@ -238,8 +227,6 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if bad.any():
         i = int(bad.argmax())
         raise LpNumericsError(f"row {i} residual {resid[i]:.3e} out of tolerance")
-    if np.any(x > problem.upper + FEAS_TOL):
-        raise LpNumericsError("bound violation beyond tolerance")
 
     value = float(problem.c @ x)
     tableau_value = -float(obj[-1])

@@ -99,46 +99,50 @@ def _reduced_program(rows: np.ndarray, eps: float = 0.0,
     mass removed from W and from the column peaks M_y = max_x W(y|x):
     r = W - t (flat) and s = M - zeta, so that
 
-        maximize sum s  s.t.  0 <= r <= W,  s >= 0,
+        maximize sum s  s.t.  r >= 0,  0 <= s <= M,
                               s_y - r_xy <= M_y - W(y|x),
                               sum_y r_xy <= eps,  sum s <= sum M - 1
 
-    is the cost program min sum zeta over t_xy <= zeta_y,
+    is the cost program min sum zeta over 0 <= t <= W, t_xy <= zeta_y,
     sum_y t_xy >= 1 - eps and sum zeta >= 1 (s >= 0 loses nothing: zeta
-    can always be cut down to M). Every right-hand side is non-negative,
-    so r = s = 0, that is t = W and zeta = M, is the all-slack basis and
-    the simplex starts in phase 2. The last row lets every row be refilled
+    can always be cut down to M). The m rows s <= M (zeta >= 0) replace
+    the k m caps r <= W (t >= 0) with the same optimum: those caps give
+    s_y <= M_y - W(y|x) + r_xy <= M_y, and conversely min(r, W) with the
+    same s is feasible, since where r_xy > W(y|x) its row reads s <= M
+    and every row sum only falls. An optimal r may still exceed W, so t
+    is read as max(W - r, 0). Every right-hand side is non-negative, so
+    r = s = 0, that is t = W and zeta = M, is the all-slack basis and the
+    simplex starts in phase 2. The last row lets every row be refilled
     to mass one under zeta (see ``_rebuild_rows``). With an integer cost
     the program instead gains a last variable gamma: minimize gamma with
     the same caps, sum_y r_xy <= gamma and sum zeta <= cost, written
     sum s >= sum M - cost, the only row that may need an artificial.
+    The k m + k + m + 1 rows come in that order.
     """
     k, m = rows.shape
     km = k * m
     peak = rows.max(axis=0)
     nv = km + m + (cost is not None)
-    a = np.zeros((km + k + 1, nv))
+    a = np.zeros((km + k + m + 1, nv))
     a[:km, :km] = -np.eye(km)
     a[:km, km:km + m] = np.tile(np.eye(m), (k, 1))
     a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
-    a[-1, km:km + m] = 1.0
+    a[km + k:, km:km + m] = np.vstack([np.eye(m), np.ones(m)])
     c = np.zeros(nv)
-    upper = np.full(nv, np.inf)
-    upper[:km] = rows.ravel()
     gaps = (peak[None, :] - rows).ravel()
     if cost is None:
         c[km:] = -1.0
         # sum M >= 1 holds exactly; only its rounding can dip below.
-        b = np.concatenate([gaps, np.full(k, eps),
+        b = np.concatenate([gaps, np.full(k, eps), peak,
                             [max(peak.sum() - 1.0, 0.0)]])
         last = "<="
     else:
         a[km:km + k, -1] = -1.0
         c[-1] = 1.0
-        b = np.concatenate([gaps, np.zeros(k), [peak.sum() - cost]])
+        b = np.concatenate([gaps, np.zeros(k), peak, [peak.sum() - cost]])
         last = ">="
-    return LpProblem(c=c, a=a, b=b, upper=upper,
-                     senses=("<=",) * (km + k) + (last,))
+    return LpProblem(c=c, a=a, b=b,
+                     senses=("<=",) * (km + k + m) + (last,))
 
 
 def _is_symmetric(rows: np.ndarray) -> bool:
@@ -198,14 +202,15 @@ def _solve_reduced_lp(rows: np.ndarray, what: str, eps: float = 0.0,
                       cost: int | None = None):
     """``_solve_reduced`` by the simplex, for any channel.
 
-    Maps back t = W - r and zeta = M - s. At a fixed cost, zeta is then
-    raised evenly until it sums to the cost, which keeps every t <= zeta.
+    Maps back t = max(W - r, 0) (``_reduced_program`` caps zeta, not t)
+    and zeta = M - s. At a fixed cost, zeta is then raised evenly until
+    it sums to the cost, which keeps every t <= zeta.
     """
     sol = solve_lp(_reduced_program(rows, eps=eps, cost=cost))
     if sol.status != "optimal":
         raise ArithmeticError(f"{what} LP status {sol.status}")
     k, m = rows.shape
-    t = rows - sol.x[:k * m].reshape(k, m)
+    t = np.maximum(rows - sol.x[:k * m].reshape(k, m), 0.0)
     zeta = rows.max(axis=0) - sol.x[k * m:k * m + m]
     if cost is None:
         value = float(math.log2(zeta.sum()))
@@ -235,8 +240,9 @@ def i_max_smooth(w, eps: float) -> SmoothImax:
     The reduced program of ``_reduced_program``: minimize sum zeta over
     overlaps 0 <= t <= W with t_xy <= zeta_y, sum_y t_xy >= 1 - eps per row
     and sum zeta >= 1, posed as maximize sum s over the removed masses
-    r = W - t and s = M - zeta. Every right-hand side is non-negative, so
-    the simplex starts from t = W, zeta = M and runs no phase 1. On a
+    r = W - t and s = M - zeta, with m rows s <= M for the k m caps t >= 0
+    (so t = max(W - r, 0)). Every right-hand side is non-negative, so the
+    simplex starts from t = W, zeta = M and runs no phase 1. On a
     symmetric channel no LP is built: averaging the rows and Jensen over
     the shared column multiset make a flat zeta optimal, so the value is
     ``d_max_smooth(eps, W(.|0), uniform)`` (proof at ``_solve_reduced``).
@@ -272,12 +278,12 @@ def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     The reduced LP of ``_reduced_program`` in its cost form: minimize gamma
     over overlaps 0 <= t <= W with t_xy <= zeta_y, sum zeta <= c and
     sum_y t_xy >= 1 - gamma per row, in the removed masses r = W - t and
-    s = M - zeta. Only sum s >= sum M - c can start infeasible, so phase 1
-    has a single artificial. zeta is then raised evenly to sum to c, and
-    the substitute channel W~ is rebuilt from t. On a symmetric channel
-    the flat zeta = c/m is optimal (proof at ``_solve_reduced``), so the
-    deviation is sum_y max(W(y|0) - c/m, 0) = 1 - sum_y min(W(y|0), c/m)
-    with no LP.
+    s = M - zeta, with the m rows s <= M for the caps t >= 0 (so
+    t = max(W - r, 0)). Only sum s >= sum M - c can start infeasible, so
+    phase 1 has a single artificial. zeta is then raised evenly to sum to
+    c, and W~ is rebuilt from t. On a symmetric channel the flat
+    zeta = c/m is optimal (proof at ``_solve_reduced``), so the deviation
+    is sum_y max(W(y|0) - c/m, 0) = 1 - sum_y min(W(y|0), c/m) with no LP.
     """
     rows = _channel_rows(w)
     c = _check_count("cost", c, least=2)

@@ -102,6 +102,37 @@ def check_smooth_dmax_vs_beta(seed):
     return True, "30 random pairs"
 
 
+def check_channel_smoothing(seed):
+    """The channel divergences against a fixed reference q, and the
+    explicit witness between them.
+
+    The witness is feasible for the smoothed max-divergence, so it sits
+    below log2(2^a + 1) with a the spectrum threshold at eps. And a row
+    within eps of W(.|x) under 2^lam q keeps W(.|x) above 2^lam q / delta
+    on mass at most eps / (1 - delta) < eps + delta, so
+    D_s+^{eps+delta} + log2 delta is a lower end.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        w = _random_channel(rng, int(rng.integers(2, 7)),
+                            int(rng.integers(2, 7)))
+        q = _random_pmf(rng, w.rows.shape[1], floor=0.02)
+        eps = float(rng.uniform(0.02, 0.6))
+        delta = float(rng.uniform(0.02, min(0.3, 1.0 - eps - 0.02)))
+        hat, a, eps_x = ns_meta.smoothing_witness(w, q, eps)
+        moved = 0.5 * np.abs(hat - w.rows).sum(axis=1)
+        if (np.abs(hat.sum(axis=1) - 1.0).max() > 1e-12
+                or np.any(moved > eps_x + 1e-12) or eps_x.max() > eps + 1e-12
+                or np.any(hat > (2.0 ** a + 1.0) * q + 1e-12)):
+            return False, f"witness off at eps={eps}"
+        got = ns_meta.channel_d_max_smooth(w, q, eps)
+        lo = ns_meta.d_s_plus_channel(w, q, eps + delta) + math.log2(delta)
+        hi = math.log2(2.0 ** ns_meta.d_s_plus_channel(w, q, eps) + 1.0)
+        if not (lo - _SLACK <= got <= hi + _SLACK):
+            return False, f"sandwich broken: {lo} <= {got} <= {hi}"
+    return True, "30 random channels"
+
+
 def check_ns_cost(seed):
     """LP cost equals the ceiling of the smoothed max-information."""
     rng = np.random.default_rng(seed)
@@ -337,6 +368,7 @@ _CHECKS = (
     ("rejection-sampler", check_rejection_sampler),
     ("divergence-sandwich", check_divergence_sandwich),
     ("smooth-dmax-bound", check_smooth_dmax_vs_beta),
+    ("channel-smoothing", check_channel_smoothing),
     ("ns-cost-ceiling", check_ns_cost),
     ("ns-flat-vs-lp", check_flat_ns),
     ("bsc-classes-vs-dense", check_bsc_classes),

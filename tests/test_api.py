@@ -15,7 +15,6 @@ KEPT = {
     "capacity_ba.tol",
     "tilde_c_ba.tol",
     "rate_region.tol",
-    "LpProblem.upper",
     "moderate_deviation_rates.a_n",
     "ModerateRates.band",
 }

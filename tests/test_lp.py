@@ -12,10 +12,9 @@ from channelsim.lp import LpProblem, LpSolution, solve_lp
 def _vertex_oracle(problem: LpProblem):
     """Brute-force optimum by enumerating basic feasible points.
 
-    Turns every inequality, nonnegativity and finite upper bound into a
-    hyperplane, solves all n-subsets, keeps feasible intersection points,
-    and returns the best objective. Exponential, so only for tiny
-    instances.
+    Turns every inequality and nonnegativity into a hyperplane, solves
+    all n-subsets, keeps feasible intersection points, and returns the
+    best objective. Exponential, so only for tiny instances.
     """
     n = problem.num_vars
     planes = []
@@ -25,8 +24,6 @@ def _vertex_oracle(problem: LpProblem):
         e = np.zeros(n)
         e[j] = 1.0
         planes.append((e, 0.0))
-        if np.isfinite(problem.upper[j]):
-            planes.append((e, problem.upper[j]))
     best = np.inf
     arg = None
     for combo in itertools.combinations(range(len(planes)), n):
@@ -46,8 +43,7 @@ def _vertex_oracle(problem: LpProblem):
                 ok = False
             elif s == "=" and abs(lhs - problem.b[i]) > 1e-9:
                 ok = False
-        if ok and np.all(x >= -1e-9) \
-                and np.all(x <= problem.upper + 1e-9):
+        if ok and np.all(x >= -1e-9):
             val = problem.c @ x
             if val < best - 1e-12:
                 best, arg = val, x
@@ -116,17 +112,6 @@ def test_degenerate_vertex_terminates():
     assert sol.value == pytest.approx(-2.0)
 
 
-def test_upper_bounds_respected():
-    p = LpProblem(c=np.array([-1.0, -1.0]),
-                  a=np.array([[1.0, 1.0]]),
-                  b=np.array([10.0]),
-                  senses=("<=",),
-                  upper=np.array([0.5, 2.0]))
-    sol = solve_lp(p)
-    assert sol.status == "optimal"
-    assert sol.x == pytest.approx([0.5, 2.0])
-
-
 def test_against_vertex_oracle():
     rng = np.random.default_rng(17)
     checked = 0
@@ -139,7 +124,8 @@ def test_against_vertex_oracle():
         b = a @ x_feas + slack
         c = rng.normal(size=n)
         upper = x_feas + rng.random(n) * 2.0
-        p = LpProblem(c=c, a=a, b=b, senses=("<=",) * m, upper=upper)
+        p = LpProblem(c=c, a=np.vstack([a, np.eye(n)]),
+                      b=np.concatenate([b, upper]), senses=("<=",) * (m + n))
         sol = solve_lp(p)
         assert sol.status == "optimal"
         want, _ = _vertex_oracle(p)
@@ -153,8 +139,8 @@ def test_deterministic_resolve():
     a = rng.normal(size=(3, 4))
     b = a @ rng.random(4) + 0.2
     c = rng.normal(size=4)
-    p = LpProblem(c=c, a=a, b=b, senses=("<=",) * 3,
-                  upper=np.full(4, 3.0))
+    p = LpProblem(c=c, a=np.vstack([a, np.eye(4)]),
+                  b=np.concatenate([b, np.full(4, 3.0)]), senses=("<=",) * 7)
     s1 = solve_lp(p)
     s2 = solve_lp(p)
     assert s1.value == s2.value
@@ -168,13 +154,11 @@ def test_rejects_nonfinite():
                   b=np.array([1.0]), senses=("<=",))
 
 
-@pytest.mark.parametrize("bound", [np.nan, -np.inf])
-def test_rejects_bound_that_is_neither_finite_nor_plus_inf(bound):
-    # Left to drop out of the bound rows, a NaN would read as no bound
-    # and this program would solve to 'unbounded'.
-    with pytest.raises(ValueError):
-        LpProblem(c=[-1.0], a=[[0.0]], b=[1.0], senses=("<=",),
-                  upper=[bound])
+def test_caps_are_rows_not_bounds():
+    # A cap is a row like any other; there is no separate bound vector.
+    with pytest.raises(TypeError):
+        LpProblem(c=[-1.0], a=[[1.0]], b=[1.0], senses=("<=",),
+                  upper=[0.5])
 
 
 def test_shape_mismatch():
@@ -217,8 +201,9 @@ def _pivot_programs():
         slack = rng.random(m) * 0.5
         b = a @ x_feas + np.select([kinds == "<=", kinds == ">="],
                                    [slack, -slack], 0.0)
-        programs.append(LpProblem(c=c, a=a, b=b, senses=tuple(kinds.tolist()),
-                                  upper=upper))
+        programs.append(LpProblem(
+            c=c, a=np.vstack([a, np.eye(n)]), b=np.concatenate([b, upper]),
+            senses=tuple(kinds.tolist()) + ("<=",) * n))
     # The reduced programs at the sizes of the exact one-shot costs:
     # BSC(0.11)^3, random 8x8 and 12x12 channels, each at an eps and at
     # cost 2 (a larger cost can leave nothing to pivot), and the 16x16

@@ -136,14 +136,13 @@ def _reference_program(rows, eps=0.0, cost=None):
     k, m = rows.shape
     km = k * m
     nv = km + m + (cost is not None)
-    a = np.zeros((km + k + 1, nv))
+    a = np.zeros((km + k + 1 + km, nv))
     a[:km, :km] = np.eye(km)
     a[:km, km:km + m] = -np.tile(np.eye(m), (k, 1))
     a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
-    a[-1, km:km + m] = 1.0
+    a[km + k, km:km + m] = 1.0
+    a[km + k + 1:, :km] = np.eye(km)          # t <= W
     c = np.zeros(nv)
-    upper = np.full(nv, np.inf)
-    upper[:km] = rows.ravel()
     if cost is None:
         c[km:] = 1.0
         b = np.concatenate([np.zeros(km), np.full(k, 1.0 - eps), [1.0]])
@@ -153,8 +152,9 @@ def _reference_program(rows, eps=0.0, cost=None):
         c[-1] = 1.0
         b = np.concatenate([np.zeros(km), np.ones(k), [float(cost)]])
         last = "="
-    return LpProblem(c=c, a=a, b=b, upper=upper,
-                     senses=("<=",) * km + (">=",) * k + (last,))
+    return LpProblem(c=c, a=a, b=np.concatenate([b, rows.ravel()]),
+                     senses=("<=",) * km + (">=",) * k + (last,)
+                     + ("<=",) * km)
 
 
 def _differential_cases():
@@ -211,9 +211,10 @@ class TestReducedProgram:
     ])
     def test_cost_direction_starts_feasible(self, rows, monkeypatch):
         program = ns_meta._reduced_program(rows, eps=0.05)
+        k, m = rows.shape
+        assert program.num_rows == k * m + k + m + 1
         assert set(program.senses) == {"<="}
         assert np.all(program.b >= 0.0)
-        assert np.all(program.upper[np.isfinite(program.upper)] >= 0.0)
         # Without '>=' or '=' rows and with b >= 0, solve_lp adds no
         # artificial and runs the simplex once, in phase 2.
         runs = []
@@ -226,6 +227,36 @@ class TestReducedProgram:
         monkeypatch.setattr(lp, "_run_simplex", counting)
         assert solve_lp(program).status == "optimal"
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("rows,eps,cost", [
+        ([[0.82, 0.05, 0.12, 0.01], [0.65, 0.24, 0.01, 0.10],
+          [0.12, 0.24, 0.01, 0.63], [0.0, 0.45, 0.24, 0.31]], 0.4, None),
+        ([[0.83, 0.0, 0.14, 0.03], [0.0, 0.01, 0.73, 0.26],
+          [0.05, 0.03, 0.12, 0.80], [0.08, 0.04, 0.41, 0.47]], 0.0, 2),
+    ], ids=["eps", "cost"])
+    def test_overlap_is_clipped_where_r_exceeds_w(self, rows, eps, cost,
+                                                  monkeypatch):
+        # The program caps zeta >= 0 rather than t = W - r >= 0, and these
+        # optima remove more than W holds from one entry; the overlap the
+        # witness is rebuilt from must still lie in [0, W].
+        rows = np.array(rows)
+        k, m = rows.shape
+        sol = solve_lp(ns_meta._reduced_program(rows, eps=eps, cost=cost))
+        assert (sol.x[:k * m].reshape(k, m) > rows + 0.01).any()
+        overlaps = []
+        rebuild = ns_meta._rebuild_rows
+
+        def capture(t, zeta):
+            overlaps.append(t)
+            return rebuild(t, zeta)
+
+        monkeypatch.setattr(ns_meta, "_rebuild_rows", capture)
+        value, w_tilde, zeta = ns_meta._solve_reduced_lp(
+            rows, "clip", eps=eps, cost=cost)
+        (t,) = overlaps
+        assert np.all(t >= 0.0) and np.all(t <= rows)
+        _assert_witness(rows, w_tilde, zeta,
+                        eps if cost is None else max(value, 0.0))
 
     def test_deviation_direction_has_one_ge_row(self):
         rows = ns_meta.bsc_channel(3, 0.11).rows
@@ -508,6 +539,26 @@ class TestSmoothingWitness:
             rhs = ns_meta.d_s_plus_channel(w, q, eps + delta) \
                 + math.log2(delta)
             assert lhs >= rhs - 1e-9
+
+    @pytest.mark.parametrize("name, detail", [
+        ("channel_d_max_smooth", "sandwich"),
+        ("smoothing_witness", "witness"),
+    ])
+    def test_selfcheck_sees_a_broken_relation(self, monkeypatch, name,
+                                              detail):
+        assert selfcheck.check_channel_smoothing(0)[0]
+        spectrum, witness = ns_meta.d_s_plus_channel, ns_meta.smoothing_witness
+        broken = {
+            # above log2(2^a + 1) <= a + 1, the upper end
+            "channel_d_max_smooth":
+                lambda w, q, eps: spectrum(w, q, eps) + 1.01,
+            # rows of mass 1.01
+            "smoothing_witness": lambda w, q, eps: (
+                1.01 * witness(w, q, eps)[0], *witness(w, q, eps)[1:]),
+        }[name]
+        monkeypatch.setattr(ns_meta, name, broken)
+        ok, got = selfcheck.check_channel_smoothing(0)
+        assert not ok and detail in got
 
 
 def _bsc_weights(n: int, delta: float):

@@ -21,9 +21,6 @@ SOURCES = ([p for p in sorted((ROOT / "src" / "channelsim").glob("*.py"))
 # give it one. The list only shrinks: a name that gains a route leaves it.
 AWAITING_ROUTE = {
     "achievability_size": "item 16",
-    "channel_d_max_smooth": "items 2 and 5",
-    "d_s_plus_channel": "items 2 and 5",
-    "smoothing_witness": "items 2 and 5",
 }
 
 
