@@ -518,7 +518,8 @@ def second_order_simulation(params: SecondOrderParams, n, eps: float):
 class ModerateRates:
     """First-order rates in the moderate-deviation regime eps_n = 2^(-n a_n^2).
 
-    The o(a_n) residual is excluded, recorded by the band marker.
+    The o(a_n) residual is excluded; the ``moderate`` command's output
+    records it with a "band: unquantified" marker.
     """
 
     a_n: float
@@ -527,7 +528,6 @@ class ModerateRates:
     simulation_at_complement: float
     coding_at_eps: float
     coding_at_complement: float
-    band: str = "unquantified"
 
 
 def moderate_deviation_rates(params: SecondOrderParams, n: int,

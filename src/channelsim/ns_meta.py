@@ -40,7 +40,7 @@ import numpy as np
 from .divergences import (_as_pmf_pair, _check_eps, _d_max_smooth_rows,
                           _d_s_plus_rows, _smooth_levels, d_max_smooth)
 from .lp import LpProblem, solve_lp
-from .prob import Dmc, _channel_rows, _check_count
+from .prob import Dmc, _channel_rows, _check_count, _lgamma_table
 
 
 def i_max(w) -> float:
@@ -56,11 +56,6 @@ class SmoothImax:
     value: float
     w_tilde: np.ndarray
     zeta: np.ndarray
-
-    @property
-    def reference(self) -> np.ndarray:
-        """The witness output pmf zeta normalized to unit mass."""
-        return self.zeta / self.zeta.sum()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -371,11 +366,6 @@ def smoothing_witness(w, q, eps: float):
 # Cells (blocklengths times weight classes) per block of the level sweep in
 # ``bsc_ns_log2_costs``. It bounds memory only and never changes an output.
 _LEVEL_CELLS = 1 << 13
-
-
-def _lgamma_table(n_max: int) -> np.ndarray:
-    """ln j! for j = 0..n_max."""
-    return np.array([math.lgamma(j + 1.0) for j in range(n_max + 1)])
 
 
 def _bsc_class_logs(lg: np.ndarray, ns: np.ndarray, delta: float):

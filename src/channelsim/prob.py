@@ -64,6 +64,13 @@ def _compositions(dim: int, total: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def _lgamma_table(n_max: int) -> np.ndarray:
+    """ln j! for j = 0..n_max, the log counts of every class: lg[L] minus
+    lg summed over a type's entries is the log multinomial coefficient."""
+    return np.fromiter(map(math.lgamma, range(1, n_max + 2)), np.float64,
+                       n_max + 1)
+
+
 def _check_mass(vec: np.ndarray, what: str) -> None:
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{what} must be a nonempty vector")
@@ -102,19 +109,6 @@ class Pmf:
         object.__setattr__(self, "probs", arr)
 
     @classmethod
-    def uniform(cls, n: int) -> "Pmf":
-        return cls(np.full(_check_count("size", n), 1.0 / n))
-
-    @classmethod
-    def point(cls, n: int, i: int) -> "Pmf":
-        n, i = _check_count("size", n), _check_count("index", i, least=0)
-        if i >= n:
-            raise ValueError(f"index must be below the size {n}, got {i}")
-        probs = np.zeros(n)
-        probs[i] = 1.0
-        return cls(probs)
-
-    @classmethod
     def normalized(cls, weights) -> "Pmf":
         """Build a pmf from nonnegative weights, rescaling to unit mass."""
         arr = np.asarray(weights, dtype=np.float64)
@@ -146,10 +140,6 @@ class Dmc:
         if not 0.0 <= delta <= 1.0:
             raise ValueError("crossover must lie in [0, 1]")
         return cls(np.array([[1.0 - delta, delta], [delta, 1.0 - delta]]))
-
-    @classmethod
-    def identity(cls, n: int) -> "Dmc":
-        return cls(np.eye(_check_count("size", n)))
 
     @property
     def input_size(self) -> int:

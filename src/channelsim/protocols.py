@@ -46,7 +46,7 @@ import numpy as np
 from .divergences import d_max, d_s_plus
 from .ns_meta import i_max_smooth
 from .prob import (BroadcastDmc, Pmf, _check_count, _compositions,
-                   channel_tvd, tvd)
+                   _lgamma_table, channel_tvd, tvd)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,24 +115,6 @@ class RngStream:
     def state_at(self, counter: int) -> int:
         """The pre-mix state of the word at a counter, taken mod 2^64."""
         return (self.key + (counter + 1) * _GOLDEN) & _MASK64
-
-    def words_at(self, index) -> np.ndarray:
-        """The words at the given counters, as a uint64 array of that shape.
-
-        Counters are taken mod 2^64; ``counter`` does not move.
-        """
-        z = np.array(index, dtype=np.uint64)
-        z *= _GOLDEN_U
-        z += np.uint64(self.state_at(0))
-        return _mix(z, np.empty_like(z))
-
-    def words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as a uint64 array."""
-        count = _check_count("word count", count, least=0)
-        index = np.arange(count, dtype=np.uint64)
-        index += np.uint64(self.counter & _MASK64)
-        self.counter += count
-        return self.words_at(index)
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
@@ -409,9 +391,8 @@ def _type_masses(probs: np.ndarray, length: int):
     share their rounding, and from the other letters where probs(a) = 0.
     """
     types = _compositions(probs.size, length)
-    log_fact = np.fromiter(map(math.lgamma, (types + 1.0).ravel().tolist()),
-                           np.float64, types.size).reshape(types.shape)
-    coef = math.lgamma(length + 1.0) - log_fact.sum(axis=1)
+    lg = _lgamma_table(length)
+    coef = lg[length] - lg[types].sum(axis=1)
     log_q = np.log(probs, out=np.full(probs.size, -np.inf), where=probs > 0)
     logs = np.multiply(types, log_q, out=np.zeros(types.shape),
                        where=types > 0)

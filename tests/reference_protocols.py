@@ -1,9 +1,12 @@
-"""String-enumeration references for the two-receiver protocol routes.
+"""Reference routes the tests check the protocols against.
 
 The library computes the convex-split TVD and the protocol-induced
-channel as sums over list types. These are the routes they replaced,
-which enumerate every list string and so stop at small list sizes; the
-tests check the type sums against them. Each keeps its own argument
+channel as sums over list types. The string enumerations here are the
+routes they replaced, which enumerate every list string and so stop at
+small list sizes; the tests check the type sums against them. The Monte
+Carlo runs address an RngStream's words by counter or carry states; the
+sequential word reader here draws the same words one array at a time,
+and the per-trial reference loops read it. Each keeps its own argument
 checks. Not collected as tests.
 """
 
@@ -12,7 +15,29 @@ import itertools
 import numpy as np
 
 from channelsim.prob import BroadcastDmc, Pmf, _check_count
-from channelsim.protocols import MAX_ATOMS
+from channelsim.protocols import (_GOLDEN_U, _MASK64, MAX_ATOMS, RngStream,
+                                  _mix)
+
+
+def words_at(stream: RngStream, index) -> np.ndarray:
+    """The words of ``stream`` at the given counters, as a uint64 array of
+    that shape.
+
+    Counters are taken mod 2^64; ``stream.counter`` does not move.
+    """
+    z = np.array(index, dtype=np.uint64)
+    z *= _GOLDEN_U
+    z += np.uint64(stream.state_at(0))
+    return _mix(z, np.empty_like(z))
+
+
+def words(stream: RngStream, count: int) -> np.ndarray:
+    """The next ``count`` words of ``stream`` as a uint64 array."""
+    count = _check_count("word count", count, least=0)
+    index = np.arange(count, dtype=np.uint64)
+    index += np.uint64(stream.counter & _MASK64)
+    stream.counter += count
+    return words_at(stream, index)
 
 
 def convex_split_mixture(joint_xyz: np.ndarray, q: np.ndarray,

@@ -16,7 +16,6 @@ KEPT = {
     "tilde_c_ba.tol",
     "rate_region.tol",
     "moderate_deviation_rates.a_n",
-    "ModerateRates.band",
 }
 
 

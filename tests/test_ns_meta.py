@@ -21,7 +21,7 @@ def _random_channel(rng, k, m, floor=0.0):
 
 class TestImax:
     def test_identity(self):
-        assert ns_meta.i_max(prob.Dmc.identity(4)) == pytest.approx(2.0)
+        assert ns_meta.i_max(prob.Dmc(np.eye(4))) == pytest.approx(2.0)
 
     def test_bsc(self):
         assert ns_meta.i_max(prob.Dmc.bsc(0.1)) == pytest.approx(
@@ -65,21 +65,17 @@ class TestImaxSmooth:
             assert got.zeta.sum() == pytest.approx(2.0 ** got.value,
                                                    rel=1e-9)
 
-    def test_reference_property(self):
-        got = ns_meta.i_max_smooth(prob.Dmc.bsc(0.1), 0.05)
-        assert got.reference.sum() == pytest.approx(1.0)
-
 
 class TestNsCost:
     def test_identity_needs_full_alphabet(self):
-        got = ns_meta.ns_cost(prob.Dmc.identity(3), 0.0)
+        got = ns_meta.ns_cost(prob.Dmc(np.eye(3)), 0.0)
         assert got.cost == 3
 
     def test_ceiling_snaps_near_integer(self):
         # eps = 0 on the identity gives exactly log2 k; the ceiling must
         # not round 2^(log2 k) = k up to k + 1 from float dust
         for k in (2, 3, 5, 8):
-            got = ns_meta.ns_cost(prob.Dmc.identity(k), 0.0)
+            got = ns_meta.ns_cost(prob.Dmc(np.eye(k)), 0.0)
             assert got.cost == k
 
     def test_cost_one_when_nearly_constant(self):
@@ -105,7 +101,7 @@ class TestNsEps:
             ns_meta.ns_eps_for_cost(w, 2.5)
 
     def test_identity_four_at_cost_two(self):
-        got = ns_meta.ns_eps_for_cost(prob.Dmc.identity(4), 2)
+        got = ns_meta.ns_eps_for_cost(prob.Dmc(np.eye(4)), 2)
         assert got.eps == pytest.approx(0.5, abs=1e-9)
 
     def test_inverse_consistency(self):

@@ -17,7 +17,12 @@ optimize = pytest.importorskip("scipy.optimize")
 
 
 def _full_program(rows, eps=None, cost=None):
-    """Blocks of the W~, zeta, mu (and gamma) program for linprog."""
+    """Blocks of the W~, zeta, mu (and gamma) program for linprog.
+
+    HiGHS runs without presolve: with it, the program of ``_SPARSE_ROWS``
+    at eps = 0 comes back "infeasible" from every HiGHS method, though
+    W~ = W, zeta = max_x W is always feasible.
+    """
     k, m = rows.shape
     km = k * m
     extra = cost is not None
@@ -45,14 +50,30 @@ def _full_program(rows, eps=None, cost=None):
         b_ub[2 * km:] = eps
         c[km:km + m] = 1.0
     res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                           bounds=(0.0, None), method="highs")
+                           bounds=(0.0, None), method="highs",
+                           options={"presolve": False})
     assert res.status == 0, res.message
     return float(res.fun)
 
 
+def _sparse_rows():
+    """Draw 241 of 300 Dirichlet(0.1) channels of 2-8 letters from seed 99:
+    5x8, with a smallest entry of 2.0e-20."""
+    rng = np.random.default_rng(99)
+    for _ in range(242):
+        k, m = (int(v) for v in rng.integers(2, 9, size=2))
+        rows = rng.dirichlet(np.full(m, 0.1), size=k)
+        rng.choice([0.0, 0.02, 0.1, 0.3, 0.6])
+    return rows
+
+
+_SPARSE_ROWS = _sparse_rows()
+
+
 def _cases():
     """Random channels up to 6x6 at Dirichlet concentration 0.7, then up
-    to 8x8 at 0.3 and 0.1, whose rows are far from uniform."""
+    to 8x8 at 0.3 and 0.1, whose rows are far from uniform, and the
+    sparse channel HiGHS's presolve called infeasible at eps = 0."""
     rng = np.random.default_rng(2024)
     cases = []
     for i in range(30):
@@ -70,6 +91,7 @@ def _cases():
             cost = int(rng.integers(2, max(k, m) + 2))
             cases.append(pytest.param(rows, eps, cost, alpha,
                                       id=f"a{alpha}-{i}-{k}x{m}"))
+    cases.append(pytest.param(_SPARSE_ROWS, 0.0, 3, 0.1, id="sparse-5x8"))
     return cases
 
 

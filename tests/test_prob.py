@@ -12,23 +12,6 @@ def _pmf_values(size):
 
 
 class TestPmf:
-    def test_uniform(self):
-        p = prob.Pmf.uniform(4)
-        assert np.allclose(p.probs, 0.25)
-        assert p.size == 4
-
-    def test_point(self):
-        p = prob.Pmf.point(3, 1)
-        assert p.probs.tolist() == [0.0, 1.0, 0.0]
-
-    def test_point_index_must_be_below_the_size(self):
-        # Index 5 of 3 letters once raised numpy's IndexError.
-        for i in (3, 5):
-            with pytest.raises(ValueError, match=f"index must be below the "
-                                                 f"size 3, got {i}"):
-                prob.Pmf.point(3, i)
-        assert prob.Pmf.point(3, 2).probs.tolist() == [0.0, 0.0, 1.0]
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             prob.Pmf(np.array([0.5, -0.1, 0.6]))
@@ -62,10 +45,6 @@ class TestDmc:
         w = prob.Dmc.bsc(0.1)
         assert np.allclose(w.rows, [[0.9, 0.1], [0.1, 0.9]])
 
-    def test_identity(self):
-        w = prob.Dmc.identity(3)
-        assert np.array_equal(w.rows, np.eye(3))
-
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
             prob.Dmc(rows=np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -90,7 +69,7 @@ class TestTvd:
         assert prob.tvd(p, q) == 1.0
 
     def test_identical(self):
-        p = prob.Pmf.uniform(5)
+        p = prob.Pmf(np.full(5, 1 / 5))
         assert prob.tvd(p, p) == 0.0
 
     @given(_pmf_values(4), _pmf_values(4))

@@ -62,7 +62,7 @@ def _scalar_rejection(plan, stream, trials):
     acc = np.zeros(plan.m, dtype=np.int64)
     rejects = 0
     for _ in range(trials):
-        u = [_uniform(word) for word in stream.words(2 * plan.m)]
+        u = [_uniform(word) for word in ref.words(stream, 2 * plan.m)]
         for j in range(plan.m):
             y = _scalar_pick(cum, u[2 * j])
             if u[2 * j + 1] <= plan.accept[y]:
@@ -114,7 +114,7 @@ def _scalar_broadcast(w, q, r, m, n, stream, trials):
     counts = np.zeros((w.input_size, sy * sz), dtype=np.int64)
     for _ in range(trials):
         u = [_uniform(word)
-             for word in stream.words(m + n + w.input_size)]
+             for word in ref.words(stream, m + n + w.input_size)]
         ys = [_scalar_pick(cum_q, v) for v in u[:m]]
         zs = [_scalar_pick(cum_r, v) for v in u[m:m + n]]
         inv_qy = 1.0 / q.probs[ys]
@@ -138,7 +138,7 @@ class TestRngStream:
                 9817491932198370423]
         s = protocols.RngStream(0)
         s.key = 1234567
-        assert s.words(3).tolist() == want
+        assert ref.words(s, 3).tolist() == want
         chain, state = [], 1234567
         for _ in range(3):
             chain.append(protocols._splitmix(state))
@@ -148,7 +148,7 @@ class TestRngStream:
     def test_words_wrap_like_exact_integers(self):
         s = protocols.RngStream(2024)
         s.counter = (1 << 40) + 3
-        got = s.words(4).tolist()
+        got = ref.words(s, 4).tolist()
         want = [protocols._splitmix((s.key + i * protocols._GOLDEN)
                                     % (1 << 64))
                 for i in range((1 << 40) + 3, (1 << 40) + 7)]
@@ -158,17 +158,18 @@ class TestRngStream:
     def test_words_are_addressed_by_counter(self):
         a = protocols.RngStream(6)
         b = protocols.RngStream(6)
-        joined = np.concatenate([a.words(5), a.words(1), a.words(11)])
-        assert np.array_equal(joined, b.words(17))
+        joined = np.concatenate([ref.words(a, 5), ref.words(a, 1),
+                                 ref.words(a, 11)])
+        assert np.array_equal(joined, ref.words(b, 17))
         assert a.counter == b.counter == 17
 
     def test_words_at_known_answers(self):
         s = protocols.RngStream(2025)
         s.counter = 9
         at = [0, 5, 3, (1 << 40) + 3, (1 << 64) - 1, 17, (1 << 63) + 11, 5]
-        got = s.words_at(np.array(at, dtype=np.uint64))
+        got = ref.words_at(s, np.array(at, dtype=np.uint64))
         assert got.tolist() == [_exact_word(s.key, c) for c in at]
-        grid = s.words_at(np.array(at, dtype=np.uint64).reshape(2, 4))
+        grid = ref.words_at(s, np.array(at, dtype=np.uint64).reshape(2, 4))
         assert grid.shape == (2, 4)
         assert grid.reshape(-1).tolist() == got.tolist()
         assert s.counter == 9
@@ -176,69 +177,70 @@ class TestRngStream:
     def test_words_wrap_past_the_last_counter(self):
         s = protocols.RngStream(77)
         s.counter = (1 << 64) - 2
-        got = s.words(4).tolist()
+        got = ref.words(s, 4).tolist()
         assert got == [_exact_word(s.key, c)
                        for c in range((1 << 64) - 2, (1 << 64) + 2)]
         assert s.counter == (1 << 64) + 2
 
     def test_negative_count_rejected(self):
         s = protocols.RngStream(4)
-        s.words(5)
+        ref.words(s, 5)
         with pytest.raises(ValueError):
-            s.words(-3)
+            ref.words(s, -3)
         assert s.counter == 5
-        assert s.words(0).size == 0
+        assert ref.words(s, 0).size == 0
         assert s.counter == 5
-        assert s.words(2).tolist() == [_exact_word(s.key, 5),
+        assert ref.words(s, 2).tolist() == [_exact_word(s.key, 5),
                                        _exact_word(s.key, 6)]
 
     def test_reproducible_from_seed(self):
         a = protocols.RngStream(1234)
         b = protocols.RngStream(1234)
-        assert a.words(20).tolist() == b.words(20).tolist()
-        assert a.words(1).tolist() == b.words(1).tolist()
+        assert ref.words(a, 20).tolist() == ref.words(b, 20).tolist()
+        assert ref.words(a, 1).tolist() == ref.words(b, 1).tolist()
 
     def test_nearby_seeds_decorrelate(self):
         a = protocols.RngStream(7)
         b = protocols.RngStream(8)
-        assert a.words(4).tolist() != b.words(4).tolist()
+        assert ref.words(a, 4).tolist() != ref.words(b, 4).tolist()
 
     def test_seed_wraps_at_64_bits(self):
         a = protocols.RngStream(5)
         b = protocols.RngStream((1 << 64) + 5)
-        assert a.words(1).tolist() == b.words(1).tolist()
+        assert ref.words(a, 1).tolist() == ref.words(b, 1).tolist()
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, True, -1, "2", None])
     def test_seed_must_be_a_count(self, seed):
         # 2.5 once drew seed 2's words.
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             protocols.RngStream(seed)
-        assert (protocols.RngStream(np.int64(2)).words(3).tolist()
-                == protocols.RngStream(2).words(3).tolist())
+        assert (ref.words(protocols.RngStream(np.int64(2)), 3).tolist()
+                == ref.words(protocols.RngStream(2), 3).tolist())
 
     def test_counter_tracks_draws(self):
         s = protocols.RngStream(0)
-        s.words(1)
-        s.words(2)
+        ref.words(s, 1)
+        ref.words(s, 2)
         assert s.counter == 3
 
     def test_uniform_range(self):
         s = protocols.RngStream(99)
-        draws = protocols._to_uniform(s.words(2000))
+        draws = protocols._to_uniform(ref.words(s, 2000))
         assert np.all((draws >= 0.0) & (draws < 1.0))
         assert 0.4 < draws.mean() < 0.6
 
     def test_pick_frequencies(self):
         s = protocols.RngStream(3)
         cum = np.array([0.25, 0.5, 1.0])
-        picks = protocols._pick(cum, protocols._to_uniform(s.words(20000)))
+        picks = protocols._pick(cum,
+                                protocols._to_uniform(ref.words(s, 20000)))
         counts = np.bincount(picks, minlength=3)
         assert counts / 20000 == pytest.approx([0.25, 0.25, 0.5], abs=0.02)
 
     def test_pick_clamps_rounded_cumulative(self):
         s = protocols.RngStream(11)
         cum = np.array([0.3, 1.0 - 1e-13])
-        picks = protocols._pick(cum, protocols._to_uniform(s.words(1000)))
+        picks = protocols._pick(cum, protocols._to_uniform(ref.words(s, 1000)))
         assert set(picks.tolist()) <= {0, 1}
 
     def test_pick_clamps_past_last_entry(self):
@@ -469,8 +471,9 @@ class TestRejectionRun:
         band = 3.0 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * trials))
         assert tvd(run.empirical, marginal) <= band
 
-    def test_worker_count_does_not_change_output(self):
-        # Two runs from one seed give the same output.
+    def test_multi_block_run_reproduces_bit_for_bit(self):
+        # Two runs from one seed give the same output; 70,000 trials span
+        # about 9 blocks of 2 * _BLOCK_WORDS trials.
         rng = np.random.default_rng(25)
         plan = _random_plan(rng, 3, 2)
         trials = 70000
@@ -583,7 +586,7 @@ class TestLazyRejection:
             assert stream.counter == base + trials * 2 * plan.m
             tail = protocols.RngStream(90 + case)
             tail.counter = stream.counter
-            assert np.array_equal(stream.words(3), tail.words(3))
+            assert np.array_equal(ref.words(stream, 3), ref.words(tail, 3))
 
     def test_lambda_one_accepts_in_round_one(self):
         p = Pmf([0.2, 0.5, 0.3])
@@ -653,7 +656,7 @@ class TestLazyRejection:
 
 class TestAchievabilitySize:
     def test_identity_two(self):
-        m, bound = protocols.achievability_size(prob.Dmc.identity(2),
+        m, bound = protocols.achievability_size(prob.Dmc(np.eye(2)),
                                                 0.5, 0.25)
         assert m == 2
         assert bound == pytest.approx(math.log2(1.5) + 2.0, abs=1e-9)
@@ -692,6 +695,47 @@ class TestAchievabilitySize:
             protocols.achievability_size(w, 0.2, 0.3)
         with pytest.raises(ValueError):
             protocols.achievability_size(w, 1.0, 0.5)
+
+
+def _type_masses_per_entry(probs, length):
+    """_type_masses with math.lgamma mapped over every entry of every
+    type, the form the shared log-factorial table replaced."""
+    types = prob._compositions(probs.size, length)
+    log_fact = np.fromiter(map(math.lgamma, (types + 1.0).ravel().tolist()),
+                           np.float64, types.size).reshape(types.shape)
+    coef = math.lgamma(length + 1.0) - log_fact.sum(axis=1)
+    log_q = np.log(probs, out=np.full(probs.size, -np.inf), where=probs > 0)
+    logs = np.multiply(types, log_q, out=np.zeros(types.shape),
+                       where=types > 0)
+    mass = np.exp(coef + logs.sum(axis=1))
+    planted = np.divide(mass[:, None] * types, length * probs,
+                        out=np.zeros(types.shape), where=probs > 0.0)
+    for a in np.flatnonzero(probs == 0.0):
+        once = types[:, a] == 1
+        rest = np.delete(logs[once], a, axis=1).sum(axis=1)
+        planted[once, a] = np.exp(coef[once] + rest) / length
+    return types, mass, planted
+
+
+class TestTypeMasses:
+    @pytest.mark.parametrize("probs, length", [
+        ([0.3, 0.7], 3), ([0.3, 0.7], 1000), ([0.3, 0.7], 200000),
+        ([0.2, 0.3, 0.5], 700), ([0.25, 0.0, 0.75], 60),
+        ([0.1, 0.2, 0.3, 0.4], 120)])
+    def test_table_matches_per_entry_lgamma_bit_for_bit(self, probs,
+                                                         length):
+        probs = np.array(probs)
+        got = protocols._type_masses(probs, length)
+        want = _type_masses_per_entry(probs, length)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_table_is_lgamma_of_the_successor(self):
+        lg = prob._lgamma_table(300)
+        assert lg.shape == (301,)
+        assert [float(v) for v in lg] == [math.lgamma(j + 1.0)
+                                          for j in range(301)]
 
 
 class TestConvexSplit:
@@ -1076,7 +1120,8 @@ class TestInducedChannelRoutes:
         # A 3-letter q once gave a channel built from its first two
         # entries; a 1-letter one an IndexError.
         w = BroadcastDmc(rows=np.full((2, 4), 0.25), output_sizes=(2, 2))
-        q, r = Pmf.uniform(q_size), Pmf.uniform(r_size)
+        q = Pmf(np.full(q_size, 1 / q_size))
+        r = Pmf(np.full(r_size, 1 / r_size))
         for call in (protocols.induced_channel_types,
                      protocols.induced_channel_scatter):
             with pytest.raises(ValueError, match="reference sizes"):
@@ -1114,8 +1159,9 @@ class TestBroadcastRun:
         gap = channel_tvd(run.empirical, run.exact)
         assert gap <= 3.0 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * trials))
 
-    def test_worker_count_does_not_change_output(self):
-        # Two runs from one seed give the same output.
+    def test_multi_block_run_reproduces_bit_for_bit(self):
+        # Two runs from one seed give the same output; 70,000 trials of
+        # M + N = 4 list picks span about 69 blocks of _BLOCK_WORDS words.
         w = BroadcastDmc(rows=[[0.5, 0.2, 0.2, 0.1],
                                [0.1, 0.3, 0.3, 0.3]], output_sizes=(2, 2))
         q = Pmf([0.6, 0.4])
