@@ -53,7 +53,10 @@ def _compositions(dim: int, total: int) -> np.ndarray:
     strings of ``total`` letters), as integer rows in lexicographic order.
 
     Stars and bars: the dim - 1 dividers among total + dim - 1 slots, in
-    lexicographic order, cut the stars into the parts."""
+    lexicographic order, cut the stars into the parts. One part has the
+    one composition, built without a slot range as long as ``total``."""
+    if dim == 1:
+        return np.array([[total]], dtype=np.int64)
     count = math.comb(total + dim - 1, dim - 1)
     cuts = np.fromiter(
         itertools.chain.from_iterable(

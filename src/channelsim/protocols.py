@@ -391,8 +391,12 @@ def _type_masses(probs: np.ndarray, length: int):
     share their rounding, and from the other letters where probs(a) = 0.
     """
     types = _compositions(probs.size, length)
-    lg = _lgamma_table(length)
-    coef = lg[length] - lg[types].sum(axis=1)
+    if probs.size == 1:
+        # One type, of coefficient 1: no ln j! table up to length.
+        coef = np.zeros(1)
+    else:
+        lg = _lgamma_table(length)
+        coef = lg[length] - lg[types].sum(axis=1)
     log_q = np.log(probs, out=np.full(probs.size, -np.inf), where=probs > 0)
     logs = np.multiply(types, log_q, out=np.zeros(types.shape),
                        where=types > 0)
@@ -460,7 +464,15 @@ def convex_split_check(joint, q: Pmf, r: Pmf, m: int, n: int,
 
 
 def _string_atoms(size: int, length: int) -> np.ndarray:
-    """All strings of the given length as digit rows, shape (size^len, len)."""
+    """All strings of the given length as digit rows, shape (size^len, len).
+
+    A list longer than 20 entries is rejected before anything is built:
+    at two letters or more it is over the cap, and a one-letter list,
+    which counts once, would need a shape as long as itself (numpy stops
+    at 64 dimensions); the type routes serve those."""
+    if length >= MAX_ATOMS.bit_length():
+        raise ValueError(f"state space exceeds the enumeration cap "
+                         f"{MAX_ATOMS}")
     # np.indices counts in lexicographic order: last digit fastest.
     return np.indices((size,) * length, dtype=np.intp).reshape(length, -1).T
 

@@ -547,7 +547,8 @@ class TestNormalQuantile:
     @pytest.mark.parametrize("eps", [
         1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-13, 1e-10, 1e-8, 1e-4,
         0.01, 0.05, 0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-9, 0.7, 0.95,
-        1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+        1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 2.2250738585072014e-308,
+        1e-250, 1e-150, 0.25, 0.75, 1.0 - 2.0 ** -53])
     def test_matches_mpmath(self, eps):
         # The quantile of the double eps itself, from a 40-digit root of
         # log Phi(x) = log eps (or of the upper tail above 1/2, which is

@@ -173,7 +173,7 @@ class TestExitCodes:
                    "factor_sizes": [2, 1, 2],
                    "q": [1.0], "r": [0.55, 0.45], "m": 26, "n": 1,
                    "eps_params": [0.05, 0.05, 0.05, 0.1, 0.1, 0.1]}
-        for m, n in ((26, 1), (24, 1), (13, 13), (200, 300)):
+        for m, n in ((26, 1), (24, 1), (13, 13), (200, 300), (10 ** 6, 1)):
             payload["m"], payload["n"] = m, n
             inst = _write(tmp_path / "cs.json", payload)
             code, out, _ = _run(capsys, ["convex-split-check",

@@ -1,6 +1,7 @@
 """Protocol executables: rng streams, rejection runs, splits, broadcast."""
 
 import bisect
+import functools
 import itertools
 import math
 import time
@@ -721,7 +722,7 @@ class TestTypeMasses:
     @pytest.mark.parametrize("probs, length", [
         ([0.3, 0.7], 3), ([0.3, 0.7], 1000), ([0.3, 0.7], 200000),
         ([0.2, 0.3, 0.5], 700), ([0.25, 0.0, 0.75], 60),
-        ([0.1, 0.2, 0.3, 0.4], 120)])
+        ([0.1, 0.2, 0.3, 0.4], 120), ([1.0], 1), ([1.0], 1000)])
     def test_table_matches_per_entry_lgamma_bit_for_bit(self, probs,
                                                          length):
         probs = np.array(probs)
@@ -839,6 +840,28 @@ class TestConvexSplit:
             assert peak < 1 << 16
         rep = protocols.convex_split_check(joint, half, half, 723, 723, pars)
         assert rep.tvd <= 1e-14
+
+    def test_one_letter_factor_costs_one_type(self):
+        # A one-letter Y list is the same at every length, so the mixture,
+        # and with it the distance, is that of m = 1; the types, masses
+        # and log-factorials once scaled with m.
+        cube = np.array([0.1, 0.25, 0.4, 0.25]).reshape(2, 1, 2)
+        joint = prob.JointPmf(probs=cube.reshape(-1), factor_sizes=(2, 1, 2))
+        q, r = Pmf([1.0]), Pmf([0.35, 0.65])
+        pars = (0.05, 0.05, 0.05, 0.1, 0.1, 0.1)
+        want = protocols.convex_split_check(joint, q, r, 1, 2, pars)
+        assert want.tvd > 0.01
+        start = time.perf_counter()
+        got = protocols.convex_split_check(joint, q, r, 10 ** 6, 2, pars)
+        assert time.perf_counter() - start < 0.02
+        assert abs(got.tvd - want.tvd) <= 1e-14
+        tracemalloc.start()
+        try:
+            protocols.convex_split_check(joint, q, r, 10 ** 6, 2, pars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_list_copies_limit(self):
         # The einsum mixture took one letter per list copy and stopped at
@@ -1089,6 +1112,46 @@ class TestInducedChannelRoutes:
         with pytest.raises(ValueError, match="enumeration cap"):
             protocols.broadcast_protocol_run(w, half, half, 10, 10,
                                              protocols.RngStream(0), 10)
+
+    def test_one_letter_factor_costs_one_type(self):
+        # The induced channel does not depend on the length of a one-letter
+        # list; at m = 10^6 it once took 1.7 s and a 38 MiB peak.
+        w = BroadcastDmc(rows=[[0.3, 0.7], [0.6, 0.4], [0.05, 0.95]],
+                         output_sizes=(1, 2))
+        q, r = Pmf([1.0]), Pmf([0.4, 0.6])
+        want = protocols.induced_channel_types(w, q, r, 1, 3)
+        start = time.perf_counter()
+        got = protocols.induced_channel_types(w, q, r, 10 ** 6, 3)
+        assert time.perf_counter() - start < 0.02
+        assert np.abs(got - want).max() <= 1e-14
+        tracemalloc.start()
+        try:
+            protocols.induced_channel_types(w, q, r, 10 ** 6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_letter_string_lists_stop_at_the_cap(self):
+        # A one-letter list counts once against the cap, but its strings
+        # take one dimension per entry: at 64 entries numpy's dimension
+        # limit stopped the scatter. Lists past 20 entries, the longest a
+        # two-letter list can be, are rejected before anything is built.
+        w = BroadcastDmc(rows=[[0.3, 0.7], [0.6, 0.4]], output_sizes=(1, 2))
+        q, r = Pmf([1.0]), Pmf([0.4, 0.6])
+        run = functools.partial(protocols.broadcast_protocol_run,
+                                stream=protocols.RngStream(0), trials=10)
+        for call in (protocols.induced_channel_scatter, run):
+            assert call(w, q, r, 20, 2) is not None
+            for m in (21, 64):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match="enumeration cap"):
+                        call(w, q, r, m, 2)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 16
 
     def test_string_cap_builds_no_huge_count(self):
         # 3^(10^7) as an exact integer took seconds to build and compare.
