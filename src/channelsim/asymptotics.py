@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf, _channel_rows, _check_count
+from .prob import Pmf, _channel_rows, _check_count, _check_counts
 
 _LN2 = math.log(2.0)
 
@@ -391,9 +391,12 @@ def dispersion(w) -> SecondOrderParams:
     {p >= 0 on X*, p W = q^} the dispersion is the conditional information
     variance sum_x p_x Var_{W_x}[log2 W_x / q^], which is linear in p
     (Polyanskiy, Poor and Verdu, 2010), so v_min and v_max are two small
-    linear programs. Any number of inputs works. Raises ArithmeticError
-    if the ascent reaches its 100,000-step cap with the gap above 1e-12,
-    or if a face program fails.
+    linear programs. When the face rows are linearly independent (their
+    Gram matrix has a pivot in every column under ``_eliminate``), p W =
+    q^ has the one solution p^, so the face is that point and both
+    extremes are its variance, with no LP. Any number of inputs works.
+    Raises ArithmeticError if the ascent reaches its 100,000-step cap with
+    the gap above 1e-12, or if a face program fails.
     """
     rows = _channel_rows(w)
     rows, out_sizes = _drop_dead_letters(rows, (rows.shape[1],))
@@ -405,18 +408,26 @@ def dispersion(w) -> SecondOrderParams:
     live = q_hat > 0.0
     w_face, q_hat = rows[face][:, live], q_hat[live]
     v = np.array([var_div(row, q_hat) for row in w_face])
+    gram = (w_face @ w_face.T).tolist()
+    if _eliminate([row + [0.0] for row in gram])[0] is not None:
+        points = [p_hat]
+    else:
+        points = []
+        for sign in (1.0, -1.0):
+            sol = solve_lp(LpProblem(c=sign * v, a=w_face.T, b=q_hat,
+                                     senses=("=",) * q_hat.size))
+            if sol.status != "optimal":
+                raise ArithmeticError(
+                    f"dispersion face LP status {sol.status}")
+            points.append(sol.x / sol.x.sum())
+    v_min, v_max = float(v @ points[0]), float(v @ points[-1])
     extremes = []
-    for sign in (1.0, -1.0):
-        sol = solve_lp(LpProblem(c=sign * v, a=w_face.T, b=q_hat,
-                                 senses=("=",) * q_hat.size))
-        if sol.status != "optimal":
-            raise ArithmeticError(f"dispersion face LP status {sol.status}")
+    for x in points:
         full = np.zeros(kx)
-        full[face] = sol.x / sol.x.sum()
+        full[face] = x
         extremes.append(full)
-    v_min, v_max = (float(v @ x[face]) for x in extremes)
-    if np.max(np.abs(extremes[0] - extremes[1])) <= 1e-9:
-        extremes.pop()
+    if np.max(np.abs(extremes[0] - extremes[-1])) <= 1e-9:
+        extremes = extremes[:1]
     return SecondOrderParams(
         capacity=float(p @ d),
         v_min=v_min,
@@ -461,9 +472,7 @@ def _expansion(params: SecondOrderParams, n, eps: float, level: float,
                sign: float):
     """n C + sqrt(n v) sign Phi^-1(eps), with v = v_min below level 1/2 and
     v_max from it, for one blocklength or an array solving Phi^-1 once."""
-    ns = np.asarray(n)
-    for k in ns.ravel().tolist():
-        _check_count("blocklength", k)
+    ns = _check_counts("blocklength", n)
     _check_open_eps(eps)
     v = params.v_min if level < 0.5 else params.v_max
     quantile = sign * inv_normal_cdf(eps)

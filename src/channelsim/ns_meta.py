@@ -11,10 +11,13 @@ to W at most eps. Both directions of the tradeoff are exposed: minimal cost
 at fixed eps, and minimal eps at fixed integer cost. Both are solved as one
 reduced LP over the overlap t = min(W, W~) and zeta alone, written in the
 mass removed from W and from the column peaks M_y = max_x W(y|x):
-r = W - t and s = M - zeta (see ``_reduced_program``). W itself is
-feasible, so r = s = 0 is a basic feasible start and the simplex skips
-phase 1 in the cost direction. The substitute channel is rebuilt from t
-afterwards.
+r = W - t and s = M - zeta (see ``_reduced_program``). The program keeps
+only the cells that can bind: each column's peak cell is substituted
+(r = s_y) and the cells whose gap M_y - W(y|x) exceeds the bound on s_y
+are dropped, both with the full program's optimum. W itself is feasible,
+so r = s = 0 is a basic feasible start and the simplex skips phase 1 in
+the cost direction; at an integer cost of at least sum M, zeta = M fits
+and no LP is built. The substitute channel is rebuilt from t afterwards.
 On a symmetric channel, one whose rows are permutations of one another and
 whose columns are too (Cover and Thomas, section 7.2), a flat zeta is
 optimal and both directions are closed forms of row 0 alone, with no LP
@@ -40,7 +43,8 @@ import numpy as np
 from .divergences import (_as_pmf_pair, _check_eps, _d_max_smooth_rows,
                           _d_s_plus_rows, _smooth_levels, d_max_smooth)
 from .lp import LpProblem, solve_lp
-from .prob import Dmc, _channel_rows, _check_count, _lgamma_table
+from .prob import (Dmc, _channel_rows, _check_count, _check_counts,
+                   _lgamma_table)
 
 
 def i_max(w) -> float:
@@ -84,6 +88,28 @@ def _clean_rows(raw: np.ndarray) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _program_cells(rows: np.ndarray, eps: float = 0.0,
+                   cost: int | None = None):
+    """The cells ``_reduced_program`` keeps: (M, peak rows, kept mask).
+
+    Column y's peak row x*(y) is the first x with W(y|x) = M_y. Every
+    other cell is kept when its gap M_y - W(y|x) is at most the bound on
+    s_y at an optimum: eps, or at a cost c the worst row deviation
+    gamma_0 = max_x sum_y (W(y|x) - zeta0_y)+ of the feasible point
+    zeta0 = M c / sum M.
+    """
+    peak = rows.max(axis=0)
+    top = rows.argmax(axis=0)
+    if cost is None:
+        bound = eps
+    else:
+        bound = np.maximum(rows - peak * (cost / peak.sum()), 0.0).sum(
+            axis=1).max()
+    keep = peak - rows <= bound
+    keep[top, np.arange(rows.shape[1])] = False
+    return peak, top, keep
+
+
 def _reduced_program(rows: np.ndarray, eps: float = 0.0,
                      cost: int | None = None) -> LpProblem:
     """The max-information LP in removed-mass variables r and s.
@@ -92,7 +118,7 @@ def _reduced_program(rows: np.ndarray, eps: float = 0.0,
     t_xy = min(W(y|x), W~(y|x)) of mass at least 1 - eps, so the program
     needs only t (k x m) and the weights zeta (m). It is written in the
     mass removed from W and from the column peaks M_y = max_x W(y|x):
-    r = W - t (flat) and s = M - zeta, so that
+    r = W - t and s = M - zeta, so that
 
         maximize sum s  s.t.  r >= 0,  0 <= s <= M,
                               s_y - r_xy <= M_y - W(y|x),
@@ -105,39 +131,66 @@ def _reduced_program(rows: np.ndarray, eps: float = 0.0,
     s_y <= M_y - W(y|x) + r_xy <= M_y, and conversely min(r, W) with the
     same s is feasible, since where r_xy > W(y|x) its row reads s <= M
     and every row sum only falls. An optimal r may still exceed W, so t
-    is read as max(W - r, 0). Every right-hand side is non-negative, so
-    r = s = 0, that is t = W and zeta = M, is the all-slack basis and the
-    simplex starts in phase 2. The last row lets every row be refilled
-    to mass one under zeta (see ``_rebuild_rows``). With an integer cost
-    the program instead gains a last variable gamma: minimize gamma with
-    the same caps, sum_y r_xy <= gamma and sum zeta <= cost, written
+    is read as max(W - r, 0). With an integer cost the program instead
+    gains a last variable gamma: minimize gamma with the same caps,
+    sum_y r_xy <= gamma and sum zeta <= cost, written
     sum s >= sum M - cost, the only row that may need an artificial.
-    The k m + k + m + 1 rows come in that order.
+
+    Two reductions, both exact, shrink it to the cells that can bind
+    (``_program_cells``):
+
+    - Peak cells are substituted. In column y's peak row x*(y) the cell's
+      row reads r >= s_y, and that r appears elsewhere only in the budget
+      row of x*, where it only uses budget up; so r = s_y loses nothing.
+      Its variable and row go, and s_y enters the budget row of x*
+      directly. Other rows tied at the peak stay as cells with gap 0.
+    - Cells that cannot bind are dropped. The budget row of x*(y) now
+      gives s_y <= eps, or in the cost form s_y <= gamma* <= gamma_0,
+      the deviation of the feasible point zeta0 = M c / sum M. A cell
+      whose gap exceeds that bound keeps r = 0 at every optimum: its
+      variable and its row go, and so does the budget row of an input
+      left with no cell. Setting a dropped r to 0 maps every feasible
+      point of the full program to one of the small program with the
+      same objective; an optimum of the small program, with its dropped
+      r at 0, meets every dropped row; so both have the same optimum.
+
+    Every right-hand side of the eps form stays non-negative, so r = s = 0,
+    that is t = W and zeta = M, is the all-slack basis and the simplex
+    starts in phase 2. The last row lets every row be refilled to mass one
+    under zeta (see ``_rebuild_rows``). The variables are the kept cells'
+    r in row-major order, then s, then gamma; the rows are the kept cells,
+    the budget rows of the inputs that keep one (ascending), the caps
+    s <= M and the last row.
     """
-    k, m = rows.shape
-    km = k * m
-    peak = rows.max(axis=0)
-    nv = km + m + (cost is not None)
-    a = np.zeros((km + k + m + 1, nv))
-    a[:km, :km] = -np.eye(km)
-    a[:km, km:km + m] = np.tile(np.eye(m), (k, 1))
-    a[km:km + k, :km] = np.kron(np.eye(k), np.ones(m))
-    a[km + k:, km:km + m] = np.vstack([np.eye(m), np.ones(m)])
-    c = np.zeros(nv)
-    gaps = (peak[None, :] - rows).ravel()
+    peak, top, keep = _program_cells(rows, eps=eps, cost=cost)
+    m = rows.shape[1]
+    cell_x, cell_y = keep.nonzero()
+    nk = cell_x.size
+    inputs = np.union1d(cell_x, top)
+    nb = inputs.size
+    cells, outs = np.arange(nk), np.arange(m)
+    a = np.zeros((nk + nb + m + 1, nk + m + (cost is not None)))
+    a[cells, cells] = -1.0
+    a[cells, nk + cell_y] = 1.0
+    a[nk + np.searchsorted(inputs, cell_x), cells] = 1.0
+    a[nk + np.searchsorted(inputs, top), nk + outs] = 1.0
+    a[nk + nb + outs, nk + outs] = 1.0
+    a[-1, nk:nk + m] = 1.0
+    c = np.zeros(a.shape[1])
+    gaps = (peak - rows)[keep]
     if cost is None:
-        c[km:] = -1.0
+        c[nk:] = -1.0
         # sum M >= 1 holds exactly; only its rounding can dip below.
-        b = np.concatenate([gaps, np.full(k, eps), peak,
+        b = np.concatenate([gaps, np.full(nb, eps), peak,
                             [max(peak.sum() - 1.0, 0.0)]])
         last = "<="
     else:
-        a[km:km + k, -1] = -1.0
+        a[nk:nk + nb, -1] = -1.0
         c[-1] = 1.0
-        b = np.concatenate([gaps, np.zeros(k), peak, [peak.sum() - cost]])
+        b = np.concatenate([gaps, np.zeros(nb), peak, [peak.sum() - cost]])
         last = ">="
     return LpProblem(c=c, a=a, b=b,
-                     senses=("<=",) * (km + k + m) + (last,))
+                     senses=("<=",) * (nk + nb + m) + (last,))
 
 
 def _is_symmetric(rows: np.ndarray) -> bool:
@@ -197,22 +250,33 @@ def _solve_reduced_lp(rows: np.ndarray, what: str, eps: float = 0.0,
                       cost: int | None = None):
     """``_solve_reduced`` by the simplex, for any channel.
 
-    Maps back t = max(W - r, 0) (``_reduced_program`` caps zeta, not t)
-    and zeta = M - s. At a fixed cost, zeta is then raised evenly until
-    it sums to the cost, which keeps every t <= zeta.
+    Maps back zeta = M - s and t = max(W - r, 0) (``_reduced_program``
+    caps zeta, not t), with r = s_y on column y's peak cell and r = 0 on
+    the cells the program drops. At a fixed cost, zeta is then raised
+    evenly until it sums to the cost, which keeps every t <= zeta. A cost
+    of at least sum M needs no LP: zeta = M is feasible there, so the
+    deviation is 0 and t = W, the program's optimum at its starting basis.
     """
+    k, m = rows.shape
+    peak, top, keep = _program_cells(rows, eps=eps, cost=cost)
+    if cost is not None and peak.sum() - cost <= 0.0:
+        zeta = peak + (cost - peak.sum()) / m
+        return 0.0, _rebuild_rows(rows, zeta), zeta
     sol = solve_lp(_reduced_program(rows, eps=eps, cost=cost))
     if sol.status != "optimal":
         raise ArithmeticError(f"{what} LP status {sol.status}")
-    k, m = rows.shape
-    t = np.maximum(rows - sol.x[:k * m].reshape(k, m), 0.0)
-    zeta = rows.max(axis=0) - sol.x[k * m:k * m + m]
+    nk = np.count_nonzero(keep)
+    s = sol.x[nk:nk + m]
+    r = np.zeros((k, m))
+    r[keep] = sol.x[:nk]
+    r[top, np.arange(m)] = s
+    zeta = peak - s
     if cost is None:
         value = float(math.log2(zeta.sum()))
     else:
         zeta += max(cost - zeta.sum(), 0.0) / m
         value = sol.value
-    return value, _rebuild_rows(t, zeta), zeta
+    return value, _rebuild_rows(np.maximum(rows - r, 0.0), zeta), zeta
 
 
 def _rebuild_rows(t: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -236,12 +300,14 @@ def i_max_smooth(w, eps: float) -> SmoothImax:
     overlaps 0 <= t <= W with t_xy <= zeta_y, sum_y t_xy >= 1 - eps per row
     and sum zeta >= 1, posed as maximize sum s over the removed masses
     r = W - t and s = M - zeta, with m rows s <= M for the k m caps t >= 0
-    (so t = max(W - r, 0)). Every right-hand side is non-negative, so the
-    simplex starts from t = W, zeta = M and runs no phase 1. On a
-    symmetric channel no LP is built: averaging the rows and Jensen over
-    the shared column multiset make a flat zeta optimal, so the value is
-    ``d_max_smooth(eps, W(.|0), uniform)`` (proof at ``_solve_reduced``).
-    The substitute channel W~ is rebuilt from t.
+    (so t = max(W - r, 0)). It keeps a row and a variable only for the
+    cells off each column's peak whose gap M_y - W(y|x) is at most eps;
+    the peak cell's r is s_y itself. Every right-hand side is
+    non-negative, so the simplex starts from t = W, zeta = M and runs no
+    phase 1. On a symmetric channel no LP is built: averaging the rows and
+    Jensen over the shared column multiset make a flat zeta optimal, so
+    the value is ``d_max_smooth(eps, W(.|0), uniform)`` (proof at
+    ``_solve_reduced``). The substitute channel W~ is rebuilt from t.
     """
     rows = _channel_rows(w)
     _check_eps(eps)
@@ -274,8 +340,11 @@ def ns_eps_for_cost(w, c: int) -> NsEpsResult:
     over overlaps 0 <= t <= W with t_xy <= zeta_y, sum zeta <= c and
     sum_y t_xy >= 1 - gamma per row, in the removed masses r = W - t and
     s = M - zeta, with the m rows s <= M for the caps t >= 0 (so
-    t = max(W - r, 0)). Only sum s >= sum M - c can start infeasible, so
-    phase 1 has a single artificial. zeta is then raised evenly to sum to
+    t = max(W - r, 0)). It keeps only the cells off each column's peak
+    whose gap is at most gamma_0, the deviation of the feasible
+    zeta0 = M c / sum M. Only sum s >= sum M - c can start infeasible, so
+    phase 1 has a single artificial; from c >= sum M on, zeta = M fits and
+    the deviation is 0 with no LP. zeta is then raised evenly to sum to
     c, and W~ is rebuilt from t. On a symmetric channel the flat
     zeta = c/m is optimal (proof at ``_solve_reduced``), so the deviation
     is sum_y max(W(y|0) - c/m, 0) = 1 - sum_y min(W(y|0), c/m) with no LP.
@@ -453,12 +522,12 @@ def bsc_ns_log2_costs(ns, delta: float, eps: float) -> np.ndarray:
     are found for blocks of rows of at most ``_LEVEL_CELLS`` cells
     (blocklengths times weight classes).
     """
-    ns = [_check_count("blocklength", n) for n in ns]
+    ns = _check_counts("blocklength", ns)
     _check_crossover(delta)
     _check_eps(eps)
-    if any(a > b for a, b in zip(ns, ns[1:])):
+    if np.any(ns[1:] < ns[:-1]):
         raise ValueError("blocklengths must be in ascending order")
-    ns = np.array(ns, dtype=np.int64)
+    ns = ns.astype(np.int64)
     lg = _lgamma_table(ns[-1]) if ns.size else None
     out = np.empty(ns.size)
     start = 0

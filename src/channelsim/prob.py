@@ -48,6 +48,20 @@ def _check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def _check_counts(name: str, values, least: int = 1) -> np.ndarray:
+    """``values`` as an array, if every entry passes ``_check_count``.
+
+    An integer array takes one vectorized test; anything else is checked
+    entry by entry, as the Python objects given, so the first bad entry
+    gets its ValueError (in ``[3, 2.5]`` that is 2.5, not 3.0).
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind != "i" or (arr.size and arr.min() < least):
+        for value in np.asarray(values, dtype=object).ravel().tolist():
+            _check_count(name, value, least)
+    return arr
+
+
 def _compositions(dim: int, total: int) -> np.ndarray:
     """All compositions of ``total`` into ``dim`` parts (the types of
     strings of ``total`` letters), as integer rows in lexicographic order.

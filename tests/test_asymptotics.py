@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 
 from channelsim import asymptotics as asy
 from channelsim import broadcast, cli, prob
+from channelsim.divergences import var_div
+from channelsim.lp import LpProblem, solve_lp
 
 
 def _h2(x):
@@ -510,6 +512,59 @@ class TestDispersion:
         assert lo_p @ rows == pytest.approx(np.full(4, 0.25), abs=1e-12)
         assert hi_p @ rows == pytest.approx(np.full(4, 0.25), abs=1e-12)
         assert hi_p[4:].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param(prob.Dmc.bsc(0.1).rows, id="bsc"),
+        pytest.param(_ternary().rows, id="ternary"),
+        pytest.param(np.array([np.roll([0.5, 0.2, 0.15, 0.1, 0.05], i)
+                               for i in range(5)]), id="cyclic5"),
+        *(pytest.param(_dirichlet(seed), id=f"dirichlet{seed}")
+          for seed in range(6)),
+    ])
+    def test_independent_face_is_one_point(self, rows, monkeypatch):
+        # Independent face rows leave p W = q^ one solution, p^: no face
+        # LP runs, and both LPs on that face reach its variance.
+        live = rows[:, rows.max(axis=0) > 0.0]
+        p, d = asy._certified_optimum(live, (live.shape[1],), 1,
+                                      asy._ASCENT_GAP)
+        face = np.flatnonzero(d >= d.max() - asy._TOL_CAP)
+        q_hat = p[face] @ live[face] / p[face].sum()
+        w_face = live[face][:, q_hat > 0.0]
+        q_hat = q_hat[q_hat > 0.0]
+        v = np.array([var_div(row, q_hat) for row in w_face])
+        want = [sign * solve_lp(LpProblem(
+            c=sign * v, a=w_face.T, b=q_hat,
+            senses=("=",) * q_hat.size)).value for sign in (1.0, -1.0)]
+
+        def no_lp(program):
+            raise AssertionError("a one-point face ran an LP")
+
+        monkeypatch.setattr(asy, "solve_lp", no_lp)
+        got = asy.dispersion(prob.Dmc(rows=rows))
+        assert got.v_min == got.v_max
+        assert got.v_min == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert got.v_max == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+        (point,) = got.capacity_achieving_inputs
+        assert point.probs[face] == pytest.approx(p[face] / p[face].sum(),
+                                                  abs=1e-15)
+
+    def test_dependent_face_runs_both_lps(self, monkeypatch):
+        calls = []
+        real = asy.solve_lp
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(asy, "solve_lp", counting)
+        # Inputs 0 and 1 are one letter twice: the face is a segment.
+        rows = np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]])
+        got = asy.dispersion(prob.Dmc(rows=rows))
+        assert len(calls) == 2
+        want = asy.dispersion(prob.Dmc.bsc(0.1))
+        assert got.capacity == pytest.approx(want.capacity, abs=1e-12)
+        assert got.v_min == pytest.approx(want.v_min, rel=1e-9)
+        assert got.v_max == pytest.approx(want.v_max, rel=1e-9)
 
     def test_iteration_cap_is_numeric_failure(self, monkeypatch, tmp_path,
                                               capsys):

@@ -168,3 +168,28 @@ def test_float_blocklength_arrays_are_rejected():
         asymptotics.second_order_coding(PARAMS, np.array([2.0, 3.0]), 0.1)
     value = asymptotics.second_order_coding(PARAMS, np.array([2, 3]), 0.1)
     assert value.shape == (2,)
+
+
+@pytest.mark.parametrize("ns, shown", [
+    (np.array([3, 0]), "0"), (np.array([4, -2]), "-2"),
+    (np.array([2.0, 3.0]), "2.0"), (np.array([True]), "True"),
+    ([3, 2.5], "2.5"),
+])
+def test_blocklength_arrays_name_the_first_bad_entry(ns, shown):
+    want = rf"^blocklength must be a positive integer, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=want):
+        ns_meta.bsc_ns_log2_costs(ns, 0.1, 0.1)
+    with pytest.raises(ValueError, match=want):
+        asymptotics.second_order_simulation(PARAMS, ns, 0.1)
+
+
+def test_integer_blocklength_arrays_take_one_check(monkeypatch):
+    seen = []
+    real = prob._check_count
+    monkeypatch.setattr(prob, "_check_count",
+                        lambda *args: seen.append(args) or real(*args))
+    ns = np.arange(1, 201)
+    ns_meta.bsc_ns_log2_costs(ns, 0.11, 0.05)
+    asymptotics.second_order_coding(PARAMS, ns, 0.1)
+    asymptotics.second_order_simulation(PARAMS, list(range(1, 201)), 0.1)
+    assert seen == []

@@ -2,11 +2,13 @@
 
 import dataclasses
 import importlib.util
+import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
+import reference_ns_meta as ref
 from hypothesis import assume, given, settings, strategies as st
 
 from channelsim import cli, lp, ns_meta, prob, selfcheck
@@ -207,8 +209,11 @@ class TestReducedProgram:
     ])
     def test_cost_direction_starts_feasible(self, rows, monkeypatch):
         program = ns_meta._reduced_program(rows, eps=0.05)
-        k, m = rows.shape
-        assert program.num_rows == k * m + k + m + 1
+        _, top, keep = ns_meta._program_cells(rows, eps=0.05)
+        m = rows.shape[1]
+        budgets = np.union1d(keep.nonzero()[0], top).size
+        assert program.num_rows == keep.sum() + budgets + m + 1
+        assert program.num_vars == keep.sum() + m
         assert set(program.senses) == {"<="}
         assert np.all(program.b >= 0.0)
         # Without '>=' or '=' rows and with b >= 0, solve_lp adds no
@@ -227,18 +232,18 @@ class TestReducedProgram:
     @pytest.mark.parametrize("rows,eps,cost", [
         ([[0.82, 0.05, 0.12, 0.01], [0.65, 0.24, 0.01, 0.10],
           [0.12, 0.24, 0.01, 0.63], [0.0, 0.45, 0.24, 0.31]], 0.4, None),
-        ([[0.83, 0.0, 0.14, 0.03], [0.0, 0.01, 0.73, 0.26],
-          [0.05, 0.03, 0.12, 0.80], [0.08, 0.04, 0.41, 0.47]], 0.0, 2),
+        ([[0.93, 0.05, 0.0, 0.02], [0.04, 0.2, 0.76, 0.0],
+          [0.06, 0.01, 0.71, 0.22], [0.02, 0.94, 0.04, 0.0]], 0.0, 2),
     ], ids=["eps", "cost"])
     def test_overlap_is_clipped_where_r_exceeds_w(self, rows, eps, cost,
                                                   monkeypatch):
         # The program caps zeta >= 0 rather than t = W - r >= 0, and these
-        # optima remove more than W holds from one entry; the overlap the
-        # witness is rebuilt from must still lie in [0, W].
+        # optima remove more than W holds from one kept cell; the overlap
+        # the witness is rebuilt from must still lie in [0, W].
         rows = np.array(rows)
-        k, m = rows.shape
+        _, _, keep = ns_meta._program_cells(rows, eps=eps, cost=cost)
         sol = solve_lp(ns_meta._reduced_program(rows, eps=eps, cost=cost))
-        assert (sol.x[:k * m].reshape(k, m) > rows + 0.01).any()
+        assert (sol.x[:keep.sum()] > rows[keep] + 0.01).any()
         overlaps = []
         rebuild = ns_meta._rebuild_rows
 
@@ -263,12 +268,100 @@ class TestReducedProgram:
             assert "=" not in program.senses
 
     def test_bsc4_pivot_budget(self):
-        # The overlap program takes 518 pivots here, 513 of them in phase 1.
+        # The overlap program takes 518 pivots here, 513 of them in phase 1,
+        # and the full removed-mass program 32, one per output letter more:
+        # the degenerate pivots that enter each s_y at its peak cell.
         program = ns_meta._reduced_program(
             ns_meta.bsc_channel(4, 0.11).rows, eps=0.05)
         sol = solve_lp(program)
         assert sol.status == "optimal"
-        assert sol.iterations <= 64
+        assert sol.iterations <= 16
+
+
+def _dirichlet_channels():
+    """Dirichlet(1), (0.3) and (0.1) channels with 2 to 16 output letters
+    and 2 to 16 inputs."""
+    cases = []
+    for alpha in (1.0, 0.3, 0.1):
+        rng = np.random.default_rng(int(10 * alpha) + 310)
+        for m in range(2, 17):
+            k = int(rng.integers(2, 17))
+            cases.append(pytest.param(
+                rng.dirichlet(np.full(m, alpha), size=k),
+                id=f"dirichlet{alpha}-{k}x{m}"))
+    return cases
+
+
+class TestCellsThatCanBind:
+    """The reduced program against the full one, one row per cell."""
+
+    @pytest.mark.parametrize("rows", _dirichlet_channels())
+    def test_matches_the_full_program(self, rows):
+        for eps in (0.0, 0.01, 0.05, 0.15, 0.4):
+            want, _, want_zeta, want_pivots = ref.solve_reduced(rows, eps=eps)
+            got, w_tilde, zeta = ns_meta._solve_reduced_lp(
+                rows, "max-information", eps=eps)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert zeta.sum() == pytest.approx(want_zeta.sum(), rel=1e-15)
+            _assert_witness(rows, w_tilde, zeta, eps)
+            sol = solve_lp(ns_meta._reduced_program(rows, eps=eps))
+            assert sol.iterations <= want_pivots, eps
+
+    def test_cost_form_matches_the_full_program(self):
+        # Below sum M. Bland's rule can take a few more pivots on a smaller
+        # program in the cost form (phase 1 and 2 both pivot), so the pivot
+        # count is checked summed over the channels.
+        pivots, full_pivots = 0, 0
+        for param in _dirichlet_channels():
+            (rows,) = param.values
+            peak_sum = rows.max(axis=0).sum()
+            for cost in sorted({2, math.floor(peak_sum)}):
+                if cost >= peak_sum:
+                    continue
+                want, _, _, want_pivots = ref.solve_reduced(rows, cost=cost)
+                got, w_tilde, zeta = ns_meta._solve_reduced_lp(
+                    rows, "deviation", cost=cost)
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+                _assert_witness(rows, w_tilde, zeta, max(got, 0.0))
+                assert zeta.sum() == pytest.approx(cost, rel=1e-15)
+                pivots += solve_lp(
+                    ns_meta._reduced_program(rows, cost=cost)).iterations
+                full_pivots += want_pivots
+        assert pivots < full_pivots
+
+    @pytest.mark.parametrize("rows", _dirichlet_channels()[::4])
+    def test_cost_above_peak_sum_skips_the_lp(self, rows, monkeypatch):
+        # zeta = M is feasible from sum M <= c on: the full program stops
+        # at its starting basis, and the skip returns its bytes.
+        calls = _counting_lp(monkeypatch)
+        for cost in (math.ceil(rows.max(axis=0).sum()), rows.shape[1] + 2):
+            if cost < 2:
+                continue
+            want = ref.solve_reduced(rows, cost=cost)
+            got = ns_meta._solve_reduced_lp(rows, "deviation", cost=cost)
+            assert want[3] == 0 and got[0] == want[0] == 0.0
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+        assert calls == []
+
+    def test_dropped_cells_cannot_bind(self):
+        # A dropped cell's gap exceeds every optimal s_y of its column:
+        # the full program's optimum puts nothing into its r.
+        for param in _dirichlet_channels():
+            (rows,) = param.values
+            k, m = rows.shape
+            for eps, cost in ((0.05, None), (0.0, 2)):
+                if cost is not None and cost >= rows.max(axis=0).sum():
+                    continue
+                _, top, keep = ns_meta._program_cells(rows, eps=eps,
+                                                      cost=cost)
+                sol = solve_lp(ref.reduced_program(rows, eps=eps, cost=cost))
+                s = sol.x[k * m:k * m + m]
+                dropped = ~keep
+                dropped[top, np.arange(m)] = False
+                gaps = rows.max(axis=0) - rows
+                assert np.all(s[np.nonzero(dropped)[1]]
+                              <= gaps[dropped] + 1e-15)
 
 
 def _circulant(base):
@@ -319,15 +412,15 @@ def _no_lp(program):
     raise AssertionError("a symmetric channel built an LP")
 
 
-def _counting_lp(monkeypatch):
+def _counting_lp(monkeypatch, name="solve_lp"):
     calls = []
-    real = ns_meta.solve_lp
+    real = getattr(ns_meta, name)
 
-    def counting(program):
-        calls.append(program)
-        return real(program)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(ns_meta, "solve_lp", counting)
+    monkeypatch.setattr(ns_meta, name, counting)
     return calls
 
 
@@ -380,12 +473,17 @@ class TestFlatClosedForm:
     ])
     def test_asymmetric_takes_the_lp(self, rows, monkeypatch):
         assert not ns_meta._is_symmetric(rows)
+        routes = _counting_lp(monkeypatch, "_solve_reduced_lp")
         calls = _counting_lp(monkeypatch)
         got = ns_meta.i_max_smooth(rows, 0.0)
-        assert len(calls) == 1
+        assert len(routes) == len(calls) == 1
         assert got.value == pytest.approx(ns_meta.i_max(rows), abs=1e-12)
-        ns_meta.ns_eps_for_cost(rows, 2)
-        assert len(calls) == 2
+        dev = ns_meta.ns_eps_for_cost(rows, 2)
+        assert len(routes) == 2
+        # From sum M <= c on, zeta = M fits and the LP route solves nothing.
+        fits = rows.max(axis=0).sum() <= 2
+        assert len(calls) == 2 - fits
+        assert dev.eps == 0.0 or not fits
 
     # At seed 1881 the cost of ns-eps-bsc3 is 2, where 1 - sum min(W, c/m)
     # rounds an ulp away from the LP's removed mass.
@@ -393,10 +491,11 @@ class TestFlatClosedForm:
     def test_oneshot_traffic(self, tmp_path, monkeypatch, seed):
         # The benchmark's dense cost jobs: the BSC(0.11)^3 and ^4 ones
         # take the closed form, with the LP route's output bytes, and the
-        # random channels the LP.
+        # random channels the LP, except an ns-eps cost of at least sum M,
+        # which needs no solve.
         jobs = _load_workloads().make_jobs("oneshot", seed, str(tmp_path))
         calls = _counting_lp(monkeypatch)
-        fast, slow = [], []
+        fast, slow, fits = [], [], []
         for job in jobs:
             argv = list(job.get("argv", ()))
             if not argv or argv[0] not in ("ns-cost", "ns-eps", "imax"):
@@ -404,6 +503,11 @@ class TestFlatClosedForm:
             for flag in ("--channel", "--out"):
                 argv[argv.index(flag) + 1] = str(
                     tmp_path / argv[argv.index(flag) + 1])
+            if argv[0] == "ns-eps":
+                rows = prob.channel_from_json(json.loads(pathlib.Path(
+                    argv[argv.index("--channel") + 1]).read_text())).rows
+                if rows.max(axis=0).sum() <= int(argv[argv.index("--n") + 1]):
+                    fits.append(job["id"])
             out = tmp_path / job["out"]
             before = len(calls)
             assert cli.main(argv) == cli.EXIT_OK
@@ -416,9 +520,11 @@ class TestFlatClosedForm:
                 patch.setattr(ns_meta, "_is_symmetric", lambda rows: False)
                 assert cli.main(argv) == cli.EXIT_OK
             assert out.read_bytes() == got
-        assert sorted(fast) == ["imax-bsc3", "ns-cost-bsc3", "ns-cost-bsc4",
-                                "ns-eps-bsc3"]
-        assert len(slow) == 9
+        symmetric = ["imax-bsc3", "ns-cost-bsc3", "ns-cost-bsc4",
+                     "ns-eps-bsc3"]
+        assert sorted(fast) == sorted(
+            symmetric + [j for j in fits if j != "ns-eps-bsc3"])
+        assert len(slow) + len(fast) == 13
 
 
 class TestChannelDivergences:
