@@ -22,7 +22,7 @@ import numpy as np
 
 from .divergences import var_div
 from .lp import LpProblem, solve_lp
-from .prob import Pmf, _channel_rows, _check_count, _check_counts
+from .prob import Pmf, _channel_rows, _check_blocklengths, _check_count
 
 _LN2 = math.log(2.0)
 
@@ -472,7 +472,7 @@ def _expansion(params: SecondOrderParams, n, eps: float, level: float,
                sign: float):
     """n C + sqrt(n v) sign Phi^-1(eps), with v = v_min below level 1/2 and
     v_max from it, for one blocklength or an array solving Phi^-1 once."""
-    ns = _check_counts("blocklength", n)
+    ns = _check_blocklengths(n)
     _check_open_eps(eps)
     v = params.v_min if level < 0.5 else params.v_max
     quantile = sign * inv_normal_cdf(eps)

@@ -48,17 +48,18 @@ def _check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def _check_counts(name: str, values, least: int = 1) -> np.ndarray:
-    """``values`` as an array, if every entry passes ``_check_count``.
+def _check_blocklengths(values) -> np.ndarray:
+    """``values`` as an array, if every entry is a blocklength that passes
+    ``_check_count``.
 
     An integer array takes one vectorized test; anything else is checked
     entry by entry, as the Python objects given, so the first bad entry
     gets its ValueError (in ``[3, 2.5]`` that is 2.5, not 3.0).
     """
     arr = np.asarray(values)
-    if arr.dtype.kind != "i" or (arr.size and arr.min() < least):
+    if arr.dtype.kind != "i" or (arr.size and arr.min() < 1):
         for value in np.asarray(values, dtype=object).ravel().tolist():
-            _check_count(name, value, least)
+            _check_count("blocklength", value)
     return arr
 
 

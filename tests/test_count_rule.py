@@ -183,6 +183,18 @@ def test_blocklength_arrays_name_the_first_bad_entry(ns, shown):
         asymptotics.second_order_simulation(PARAMS, ns, 0.1)
 
 
+def test_blocklength_iterables_and_matrices():
+    # Any iterable of blocklengths is read; a 2-d array's entries are its
+    # rows, which are not counts, so the first row is named.
+    want = ns_meta.bsc_ns_log2_costs([1, 2, 3], 0.1, 0.1)
+    got = ns_meta.bsc_ns_log2_costs((n for n in (1, 2, 3)), 0.1, 0.1)
+    assert got.tobytes() == want.tobytes()
+    shown = re.escape(repr(np.array([1, 2])))
+    with pytest.raises(ValueError, match=rf"^blocklength must be a positive "
+                                         rf"integer, got {shown}$"):
+        ns_meta.bsc_ns_log2_costs(np.array([[1, 2], [3, 4]]), 0.1, 0.1)
+
+
 def test_integer_blocklength_arrays_take_one_check(monkeypatch):
     seen = []
     real = prob._check_count

@@ -308,9 +308,11 @@ class TestCellsThatCanBind:
             assert sol.iterations <= want_pivots, eps
 
     def test_cost_form_matches_the_full_program(self):
-        # Below sum M. Bland's rule can take a few more pivots on a smaller
-        # program in the cost form (phase 1 and 2 both pivot), so the pivot
-        # count is checked summed over the channels.
+        # Below sum M. Bland's rule can take more pivots on the smaller
+        # program in the cost form (phase 1 and 2 both pivot): here 6 of
+        # 69 programs do, 1.51 times the full program's at worst (62
+        # against 41). So each program is held to twice the full
+        # program's pivots, and the sum must fall.
         pivots, full_pivots = 0, 0
         for param in _dirichlet_channels():
             (rows,) = param.values
@@ -324,8 +326,10 @@ class TestCellsThatCanBind:
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0)
                 _assert_witness(rows, w_tilde, zeta, max(got, 0.0))
                 assert zeta.sum() == pytest.approx(cost, rel=1e-15)
-                pivots += solve_lp(
+                got_pivots = solve_lp(
                     ns_meta._reduced_program(rows, cost=cost)).iterations
+                assert got_pivots <= 2 * want_pivots, cost
+                pivots += got_pivots
                 full_pivots += want_pivots
         assert pivots < full_pivots
 
